@@ -16,6 +16,13 @@ Sign convention: sigma is the literal quotient of signed areas, so it is
 negative precisely when P_L lies strictly between P_U and P_V.  Components
 are labelled by the sign of sigma itself; no absolute orientation of the
 plane is imposed.
+
+In the (u, v) coordinates d = alpha*u + beta*v of a ray direction, an
+auxiliary line meeting U at O + a*u and V at O + b*v gives
+sigma = -(a/b) * m with the slope m = beta/alpha.  The production angle
+therefore works with slopes, 0.5 * log(m_A / m_B), and never builds an
+auxiliary line; sigma_lambda, sigma_sign and area_cross_ratio keep the
+area-ratio definitions.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import (
     CoincidentIntersection,
@@ -43,7 +50,6 @@ from .kernel import (
     Line,
     Point,
     Ray,
-    cross,
     decompose,
     distance,
     dot,
@@ -52,11 +58,6 @@ from .kernel import (
     signed_area,
     vec,
 )
-
-# Rays closer than this (relative) to the auxiliary direction force the
-# deterministic fallback auxiliary line; the computed value is unchanged
-# because the ratio is independent of the auxiliary choice.
-_AUX_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -116,13 +117,13 @@ class AngleResult:
 
 
 def _require_through(line: Line, o: Point, name: str) -> None:
-    if not line.contains(o, tol=1e-9):
+    if not line.contains(o, tol=REL_EPS):
         raise ValueError(f"line {name} must pass through the vertex")
 
 
 def _require_vertex(ray: Ray, o: Point) -> None:
     scale = max(1.0, abs(o.x), abs(o.y))
-    if distance(ray.origin, o) > 1e-9 * scale:
+    if distance(ray.origin, o) > REL_EPS * scale:
         raise ValueError("ray must emanate from the vertex")
 
 
@@ -236,32 +237,6 @@ def area_cross_ratio(l1: Ray, l2: Ray, r1: Ray, r2: Ray, o: Point, aux: Line) ->
     return num / den
 
 
-def canonical_auxiliary(o: Point, dirs: DirectionPair, avoid: Sequence[DirectionVector] = ()) -> Line:
-    """Deterministic auxiliary line through O + u + v.
-
-    The primary direction is u - v; when a direction in ``avoid`` is nearly
-    parallel to a candidate, the next candidate is used (the computed ratios
-    do not depend on the choice).
-    """
-    u, v = dirs.u, dirs.v
-    base = Point(o.x + u.dx + v.dx, o.y + u.dy + v.dy)
-    candidates = [
-        DirectionVector(u.dx - v.dx, u.dy - v.dy),
-        DirectionVector(2.0 * u.dx - v.dx, 2.0 * u.dy - v.dy),
-        DirectionVector(u.dx - 2.0 * v.dx, u.dy - 2.0 * v.dy),
-    ]
-
-    def margin(c: DirectionVector) -> float:
-        if not avoid:
-            return math.inf
-        return min(abs(cross(c, d)) / (c.norm * d.norm) for d in avoid)
-
-    for c in candidates:
-        if margin(c) > _AUX_MARGIN:
-            return Line(base, c)
-    return Line(base, max(candidates, key=margin))
-
-
 def _ray_direction(o: Point, p: Point, name: str) -> DirectionVector:
     try:
         return vec(o, p)
@@ -269,44 +244,49 @@ def _ray_direction(o: Point, p: Point, name: str) -> DirectionVector:
         raise ValueError(f"point {name} coincides with the vertex") from None
 
 
-def _sigma_pair(o: Point, a: Point, b: Point, dirs: DirectionPair) -> tuple[float, float]:
+def ray_slope(
+    d: DirectionVector, dirs: DirectionPair, name: str, per_direction: bool = False
+) -> float:
+    """Slope m = beta/alpha of d = alpha*u + beta*v; raises SingularRay near u or v.
+
+    By default d is singular when is_parallel(d, u) or is_parallel(d, v).  With
+    ``per_direction`` the test bounds each coefficient instead, and the error
+    names the direction that d is parallel to.
+    """
+    alpha, beta = decompose(d, dirs.u, dirs.v)
+    if per_direction:
+        if abs(alpha) * dirs.u.norm <= PAR_EPS * d.norm:
+            raise SingularRay(f"ray {name} is parallel to the v direction")
+        if abs(beta) * dirs.v.norm <= PAR_EPS * d.norm:
+            raise SingularRay(f"ray {name} is parallel to the u direction")
+    elif is_parallel(d, dirs.u) or is_parallel(d, dirs.v):
+        raise SingularRay(f"ray {name} is parallel to a reference direction")
+    return beta / alpha
+
+
+def _slope_pair(o: Point, a: Point, b: Point, dirs: DirectionPair) -> tuple[float, float]:
     da = _ray_direction(o, a, "A")
     db = _ray_direction(o, b, "B")
-    for d, name in ((da, "OA"), (db, "OB")):
-        if is_parallel(d, dirs.u) or is_parallel(d, dirs.v):
-            raise SingularRay(f"ray {name} is parallel to a reference direction")
-    aux = canonical_auxiliary(o, dirs, (da, db))
-    u_line, v_line = Line(o, dirs.u), Line(o, dirs.v)
-    sa = sigma_lambda(o, Ray(o, da), u_line, v_line, aux)
-    sb = sigma_lambda(o, Ray(o, db), u_line, v_line, aux)
-    return sa.value, sb.value
+    return ray_slope(da, dirs, "OA"), ray_slope(db, dirs, "OB")
 
 
 def affine_angle(o: Point, a: Point, b: Point, dirs: DirectionPair) -> AngleResult:
     """Half the log of the area-ratio quotient for rays OA, OB; NonReal across components."""
-    sa, sb = _sigma_pair(o, a, b, dirs)
-    if sa * sb <= 0.0:
-        sign_a = "+" if sa > 0 else "-"
-        sign_b = "+" if sb > 0 else "-"
+    m_a, m_b = _slope_pair(o, a, b, dirs)
+    if m_a * m_b <= 0.0:
+        # Signs of sigma on the auxiliary line through O + u + v, where sigma = -m.
+        sign_a = "-" if m_a > 0 else "+"
+        sign_b = "-" if m_b > 0 else "+"
         return AngleResult.non_real(
             f"rays OA, OB lie in different components (sigma signs {sign_a}, {sign_b})"
         )
-    return AngleResult.real(0.5 * math.log(sa / sb))
+    return AngleResult.real(0.5 * math.log(m_a / m_b))
 
 
 def is_same_component(o: Point, a: Point, b: Point, dirs: DirectionPair) -> bool:
-    """True iff the two area ratios have the same sign."""
-    sa, sb = _sigma_pair(o, a, b, dirs)
-    return sa * sb > 0.0
-
-
-def _basis_slope(d: DirectionVector, dirs: DirectionPair, name: str) -> float:
-    alpha, beta = decompose(d, dirs.u, dirs.v)
-    if abs(alpha) * dirs.u.norm <= PAR_EPS * d.norm:
-        raise SingularRay(f"ray {name} is parallel to the v direction")
-    if abs(beta) * dirs.v.norm <= PAR_EPS * d.norm:
-        raise SingularRay(f"ray {name} is parallel to the u direction")
-    return beta / alpha
+    """True iff the two area ratios (equivalently, the two slopes) have the same sign."""
+    m_a, m_b = _slope_pair(o, a, b, dirs)
+    return m_a * m_b > 0.0
 
 
 def midpoint_ray(o: Point, r: Ray, s: Ray, dirs: DirectionPair) -> Ray:
@@ -317,8 +297,8 @@ def midpoint_ray(o: Point, r: Ray, s: Ray, dirs: DirectionPair) -> Ray:
     """
     _require_vertex(r, o)
     _require_vertex(s, o)
-    m_r = _basis_slope(r.dir, dirs, "r")
-    m_s = _basis_slope(s.dir, dirs, "s")
+    m_r = ray_slope(r.dir, dirs, "r", per_direction=True)
+    m_s = ray_slope(s.dir, dirs, "s", per_direction=True)
     if m_r * m_s <= 0.0:
         raise ComponentMismatch("rays lie in different components")
     m_t = math.copysign(math.sqrt(m_r * m_s), m_r)

@@ -3,7 +3,9 @@
 Every subcommand prints a versioned JSON document with a fixed key order
 (schema_version, command, inputs, outputs, diagnostics); the ``isoptic``
 subcommand can emit an SVG rendering instead.  Exit codes: 0 success,
-1 usage or parse error, 2 domain error.  All randomness used by the
+1 usage or parse error (including non-finite numbers), 2 domain error
+(including non-finite results and an unwritable ``--out``); every error is
+one stderr line.  All randomness used by the
 ``invariance`` demonstrations flows from an explicit seed through Python's
 Mersenne Twister (``random.Random``), so identical invocations produce
 byte-identical output.
@@ -35,6 +37,7 @@ from .kernel import (
     Point,
     Ray,
     apply_map,
+    basis_map,
     compose_maps,
     intersect_lines,
     invert_map,
@@ -55,7 +58,7 @@ SCHEMA_VERSION = "1"
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse parser that exits with status 1 on usage errors.
+    """argparse parser that exits with status 1 and one stderr line on usage errors.
 
     Tokens starting with a minus and a digit (negative coordinates such as
     ``-1,0``) are treated as values, not options.
@@ -66,9 +69,23 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d")
 
     def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _number(text: str) -> float:
+    """float(text) when it is finite; ValueError for non-numbers, nan and infinities."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+def _scalar(text: str) -> float:
+    try:
+        return _number(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
 
 
 def _floats(text: str, count: int, what: str) -> tuple[float, ...]:
@@ -76,7 +93,7 @@ def _floats(text: str, count: int, what: str) -> tuple[float, ...]:
     if len(parts) != count:
         raise argparse.ArgumentTypeError(f"{what} needs {count} comma-separated numbers")
     try:
-        return tuple(float(p) for p in parts)
+        return tuple(_number(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{what}: {exc}") from None
 
@@ -95,7 +112,7 @@ def _quad(text: str) -> tuple[float, float, float, float]:
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(p) for p in text.split(",") if p]
+        return [_number(p) for p in text.split(",") if p]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -121,14 +138,14 @@ def build_parser() -> _Parser:
     p_iso.add_argument("--B", type=_pair, required=True, dest="b")
     p_iso.add_argument("--u", type=_pair, required=True)
     p_iso.add_argument("--v", type=_pair, required=True)
-    p_iso.add_argument("--theta", type=float, required=True)
+    p_iso.add_argument("--theta", type=_scalar, required=True)
     p_iso.add_argument("--samples", type=int, default=32)
     p_iso.add_argument("--output", choices=("json", "svg"), default="json")
     p_iso.add_argument("--viewport", type=_quad, default=None)
     add_common(p_iso)
 
     p_pow = sub.add_parser("power", help="hyperbolic power of a point")
-    p_pow.add_argument("--kappa", type=float, required=True)
+    p_pow.add_argument("--kappa", type=_scalar, required=True)
     p_pow.add_argument("--center", type=_pair, required=True)
     p_pow.add_argument("--P", type=_pair, required=True, dest="p")
     p_pow.add_argument("--u", type=_pair, default=(1.0, 0.0))
@@ -147,12 +164,12 @@ def build_parser() -> _Parser:
     group = p_chords.add_mutually_exclusive_group(required=True)
     group.add_argument("--t", type=_quad, default=None, metavar="T1,T2,T3,T4")
     group.add_argument("--progression", type=_triple, default=None, metavar="A,R,P")
-    p_chords.add_argument("--kappa", type=float, default=1.0)
+    p_chords.add_argument("--kappa", type=_scalar, default=1.0)
     add_common(p_chords)
 
     p_deg = sub.add_parser("degenerate", help="first-order degenerate limit of the log angle")
-    p_deg.add_argument("--m1", type=float, required=True)
-    p_deg.add_argument("--m2", type=float, required=True)
+    p_deg.add_argument("--m1", type=_scalar, required=True)
+    p_deg.add_argument("--m2", type=_scalar, required=True)
     p_deg.add_argument("--t-sequence", type=_float_list, default=None, dest="t_sequence")
     add_common(p_deg)
 
@@ -388,10 +405,11 @@ def _cmd_invariance(args) -> dict:
     for _ in range(args.trials):
         o, dirs, a, b = _random_invariance_config(rng)
         before = affine_angle(o, a, b, dirs)
-        basis = AffineMap(dirs.u.dx, dirs.v.dx, dirs.u.dy, dirs.v.dy)
+        to_basis = basis_map(dirs.u, dirs.v)
+        from_basis = invert_map(to_basis)
         sx = rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 5.0)
         sy = math.copysign(rng.uniform(0.2, 5.0), sx)
-        diag = compose_maps(compose_maps(basis, AffineMap.scaling(sx, sy)), invert_map(basis))
+        diag = compose_maps(compose_maps(from_basis, AffineMap.scaling(sx, sy)), to_basis)
         shift = AffineMap.translation(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
         good = compose_maps(shift, diag)
         after = affine_angle(
@@ -400,7 +418,7 @@ def _cmd_invariance(args) -> dict:
         group_dev = max(group_dev, abs(after.theta - before.theta))
 
         shear = compose_maps(
-            compose_maps(basis, AffineMap(1.0, 0.7, 0.0, 1.0)), invert_map(basis)
+            compose_maps(from_basis, AffineMap(1.0, 0.7, 0.0, 1.0)), to_basis
         )
         sheared = affine_angle(
             apply_map(shear, o), apply_map(shear, a), apply_map(shear, b), dirs
@@ -429,8 +447,9 @@ _HANDLERS = {
 
 
 def _emit(payload, out_path: str | None) -> None:
+    """Write the document (strict JSON: nan and infinities raise ValueError) or SVG bytes."""
     if isinstance(payload, dict):
-        data = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+        data = (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode("utf-8")
     else:
         data = payload
     if out_path is None:
@@ -445,11 +464,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload = _HANDLERS[args.command](args)
-    except (GeometryError, ValueError) as exc:
+        _emit(_HANDLERS[args.command](args), args.out)
+    except (GeometryError, ValueError, OverflowError) as exc:
         print(f"uvangle {args.command}: domain error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, args.out)
+    except OSError as exc:
+        print(f"uvangle {args.command}: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ComponentMismatch, PoleAtT
+from .kernel import ABS_EPS
 
 _DEFAULT_T_SEQUENCE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
@@ -48,7 +49,7 @@ def degenerate_cross_ratio(m: SlopePair, t: float) -> float:
     """((1 - m1 t)(1 + m2 t)) / ((1 + m1 t)(1 - m2 t))."""
     factors = (1.0 - m.m1 * t, 1.0 + m.m2 * t, 1.0 + m.m1 * t, 1.0 - m.m2 * t)
     for f in factors:
-        if abs(f) <= 1e-12 * max(1.0, abs(m.m1 * t), abs(m.m2 * t)):
+        if abs(f) <= ABS_EPS * max(1.0, abs(m.m1 * t), abs(m.m2 * t)):
             raise PoleAtT(f"t = {t!r} hits a pole or zero of the cross ratio")
     return (factors[0] * factors[1]) / (factors[2] * factors[3])
 

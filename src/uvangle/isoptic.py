@@ -20,16 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .angle import DirectionPair, affine_angle
-from .errors import ComponentMismatch, SingularPosition, SingularRay, ThetaTooSmall
+from .angle import DirectionPair, ray_slope
+from .errors import ComponentMismatch, SingularPosition, ThetaTooSmall
 from .kernel import (
     AffineMap,
     DirectionVector,
     Point,
     apply_map,
-    decompose,
     invert_map,
     normalize_configuration,
     vec,
@@ -122,27 +119,42 @@ class IsopticCurve:
 
 
 def _pullback_conic(conic: ConicCoefficients, t: AffineMap) -> ConicCoefficients:
-    """Coefficients of x |-> conic(t(x))."""
-    h = np.array([[t.xx, t.xy, t.tx], [t.yx, t.yy, t.ty], [0.0, 0.0, 1.0]])
-    c = np.array(
-        [
-            [conic.c_xx, conic.c_xy / 2.0, conic.c_x / 2.0],
-            [conic.c_xy / 2.0, conic.c_yy, conic.c_y / 2.0],
-            [conic.c_x / 2.0, conic.c_y / 2.0, conic.c_0],
-        ]
+    """Coefficients of x |-> conic(t(x)): the congruence H^T C H of the symmetric matrices."""
+    h = ((t.xx, t.xy, t.tx), (t.yx, t.yy, t.ty), (0.0, 0.0, 1.0))
+    c = (
+        (conic.c_xx, conic.c_xy / 2.0, conic.c_x / 2.0),
+        (conic.c_xy / 2.0, conic.c_yy, conic.c_y / 2.0),
+        (conic.c_x / 2.0, conic.c_y / 2.0, conic.c_0),
     )
-    m = h.T @ c @ h
-    return ConicCoefficients(
-        m[0, 0], 2.0 * m[0, 1], m[1, 1], 2.0 * m[0, 2], 2.0 * m[1, 2], m[2, 2]
-    )
+    ch = [[sum(c[i][k] * h[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+
+    def m(i: int, j: int) -> float:
+        return sum(h[k][i] * ch[k][j] for k in range(3))
+
+    return ConicCoefficients(m(0, 0), 2.0 * m(0, 1), m(1, 1), 2.0 * m(0, 2), 2.0 * m(1, 2), m(2, 2))
 
 
 def conic_center(conic: ConicCoefficients) -> Point:
-    """Center of a central conic (gradient zero point)."""
-    a = np.array([[2.0 * conic.c_xx, conic.c_xy], [conic.c_xy, 2.0 * conic.c_yy]])
-    rhs = np.array([-conic.c_x, -conic.c_y])
-    x, y = np.linalg.solve(a, rhs)
-    return Point(float(x), float(y))
+    """Center of a central conic: the zero of the gradient.
+
+    The 2x2 system is solved by elimination with partial pivoting, in the
+    order LAPACK uses, so an exactly zero coordinate keeps the sign a
+    LAPACK solve gives it.
+    """
+    a, b, c = 2.0 * conic.c_xx, conic.c_xy, 2.0 * conic.c_yy
+    r0, r1 = -conic.c_x, -conic.c_y
+    if abs(b) > abs(a):
+        (p00, p01, q0), (p10, p11, q1) = (b, c, r1), (a, b, r0)
+    else:
+        (p00, p01, q0), (p10, p11, q1) = (a, b, r0), (b, c, r1)
+    if p00 == 0.0:
+        raise ValueError("conic has no unique center")
+    factor = p10 / p00
+    pivot = p11 - factor * p01
+    if pivot == 0.0:
+        raise ValueError("conic has no unique center")
+    y = (q1 - factor * q0) / pivot
+    return Point((q0 - p01 * y) / p00, y)
 
 
 def asymptote_directions(conic: ConicCoefficients) -> tuple[DirectionVector, DirectionVector]:
@@ -262,18 +274,10 @@ def sector_area_equivalence(
     """
     d_a = vec(o, a)
     d_b = vec(o, b)
-    slopes = []
-    for d, name in ((d_a, "OA"), (d_b, "OB")):
-        alpha, beta = decompose(d, dirs.u, dirs.v)
-        if abs(alpha) * dirs.u.norm <= 1e-10 * d.norm or abs(beta) * dirs.v.norm <= 1e-10 * d.norm:
-            raise SingularRay(f"ray {name} is parallel to a reference direction")
-        slopes.append(beta / alpha)
-    m_a, m_b = slopes
+    m_a = ray_slope(d_a, dirs, "OA")
+    m_b = ray_slope(d_b, dirs, "OB")
     if m_a * m_b <= 0.0:
         raise ComponentMismatch("rays lie in different components")
-    result = affine_angle(o, a, b, dirs)
-    if not result.is_real:
-        raise ComponentMismatch(result.reason or "angle is not real")
     x_a = 1.0 / math.sqrt(abs(m_a))
     x_b = 1.0 / math.sqrt(abs(m_b))
-    return result.theta, math.log(x_b / x_a)
+    return 0.5 * math.log(m_a / m_b), math.log(x_b / x_a)

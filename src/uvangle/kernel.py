@@ -13,8 +13,11 @@ from dataclasses import dataclass
 
 from .errors import DegenerateConfiguration, ParallelLines, SingularMap
 
+# Relative tolerance of scalar comparisons and of point-on-line/vertex tests.
 REL_EPS = 1e-9
+# Absolute floor under REL_EPS, and the threshold for vanishing lengths and determinants.
 ABS_EPS = 1e-12
+# Largest |sine| between two directions that still counts as parallel.
 PAR_EPS = 1e-10
 
 
@@ -150,24 +153,6 @@ class AffineMap:
     def scaling(cls, sx: float, sy: float) -> "AffineMap":
         return cls(sx, 0.0, 0.0, sy, 0.0, 0.0)
 
-    @classmethod
-    def from_basis_images(
-        cls,
-        u: DirectionVector,
-        v: DirectionVector,
-        image_u: DirectionVector,
-        image_v: DirectionVector,
-    ) -> "AffineMap":
-        """Linear map sending u to image_u and v to image_v (no translation)."""
-        den = cross(u, v)
-        if abs(den) <= PAR_EPS * u.norm * v.norm:
-            raise DegenerateConfiguration("basis directions are linearly dependent")
-        xx = (image_u.dx * v.dy - image_v.dx * u.dy) / den
-        xy = (-image_u.dx * v.dx + image_v.dx * u.dx) / den
-        yx = (image_u.dy * v.dy - image_v.dy * u.dy) / den
-        yy = (-image_u.dy * v.dx + image_v.dy * u.dx) / den
-        return cls(xx, xy, yx, yy, 0.0, 0.0)
-
     @property
     def det(self) -> float:
         return self.xx * self.yy - self.xy * self.yx
@@ -233,12 +218,21 @@ def compose_maps(t1: AffineMap, t2: AffineMap) -> AffineMap:
     )
 
 
-def decompose(d: DirectionVector, u: DirectionVector, v: DirectionVector) -> tuple[float, float]:
-    """Coefficients (a, b) with d = a*u + b*v.  Raises for dependent u, v."""
+def basis_map(u: DirectionVector, v: DirectionVector) -> AffineMap:
+    """Linear map sending u to (1, 0) and v to (0, 1): the (u, v) coordinate frame.
+
+    Raises DegenerateConfiguration when u and v are parallel within PAR_EPS.
+    """
     den = cross(u, v)
     if abs(den) <= PAR_EPS * u.norm * v.norm:
         raise DegenerateConfiguration("reference directions are linearly dependent")
-    return cross(d, v) / den, cross(u, d) / den
+    return AffineMap(v.dy / den, -v.dx / den, -u.dy / den, u.dx / den)
+
+
+def decompose(d: DirectionVector, u: DirectionVector, v: DirectionVector) -> tuple[float, float]:
+    """Coefficients (a, b) with d = a*u + b*v.  Raises for dependent u, v."""
+    c = basis_map(u, v).apply_linear(d)
+    return c.dx, c.dy
 
 
 def normalize_configuration(
@@ -251,8 +245,7 @@ def normalize_configuration(
     origin.  Raises DegenerateConfiguration when u, v are dependent, the points
     coincide, or the segment is parallel to either reference direction.
     """
-    if is_parallel(u, v):
-        raise DegenerateConfiguration("reference directions are linearly dependent")
+    to_basis = basis_map(u, v)
     hx, hy = (b.x - a.x) / 2.0, (b.y - a.y) / 2.0
     scale = max(1.0, abs(a.x), abs(a.y), abs(b.x), abs(b.y))
     if math.hypot(hx, hy) <= ABS_EPS * scale:
@@ -262,16 +255,13 @@ def normalize_configuration(
         raise DegenerateConfiguration("segment is parallel to the v direction")
     if is_parallel(h, u):
         raise DegenerateConfiguration("segment is parallel to the u direction")
-    s, t = decompose(h, u, v)
-    image_u = DirectionVector(1.0 / (2.0 * s), 1.0 / (2.0 * s))
-    image_v = DirectionVector(1.0 / (2.0 * t), -1.0 / (2.0 * t))
-    linear = AffineMap.from_basis_images(u, v, image_u, image_v)
+    # With (s, t) the (u, v) coordinates of h, the linear part sends (u, v)
+    # coordinates (x, y) to (x/(2s) + y/(2t), x/(2s) - y/(2t)); it is composed
+    # with to_basis here, entry by entry.
+    f = to_basis
+    p = 0.5 / (f.xx * hx + f.xy * hy)  # 1/(2s)
+    q = 0.5 / (f.yx * hx + f.yy * hy)  # 1/(2t)
+    xx, xy = p * f.xx + q * f.yx, p * f.xy + q * f.yy
+    yx, yy = p * f.xx - q * f.yx, p * f.xy - q * f.yy
     mx, my = (a.x + b.x) / 2.0, (a.y + b.y) / 2.0
-    return AffineMap(
-        linear.xx,
-        linear.xy,
-        linear.yx,
-        linear.yy,
-        -(linear.xx * mx + linear.xy * my),
-        -(linear.yx * mx + linear.yy * my),
-    )
+    return AffineMap(xx, xy, yx, yy, -(xx * mx + xy * my), -(yx * mx + yy * my))

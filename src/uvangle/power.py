@@ -39,6 +39,7 @@ from .kernel import (
     DirectionVector,
     Line,
     Point,
+    basis_map,
     compose_maps,
     intersect_lines,
     invert_map,
@@ -81,8 +82,7 @@ class AxisHyperbola:
         cls, center: Point, kappa: float, u: DirectionVector, v: DirectionVector
     ) -> "AxisHyperbola":
         """Curve with asymptote directions u, v; the frame sends u, v to the axes."""
-        columns = AffineMap(u.dx, v.dx, u.dy, v.dy)
-        return cls(center, kappa, invert_map(columns))
+        return cls(center, kappa, basis_map(u, v))
 
     def frame_center(self) -> tuple[float, float]:
         c = self.frame.apply_point(self.center)
@@ -234,7 +234,7 @@ def _monic_in_frame(h: AxisHyperbola, frame: AffineMap) -> tuple[float, float, f
     m = compose_maps(h.frame, invert_map(frame))
     entries = (abs(m.xx), abs(m.xy), abs(m.yx), abs(m.yy))
     scale = max(entries)
-    tol = 1e-9 * scale
+    tol = REL_EPS * scale
     c, d = h.frame_center()
     if abs(m.xy) <= tol and abs(m.yx) <= tol:
         # z_x = m.xx*wx + tx, z_y = m.yy*wy + ty

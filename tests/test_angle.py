@@ -31,6 +31,7 @@ from uvangle import (
     sigma_lambda,
     sigma_sign,
     signed_area,
+    vec,
 )
 from uvangle.errors import (
     CoincidentIntersection,
@@ -215,6 +216,47 @@ def test_angle_slope_formula_consistency():
             result = affine_angle(ORIGIN, Point(-1, -m_a), Point(1, m_b), AXES)
         assert result.is_real
         assert result.theta == pytest.approx(0.5 * math.log(m_a / m_b), abs=1e-10)
+
+
+def _random_auxiliary(rng: random.Random, o: Point, avoid) -> Line:
+    """A random line that misses o and is not nearly parallel to any direction in avoid."""
+    while True:
+        d = unit_direction(rng)
+        line = Line(Point(o.x + rng.uniform(-2.0, 2.0), o.y + rng.uniform(-2.0, 2.0)), d)
+        if line.distance_to(o) > 0.05 and all(
+            abs(d.dx * w.dy - d.dy * w.dx) > 0.05 * w.norm for w in avoid
+        ):
+            return line
+
+
+def test_angle_matches_auxiliary_line_oracle():
+    """The slope form agrees with the paper's area ratios on random auxiliary lines."""
+    rng = random.Random(21)
+    for _ in range(300):
+        o = random_vertex(rng)
+        dirs = direction_pair(rng)
+        m_a, m_b = (rng.choice((-1.0, 1.0)) * log_uniform(rng, 0.05, 20.0) for _ in range(2))
+        a = basis_point(o, dirs, m_a, scale=rng.uniform(0.2, 3.0))
+        b = basis_point(o, dirs, m_b, scale=rng.uniform(0.2, 3.0))
+        rays = (Ray(o, vec(o, a)), Ray(o, vec(o, b)))
+        u_line, v_line = Line(o, dirs.u), Line(o, dirs.v)
+        aux = _random_auxiliary(rng, o, (dirs.u, dirs.v, rays[0].dir, rays[1].dir))
+        sa, sb = (sigma_lambda(o, r, u_line, v_line, aux).value for r in rays)
+        label_a, label_b = (sigma_sign(o, r, u_line, v_line, aux) for r in rays)
+        same = is_same_component(o, a, b, dirs)
+        assert same == (sa * sb > 0.0) == (label_a is label_b)
+        result = affine_angle(o, a, b, dirs)
+        assert result.is_real == same
+        if same:
+            assert result.theta == pytest.approx(0.5 * math.log(sa / sb), abs=1e-9)
+        else:
+            # the reported signs are those of sigma on the line through o + u + v along u - v
+            through = Line(
+                Point(o.x + dirs.u.dx + dirs.v.dx, o.y + dirs.u.dy + dirs.v.dy),
+                DirectionVector(dirs.u.dx - dirs.v.dx, dirs.u.dy - dirs.v.dy),
+            )
+            signs = ("+" if sigma_lambda(o, r, u_line, v_line, through).value > 0 else "-" for r in rays)
+            assert result.reason.endswith("(sigma signs {}, {})".format(*signs))
 
 
 def test_angle_independent_of_representative_points():

@@ -203,3 +203,54 @@ def test_documents_keep_fixed_key_order():
     doc = run_json("power", "--kappa", "1", "--center", "0,0", "--P", "2,2")
     assert list(doc.keys()) == ["schema_version", "command", "inputs", "outputs", "diagnostics"]
     assert doc["schema_version"] == "1"
+
+
+def assert_one_line_error(proc: subprocess.CompletedProcess, code: int) -> str:
+    assert proc.returncode == code, proc.stderr.decode()
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1, lines
+    return lines[0]
+
+
+ISOPTIC = ("isoptic", "--A", "-1,0", "--B", "1,0", "--u", "1,1", "--v", "1,-1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("angle", "--O", "nan,0", "--A", "1,1", "--B", "1,2", "--u", "1,0", "--v", "0,1"),
+        ("radical-center", "--h1", "0,0,inf", "--h2", "-1,-0.5,3", "--h3", "1,2,2"),
+        ("degenerate", "--m1", "nan", "--m2", "1"),
+        ("degenerate", "--m1", "2", "--m2=-inf"),
+        ("degenerate", "--m1", "2", "--m2", "1", "--t-sequence", "0.01,nan"),
+        (*ISOPTIC, "--theta", "inf"),
+        ("power", "--kappa", "nan", "--center", "0,0", "--P", "2,2"),
+        ("chords", "--progression", "1,2,5", "--kappa", "inf"),
+    ],
+)
+def test_non_finite_input_is_a_parse_error(argv):
+    line = assert_one_line_error(run_cli(*argv), 1)
+    assert ": error: " in line
+
+
+def test_non_finite_result_is_a_domain_error():
+    proc = run_cli("power", "--kappa", "1", "--center", "0,0", "--P", "1e308,1e308")
+    assert "domain error" in assert_one_line_error(proc, 2)
+
+
+def test_overflow_is_a_domain_error():
+    proc = run_cli(*ISOPTIC, "--theta", "800")
+    assert "domain error" in assert_one_line_error(proc, 2)
+
+
+def test_unwritable_output_exits_2(tmp_path):
+    target = tmp_path / "missing" / "locus.svg"
+    proc = run_cli(*ISOPTIC, "--theta", "1", "--output", "svg", "--out", str(target))
+    assert "cannot write output" in assert_one_line_error(proc, 2)
+
+
+def test_parse_error_prints_one_line_without_usage():
+    proc = run_cli("angle", "--O", "0,0", "--A", "1,2,3", "--B", "1,2", "--u", "1,0", "--v", "0,1")
+    line = assert_one_line_error(proc, 1)
+    assert line.startswith("uvangle angle: error: ")

@@ -91,6 +91,37 @@ def test_curve_center_formula():
         assert_point_close(center, Point(0.0, -1.0 / math.tanh(theta)), tol=1e-9)
 
 
+def test_original_conic_is_the_pullback_and_keeps_the_center():
+    rng = random.Random(31)
+    for _ in range(100):
+        dirs = direction_pair(rng)
+        a, b = random_vertex(rng), random_vertex(rng)
+        try:
+            spec = IsopticSpec(a, b, dirs, rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 2.0))
+        except DegenerateConfiguration:
+            continue
+        curve = isoptic_curve(spec)
+        center = conic_center(curve.original_conic)
+        assert_point_close(center, curve.frame.apply_point(Point(0.0, -curve.beta)), tol=1e-9)
+        # original(frame(p)) = k * normalized(p) for one constant k
+        origin = curve.frame.apply_point(Point(0.0, 0.0))
+        k = curve.original_conic.evaluate(origin.x, origin.y) / curve.normalized_conic.c_0
+        for _ in range(5):
+            x, y = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+            q = curve.frame.apply_point(Point(x, y))
+            got = curve.original_conic.evaluate(q.x, q.y)
+            want = k * curve.normalized_conic.evaluate(x, y)
+            assert abs(got - want) <= 1e-9 * curve.original_conic.evaluation_scale(q.x, q.y)
+
+
+def test_conic_center_pivots_and_rejects_non_central_conics():
+    # (x - 2)(y + 1) = 3: the quadratic part has c_xx = c_yy = 0, so the solve must pivot
+    hyperbola = ConicCoefficients(0.0, 1.0, 0.0, 1.0, -2.0, -5.0)
+    assert_point_close(conic_center(hyperbola), Point(2.0, -1.0), tol=1e-15)
+    with pytest.raises(ValueError):
+        conic_center(ConicCoefficients(1.0, 0.0, 0.0, 0.0, 1.0, 0.0))  # parabola x^2 + y = 0
+
+
 def test_theta_too_small():
     with pytest.raises(ThetaTooSmall):
         isoptic_curve(canonical_spec(1e-7))

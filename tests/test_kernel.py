@@ -9,8 +9,11 @@ from uvangle import (
     DirectionVector,
     Line,
     Point,
+    AxisHyperbola,
     apply_map,
+    basis_map,
     compose_maps,
+    decompose,
     intersect_lines,
     invert_map,
     normalize_configuration,
@@ -192,3 +195,33 @@ def test_line_implicit_form_is_deterministic():
     a2, b2, c2 = other.implicit()
     assert (a, b) == pytest.approx((a2, b2), abs=1e-15)
     assert c == pytest.approx(c2, abs=1e-12)
+
+
+def test_basis_map_sends_u_and_v_to_the_unit_vectors():
+    rng = random.Random(8)
+    for _ in range(200):
+        dirs = direction_pair(rng)
+        scale_u, scale_v = rng.uniform(0.01, 100.0), rng.uniform(0.01, 100.0)
+        u, v = dirs.u.scaled(scale_u), dirs.v.scaled(scale_v)
+        frame = basis_map(u, v)
+        assert (frame.tx, frame.ty) == (0.0, 0.0)
+        iu, iv = frame.apply_linear(u), frame.apply_linear(v)
+        for got, want in ((iu.dx, 1.0), (iu.dy, 0.0), (iv.dx, 0.0), (iv.dy, 1.0)):
+            assert abs(got - want) <= 1e-12
+        alpha, beta = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+        d = DirectionVector(alpha * u.dx + beta * v.dx, alpha * u.dy + beta * v.dy)
+        a, b = decompose(d, u, v)
+        assert abs(a - alpha) <= 1e-9 * max(1.0, abs(alpha)) and abs(b - beta) <= 1e-9 * max(1.0, abs(beta))
+
+
+def test_basis_map_rejects_dependent_directions():
+    for u, v in (
+        (DirectionVector(1, 1), DirectionVector(-2, -2)),
+        (DirectionVector(1, 0), DirectionVector(1, 1e-11)),
+    ):
+        with pytest.raises(DegenerateConfiguration):
+            basis_map(u, v)
+        with pytest.raises(DegenerateConfiguration):
+            decompose(DirectionVector(1, 2), u, v)
+        with pytest.raises(DegenerateConfiguration):
+            AxisHyperbola.from_directions(Point(0, 0), 1.0, u, v)
