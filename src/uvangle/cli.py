@@ -60,13 +60,13 @@ SCHEMA_VERSION = "1"
 class _Parser(argparse.ArgumentParser):
     """argparse parser that exits with status 1 and one stderr line on usage errors.
 
-    Tokens starting with a minus and a digit (negative coordinates such as
-    ``-1,0``) are treated as values, not options.
+    Tokens spelling a negative number (``-1,0``, ``-.5,0``, ``-inf``, ``-nan``)
+    are treated as values, not options.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d")
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message: str) -> None:  # type: ignore[override]
         print(f"{self.prog}: error: {message}", file=sys.stderr)

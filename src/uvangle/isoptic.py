@@ -26,6 +26,7 @@ from .kernel import (
     AffineMap,
     DirectionVector,
     Point,
+    _check_finite,
     apply_map,
     invert_map,
     normalize_configuration,
@@ -33,6 +34,9 @@ from .kernel import (
 )
 
 THETA_MIN = 1e-6
+# The rapidity sweep of sample_locus spans |theta| + 2, and sinh overflows
+# past ~710.48, so larger angles cannot be sampled.
+THETA_MAX = 708.0
 
 # Points whose boundary factors fall below this (relative) threshold sit on
 # the singular line pair through the endpoints.
@@ -178,8 +182,8 @@ def asymptote_directions(conic: ConicCoefficients) -> tuple[DirectionVector, Dir
     return d1.scaled(1.0 / d1.norm), d2.scaled(1.0 / d2.norm)
 
 
-def isoptic_curve(spec: IsopticSpec) -> IsopticCurve:
-    """The isoptic hyperbola of spec, in the canonical and the original frame."""
+def _canonical_curve(spec: IsopticSpec) -> tuple[AffineMap, IsopticCurve]:
+    """The map to the canonical frame, and the isoptic curve built from it."""
     if abs(spec.theta) < THETA_MIN:
         raise ThetaTooSmall(f"|theta| must be at least {THETA_MIN}")
     to_canonical = normalize_configuration(spec.a, spec.b, spec.dirs.u, spec.dirs.v)
@@ -187,18 +191,30 @@ def isoptic_curve(spec: IsopticSpec) -> IsopticCurve:
     # p^2 - (q + beta)^2 = 1 - beta^2  <=>  p^2 - q^2 - 2*beta*q - 1 = 0
     normalized = ConicCoefficients(1.0, 0.0, -1.0, 0.0, -2.0 * beta, -1.0)
     original = _pullback_conic(normalized, to_canonical)
-    return IsopticCurve(
+    curve = IsopticCurve(
         normalized_conic=normalized,
         beta=beta,
         frame=invert_map(to_canonical),
         original_conic=original,
     )
+    return to_canonical, curve
+
+
+def isoptic_curve(spec: IsopticSpec) -> IsopticCurve:
+    """The isoptic hyperbola of spec, in the canonical and the original frame."""
+    return _canonical_curve(spec)[1]
+
+
+def _require_sampleable(theta: float) -> None:
+    if abs(theta) < THETA_MIN:
+        raise ThetaTooSmall(f"|theta| must be at least {THETA_MIN}")
+    if abs(theta) > THETA_MAX:
+        raise ValueError(f"|theta| must be at most {THETA_MAX}")
 
 
 def isoptic_point(theta: float, t: float) -> Point:
     """Rapidity parametrization of the canonical-frame isoptic hyperbola."""
-    if abs(theta) < THETA_MIN:
-        raise ThetaTooSmall(f"|theta| must be at least {THETA_MIN}")
+    _require_sampleable(theta)
     sh = math.sinh(theta)
     return Point(math.sinh(t) / sh, math.cosh(t) / sh - 1.0 / math.tanh(theta))
 
@@ -207,6 +223,16 @@ def reflect_branch(p: Point, theta: float) -> Point:
     """Central reflection mapping the parametrized branch onto the second branch."""
     beta = 1.0 / math.tanh(theta)
     return Point(-p.x, -p.y - 2.0 * beta)
+
+
+def _classify(qx: float, qy: float) -> bool:
+    """Admissibility of the canonical-frame point (qx, qy); see is_admissible."""
+    f1 = (qx + 1.0) ** 2 - qy * qy
+    f2 = (qx - 1.0) ** 2 - qy * qy
+    scale = max(1.0, qx * qx + qy * qy)
+    if abs(f1) <= _BOUNDARY_EPS * scale or abs(f2) <= _BOUNDARY_EPS * scale:
+        raise SingularPosition("point lies on the singular line pair through the endpoints")
+    return f1 * f2 > 0.0
 
 
 def is_admissible(p: Point, spec: IsopticSpec) -> bool:
@@ -218,12 +244,7 @@ def is_admissible(p: Point, spec: IsopticSpec) -> bool:
     """
     to_canonical = normalize_configuration(spec.a, spec.b, spec.dirs.u, spec.dirs.v)
     q = apply_map(to_canonical, p)
-    f1 = (q.x + 1.0) ** 2 - q.y * q.y
-    f2 = (q.x - 1.0) ** 2 - q.y * q.y
-    scale = max(1.0, q.x * q.x + q.y * q.y)
-    if abs(f1) <= _BOUNDARY_EPS * scale or abs(f2) <= _BOUNDARY_EPS * scale:
-        raise SingularPosition("point lies on the singular line pair through the endpoints")
-    return f1 * f2 > 0.0
+    return _classify(q.x, q.y)
 
 
 def sample_locus(spec: IsopticSpec, n: int) -> list[tuple[Point, bool]]:
@@ -231,11 +252,18 @@ def sample_locus(spec: IsopticSpec, n: int) -> list[tuple[Point, bool]]:
 
     The rapidity parameter sweeps [-T, T] with T = |theta| + 2 on the
     parametrized branch for the first ceil(n/2) samples and on the reflected
-    branch for the rest; each point is tagged with its admissibility.
+    branch for the rest; each point is tagged with its admissibility.  That
+    is decided in the canonical frame, by the rule is_admissible uses, after
+    the point is mapped back through the map is_admissible builds; a sample
+    on the singular line pair is tagged False.  Raises ValueError when
+    |theta| exceeds THETA_MAX.
     """
     if n < 2:
         raise ValueError("need at least two samples")
-    curve = isoptic_curve(spec)
+    to_canonical, curve = _canonical_curve(spec)
+    _require_sampleable(spec.theta)
+    f, g = curve.frame, to_canonical
+    sh, beta = math.sinh(spec.theta), curve.beta
     span = abs(spec.theta) + 2.0
 
     def t_values(count: int) -> list[float]:
@@ -249,12 +277,17 @@ def sample_locus(spec: IsopticSpec, n: int) -> list[tuple[Point, bool]]:
     for branch in range(2):
         count = n_primary if branch == 0 else n - n_primary
         for t in t_values(count) if count else []:
-            canonical = isoptic_point(spec.theta, t)
+            # The float expressions of isoptic_point, reflect_branch and
+            # apply_map, so samples and flags match them bit for bit.
+            cx, cy = math.sinh(t) / sh, math.cosh(t) / sh - beta
             if branch == 1:
-                canonical = reflect_branch(canonical, spec.theta)
-            original = apply_map(curve.frame, canonical)
+                cx, cy = -cx, -cy - 2.0 * beta
+            original = Point(f.xx * cx + f.xy * cy + f.tx, f.yx * cx + f.yy * cy + f.ty)
+            qx = g.xx * original.x + g.xy * original.y + g.tx
+            qy = g.yx * original.x + g.yy * original.y + g.ty
+            _check_finite(qx, qy)  # the ValueError apply_map's Point would raise
             try:
-                ok = is_admissible(original, spec)
+                ok = _classify(qx, qy)
             except SingularPosition:
                 ok = False
             samples.append((original, ok))

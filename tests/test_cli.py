@@ -244,6 +244,23 @@ def test_overflow_is_a_domain_error():
     assert "domain error" in assert_one_line_error(proc, 2)
 
 
+def test_theta_bound_edge():
+    doc = run_json(*ISOPTIC, "--theta", "708", "--samples", "4")
+    assert len(doc["outputs"]["samples"]) == 4
+    proc = run_cli(*ISOPTIC, "--theta", "709")
+    line = assert_one_line_error(proc, 2)
+    assert line == "uvangle isoptic: domain error: |theta| must be at most 708.0"
+
+
+def test_negative_float_spellings_are_values():
+    doc = run_json("angle", "--O", "-.5,0", "--A", "1,1", "--B", "1,2", "--u", "1,0", "--v", "0,1")
+    assert doc["inputs"]["O"] == [-0.5, 0.0]
+    for spelling in ("-inf", "-Infinity", "-nan"):
+        line = assert_one_line_error(run_cli("degenerate", "--m1", "2", "--m2", spelling), 1)
+        assert line.startswith("uvangle degenerate: error: argument --m2: ")
+        assert "expected one argument" not in line
+
+
 def test_unwritable_output_exits_2(tmp_path):
     target = tmp_path / "missing" / "locus.svg"
     proc = run_cli(*ISOPTIC, "--theta", "1", "--output", "svg", "--out", str(target))

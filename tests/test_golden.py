@@ -4,6 +4,10 @@ Each case runs ``python -m uvangle.cli`` and compares stdout with
 ``tests/golden/<name>.<ext>``.  The golden files were captured before the
 angle moved from the auxiliary-line ratio to the (u, v) slope, so these
 tests pin the printed values of the README commands across refactors.
+The two ``isoptic_sheared`` files were captured before ``sample_locus``
+classified its samples in the canonical frame; they pin the sample
+coordinates on a sheared, non-unit frame with an odd sample count and a
+negative angle.
 To recapture after an intended output change, write each case's stdout to
 its golden file.
 
@@ -48,6 +52,14 @@ CASES = {
     "isoptic_256.svg": (
         "isoptic", "--A", "-1,0", "--B", "1,0", "--u", "1,1", "--v", "1,-1",
         "--theta", "1", "--samples", "256", "--output", "svg",
+    ),
+    "isoptic_sheared.json": (
+        "isoptic", "--A", "0.3,-0.7", "--B", "2.1,0.4", "--u", SHEARED_U, "--v", SHEARED_V,
+        "--theta", "-1.3", "--samples", "33",
+    ),
+    "isoptic_sheared.svg": (
+        "isoptic", "--A", "0.3,-0.7", "--B", "2.1,0.4", "--u", SHEARED_U, "--v", SHEARED_V,
+        "--theta", "-1.3", "--samples", "256", "--output", "svg",
     ),
     "radical_center.json": (
         "radical-center", "--h1", "0,0,1", "--h2", "-1,-0.5,3", "--h3", "1,2,2",

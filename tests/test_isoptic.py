@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from helpers import assert_point_close, direction_pair, random_vertex
 from uvangle import (
@@ -31,6 +33,7 @@ from uvangle.errors import (
     SingularPosition,
     ThetaTooSmall,
 )
+from uvangle.isoptic import THETA_MAX
 
 CANONICAL_DIRS = DirectionPair(DirectionVector(1, 1), DirectionVector(1, -1))
 AXES = DirectionPair(DirectionVector(1, 0), DirectionVector(0, 1))
@@ -127,6 +130,18 @@ def test_theta_too_small():
         isoptic_curve(canonical_spec(1e-7))
     with pytest.raises(ThetaTooSmall):
         isoptic_point(1e-7, 0.1)
+
+
+def test_theta_above_max_cannot_be_sampled():
+    spec = canonical_spec(THETA_MAX)
+    assert len(sample_locus(spec, 4)) == 4
+    assert math.isfinite(isoptic_point(-THETA_MAX, THETA_MAX + 2.0).x)
+    for theta in (math.nextafter(THETA_MAX, math.inf), -709.0):
+        with pytest.raises(ValueError, match=r"^\|theta\| must be at most 708\.0$"):
+            sample_locus(canonical_spec(theta), 4)
+        with pytest.raises(ValueError, match=r"^\|theta\| must be at most 708\.0$"):
+            isoptic_point(theta, 0.0)
+    isoptic_curve(canonical_spec(709.0))  # the curve itself has no upper bound
 
 
 def test_parametrization_at_zero():
@@ -288,3 +303,44 @@ def test_sector_matches_angle_in_general_frames():
         b = Point(o.x + dirs.u.dx + m_b * dirs.v.dx, o.y + dirs.u.dy + m_b * dirs.v.dy)
         angle, sector = sector_area_equivalence(o, a, b, dirs)
         assert abs(angle - sector) <= 1e-9 * max(1.0, abs(angle))
+
+
+_COORD = st.floats(-4.0, 4.0)
+_COMPONENT = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def sheared_specs(draw) -> IsopticSpec:
+    """Random non-unit, generally non-orthogonal frames with an admissible segment."""
+    ux, uy, vx, vy = (draw(_COMPONENT) for _ in range(4))
+    assume(min(math.hypot(ux, uy), math.hypot(vx, vy)) >= 0.1)
+    u, v = DirectionVector(ux, uy), DirectionVector(vx, vy)
+    assume(abs(cross(u, v)) >= 0.05 * u.norm * v.norm)
+    a = Point(draw(_COORD), draw(_COORD))
+    b = Point(draw(_COORD), draw(_COORD))
+    theta = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(1e-3, 8.0))
+    try:
+        return IsopticSpec(a, b, DirectionPair(u, v), theta)
+    except (ValueError, DegenerateConfiguration):
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(spec=sheared_specs(), n=st.integers(2, 40))
+# theta = 1 with four samples per branch puts a sample exactly at t = theta,
+# i.e. on the endpoint B, which lies on the singular line pair.
+@example(
+    spec=IsopticSpec(
+        Point(0.3, -0.7), Point(2.1, 0.4),
+        DirectionPair(DirectionVector(2.0, 0.5), DirectionVector(-0.6, 1.5)), 1.0,
+    ),
+    n=8,
+)
+def test_sample_locus_flags_match_is_admissible(spec, n):
+    for p, ok in sample_locus(spec, n):
+        try:
+            expected = is_admissible(p, spec)
+        except SingularPosition:
+            expected = False
+        assert ok == expected, (p, spec, n)
