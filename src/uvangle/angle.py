@@ -29,8 +29,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from .errors import (
     CoincidentIntersection,
@@ -50,6 +48,7 @@ from .kernel import (
     Line,
     Point,
     Ray,
+    _Frozen,
     decompose,
     distance,
     dot,
@@ -60,22 +59,24 @@ from .kernel import (
 )
 
 
-@dataclass(frozen=True)
-class DirectionPair:
-    u: DirectionVector
-    v: DirectionVector
+class DirectionPair(_Frozen):
+    __slots__ = ("u", "v")
 
-    def __post_init__(self) -> None:
-        if is_parallel(self.u, self.v):
+    def __init__(self, u: DirectionVector, v: DirectionVector) -> None:
+        if is_parallel(u, v):
             raise DegenerateConfiguration("reference directions must be independent")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
 
 
-@dataclass(frozen=True)
-class SigmaValue:
+class SigmaValue(_Frozen):
     """Extended-real area ratio: a finite value or the positive-infinite limit."""
 
-    value: float
-    infinite: bool = False
+    __slots__ = ("value", "infinite")
+
+    def __init__(self, value: float, infinite: bool = False) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "infinite", infinite)
 
     @classmethod
     def finite(cls, value: float) -> "SigmaValue":
@@ -96,12 +97,14 @@ class ComponentLabel(enum.Enum):
     SINGULAR = "singular"
 
 
-@dataclass(frozen=True)
-class AngleResult:
+class AngleResult(_Frozen):
     """A real angle value, or a non-real marker with a component diagnosis."""
 
-    theta: Optional[float]
-    reason: Optional[str] = None
+    __slots__ = ("theta", "reason")
+
+    def __init__(self, theta: float | None, reason: str | None = None) -> None:
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "reason", reason)
 
     @classmethod
     def real(cls, theta: float) -> "AngleResult":

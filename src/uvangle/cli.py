@@ -19,7 +19,7 @@ import math
 import random
 import re
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from .angle import DirectionPair, affine_angle, sigma_lambda
 from .degeneration import SlopePair, first_order_limit, slope_cross_ratio_angle
@@ -110,6 +110,16 @@ def _quad(text: str) -> tuple[float, float, float, float]:
     return _floats(text, 4, "quadruple")  # type: ignore[return-value]
 
 
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _float_list(text: str) -> list[float]:
     try:
         return [_number(p) for p in text.split(",") if p]
@@ -174,7 +184,7 @@ def build_parser() -> _Parser:
     add_common(p_deg)
 
     p_inv = sub.add_parser("invariance", help="seeded invariance demonstrations")
-    p_inv.add_argument("--trials", type=int, default=100)
+    p_inv.add_argument("--trials", type=_count, default=100)
     add_common(p_inv)
 
     return parser

@@ -9,10 +9,9 @@ t -> 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ComponentMismatch, PoleAtT
-from .kernel import ABS_EPS
+from .kernel import ABS_EPS, _Frozen
 
 _DEFAULT_T_SEQUENCE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
@@ -21,21 +20,28 @@ _DEFAULT_T_SEQUENCE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 _RESIDUAL_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class SlopePair:
-    m1: float
-    m2: float
+class SlopePair(_Frozen):
+    __slots__ = ("m1", "m2")
 
-    def __post_init__(self) -> None:
-        if self.m1 == 0.0 or self.m2 == 0.0:
+    def __init__(self, m1: float, m2: float) -> None:
+        if m1 == 0.0 or m2 == 0.0:
             raise ValueError("slopes must be nonzero")
+        object.__setattr__(self, "m1", m1)
+        object.__setattr__(self, "m2", m2)
 
 
-@dataclass(frozen=True)
-class LimitReport:
-    samples: list[tuple[float, float]]  # (t, normalized log value), t decreasing
-    extrapolated_limit: float
-    residual_order: float
+class LimitReport(_Frozen):
+    __slots__ = ("samples", "extrapolated_limit", "residual_order")
+
+    def __init__(
+        self,
+        samples: list[tuple[float, float]],  # (t, normalized log value), t decreasing
+        extrapolated_limit: float,
+        residual_order: float,
+    ) -> None:
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "extrapolated_limit", extrapolated_limit)
+        object.__setattr__(self, "residual_order", residual_order)
 
 
 def slope_cross_ratio_angle(m_a: float, m_b: float) -> float:

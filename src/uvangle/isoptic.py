@@ -18,7 +18,6 @@ reflection (p, q) -> (-p, -q - 2*beta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .angle import DirectionPair, ray_slope
 from .errors import ComponentMismatch, SingularPosition, ThetaTooSmall
@@ -26,6 +25,7 @@ from .kernel import (
     AffineMap,
     DirectionVector,
     Point,
+    _Frozen,
     _check_finite,
     apply_map,
     invert_map,
@@ -43,38 +43,34 @@ THETA_MAX = 708.0
 _BOUNDARY_EPS = 1e-10
 
 
-@dataclass(frozen=True)
-class IsopticSpec:
-    a: Point
-    b: Point
-    dirs: DirectionPair
-    theta: float
+class IsopticSpec(_Frozen):
+    __slots__ = ("a", "b", "dirs", "theta")
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.theta) or self.theta == 0.0:
+    def __init__(self, a: Point, b: Point, dirs: DirectionPair, theta: float) -> None:
+        if not math.isfinite(theta) or theta == 0.0:
             raise ValueError("theta must be finite and nonzero")
         # Raises DegenerateConfiguration for coincident endpoints or a
         # segment parallel to a reference direction.
-        normalize_configuration(self.a, self.b, self.dirs.u, self.dirs.v)
+        normalize_configuration(a, b, dirs.u, dirs.v)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "dirs", dirs)
+        object.__setattr__(self, "theta", theta)
 
 
-@dataclass(frozen=True)
-class ConicCoefficients:
+class ConicCoefficients(_Frozen):
     """c_xx x^2 + c_xy xy + c_yy y^2 + c_x x + c_y y + c_0 = 0.
 
     Stored normalized: the largest-magnitude coefficient has magnitude 1 and
     the sign is fixed so that c_xx >= 0 (next nonzero positive when c_xx = 0).
     """
 
-    c_xx: float
-    c_xy: float
-    c_yy: float
-    c_x: float
-    c_y: float
-    c_0: float
+    __slots__ = ("c_xx", "c_xy", "c_yy", "c_x", "c_y", "c_0")
 
-    def __post_init__(self) -> None:
-        coeffs = [self.c_xx, self.c_xy, self.c_yy, self.c_x, self.c_y, self.c_0]
+    def __init__(
+        self, c_xx: float, c_xy: float, c_yy: float, c_x: float, c_y: float, c_0: float
+    ) -> None:
+        coeffs = [c_xx, c_xy, c_yy, c_x, c_y, c_0]
         if max(abs(c) for c in coeffs[:3]) == 0.0:
             raise ValueError("quadratic part must be nonzero")
         scale = max(abs(c) for c in coeffs)
@@ -85,8 +81,7 @@ class ConicCoefficients:
                 if c < 0.0:
                     coeffs = [-x for x in coeffs]
                 break
-        names = ("c_xx", "c_xy", "c_yy", "c_x", "c_y", "c_0")
-        for name, value in zip(names, coeffs):
+        for name, value in zip(self.__slots__, coeffs):
             object.__setattr__(self, name, float(value))
 
     def as_tuple(self) -> tuple[float, float, float, float, float, float]:
@@ -114,12 +109,20 @@ class ConicCoefficients:
         )
 
 
-@dataclass(frozen=True)
-class IsopticCurve:
-    normalized_conic: ConicCoefficients
-    beta: float
-    frame: AffineMap  # canonical frame -> original plane
-    original_conic: ConicCoefficients
+class IsopticCurve(_Frozen):
+    __slots__ = ("normalized_conic", "beta", "frame", "original_conic")
+
+    def __init__(
+        self,
+        normalized_conic: ConicCoefficients,
+        beta: float,
+        frame: AffineMap,  # canonical frame -> original plane
+        original_conic: ConicCoefficients,
+    ) -> None:
+        object.__setattr__(self, "normalized_conic", normalized_conic)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "original_conic", original_conic)
 
 
 def _pullback_conic(conic: ConicCoefficients, t: AffineMap) -> ConicCoefficients:

@@ -2,20 +2,27 @@
 
 Coordinates are IEEE-754 doubles.  Scalar comparisons use a relative
 tolerance with a small absolute floor; direction predicates are scale
-invariant.  All values are immutable and all operations are pure, so
-everything here is safe to share freely between threads.
+invariant.  All operations are pure, so everything here is safe to share
+freely between threads.
+
+The value types of the package (here and in the other modules) are
+immutable ``__slots__`` classes built on ``_Frozen``: assigning or deleting
+a field raises AttributeError, equality and hashing go by type and field
+values, the repr lists the fields by name, and pickling and copying
+rebuild through the constructor, which validates.  A changed value is a new
+instance built with the constructor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DegenerateConfiguration, ParallelLines, SingularMap
 
 # Relative tolerance of scalar comparisons and of point-on-line/vertex tests.
 REL_EPS = 1e-9
-# Absolute floor under REL_EPS, and the threshold for vanishing lengths and determinants.
+# Absolute floor under REL_EPS, the threshold for vanishing lengths, and the
+# singularity threshold of a determinant relative to its entries squared.
 ABS_EPS = 1e-12
 # Largest |sine| between two directions that still counts as parallel.
 PAR_EPS = 1e-10
@@ -32,24 +39,57 @@ def _check_finite(*values: float) -> None:
             raise ValueError(f"coordinates must be finite, got {v!r}")
 
 
-@dataclass(frozen=True)
-class Point:
-    x: float
-    y: float
+class _Frozen:
+    """Base of the immutable value types; the fields are the ``__slots__`` names.
 
-    def __post_init__(self) -> None:
-        _check_finite(self.x, self.y)
+    Subclasses set their fields in ``__init__`` with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
 
 
-@dataclass(frozen=True)
-class DirectionVector:
-    dx: float
-    dy: float
+class Point(_Frozen):
+    __slots__ = ("x", "y")
 
-    def __post_init__(self) -> None:
-        _check_finite(self.dx, self.dy)
-        if self.dx == 0.0 and self.dy == 0.0:
+    def __init__(self, x: float, y: float) -> None:
+        _check_finite(x, y)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+
+class DirectionVector(_Frozen):
+    __slots__ = ("dx", "dy")
+
+    def __init__(self, dx: float, dy: float) -> None:
+        _check_finite(dx, dy)
+        if dx == 0.0 and dy == 0.0:
             raise ValueError("direction vector must be nonzero")
+        object.__setattr__(self, "dx", dx)
+        object.__setattr__(self, "dy", dy)
 
     @property
     def norm(self) -> float:
@@ -85,10 +125,12 @@ def distance(p: Point, q: Point) -> float:
     return math.hypot(q.x - p.x, q.y - p.y)
 
 
-@dataclass(frozen=True)
-class Line:
-    base: Point
-    dir: DirectionVector
+class Line(_Frozen):
+    __slots__ = ("base", "dir")
+
+    def __init__(self, base: Point, dir: DirectionVector) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "dir", dir)
 
     @classmethod
     def through(cls, p: Point, q: Point) -> "Line":
@@ -115,10 +157,12 @@ class Line:
         return self.distance_to(p) <= tol * scale
 
 
-@dataclass(frozen=True)
-class Ray:
-    origin: Point
-    dir: DirectionVector
+class Ray(_Frozen):
+    __slots__ = ("origin", "dir")
+
+    def __init__(self, origin: Point, dir: DirectionVector) -> None:
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "dir", dir)
 
     def line(self) -> Line:
         return Line(self.origin, self.dir)
@@ -127,19 +171,21 @@ class Ray:
         return translate(self.origin, self.dir, t)
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(_Frozen):
     """x |-> linear * x + translation with linear part [[xx, xy], [yx, yy]]."""
 
-    xx: float
-    xy: float
-    yx: float
-    yy: float
-    tx: float = 0.0
-    ty: float = 0.0
+    __slots__ = ("xx", "xy", "yx", "yy", "tx", "ty")
 
-    def __post_init__(self) -> None:
-        _check_finite(self.xx, self.xy, self.yx, self.yy, self.tx, self.ty)
+    def __init__(
+        self, xx: float, xy: float, yx: float, yy: float, tx: float = 0.0, ty: float = 0.0
+    ) -> None:
+        _check_finite(xx, xy, yx, yy, tx, ty)
+        object.__setattr__(self, "xx", xx)
+        object.__setattr__(self, "xy", xy)
+        object.__setattr__(self, "yx", yx)
+        object.__setattr__(self, "yy", yy)
+        object.__setattr__(self, "tx", tx)
+        object.__setattr__(self, "ty", ty)
 
     @classmethod
     def identity(cls) -> "AffineMap":
@@ -191,14 +237,15 @@ def apply_map(t: AffineMap, g):
     raise TypeError(f"cannot apply an affine map to {type(g).__name__}")
 
 
-def _det_threshold(t: AffineMap) -> float:
-    scale = max(abs(t.xx), abs(t.xy), abs(t.yx), abs(t.yy))
-    return ABS_EPS * max(1.0, scale * scale)
-
-
 def invert_map(t: AffineMap) -> AffineMap:
+    """Inverse map; raises SingularMap when |det| <= ABS_EPS * (largest |entry|)^2.
+
+    The threshold is relative to the entries, so a well-conditioned map of any
+    scale inverts.
+    """
     det = t.det
-    if abs(det) <= _det_threshold(t):
+    scale = max(abs(t.xx), abs(t.xy), abs(t.yx), abs(t.yy))
+    if abs(det) <= ABS_EPS * scale * scale:
         raise SingularMap(f"linear part is singular (det = {det!r})")
     xx, xy, yx, yy = t.yy / det, -t.xy / det, -t.yx / det, t.xx / det
     tx = -(xx * t.tx + xy * t.ty)

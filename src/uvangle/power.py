@@ -16,7 +16,6 @@ exactly when the core quantity is negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     CoincidentParameters,
@@ -39,6 +38,7 @@ from .kernel import (
     DirectionVector,
     Line,
     Point,
+    _Frozen,
     basis_map,
     compose_maps,
     intersect_lines,
@@ -51,8 +51,7 @@ _TANGENT_TOL = 1e-10
 _REFLECT_X = AffineMap(-1.0, 0.0, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class AxisHyperbola:
+class AxisHyperbola(_Frozen):
     """Hyperbola (x - c)(y - d) = kappa in the coordinates of ``frame``.
 
     ``center`` lives in the original plane; (c, d) is its frame image.
@@ -60,17 +59,17 @@ class AxisHyperbola:
     directions become the coordinate axes.
     """
 
-    center: Point
-    kappa: float
-    frame: AffineMap
+    __slots__ = ("center", "kappa", "frame")
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.kappa) or self.kappa == 0.0:
+    def __init__(self, center: Point, kappa: float, frame: AffineMap) -> None:
+        if not math.isfinite(kappa) or kappa == 0.0:
             raise ValueError("kappa must be finite and nonzero")
-        invert_map(self.frame)  # raises SingularMap for a degenerate frame
-        if self.kappa < 0.0:
-            object.__setattr__(self, "frame", compose_maps(_REFLECT_X, self.frame))
-            object.__setattr__(self, "kappa", -self.kappa)
+        invert_map(frame)  # raises SingularMap for a degenerate frame
+        if kappa < 0.0:
+            frame, kappa = compose_maps(_REFLECT_X, frame), -kappa
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "frame", frame)
 
     @classmethod
     def axis_aligned(cls, center: Point, kappa: float) -> "AxisHyperbola":
@@ -102,13 +101,17 @@ class AxisHyperbola:
         return invert_map(self.frame).apply_point(Point(c + alpha, d + self.kappa / alpha))
 
 
-@dataclass(frozen=True)
-class SecantResult:
-    a: Point
-    b: Point
-    alpha: float
-    beta: float
-    tangent: bool = False
+class SecantResult(_Frozen):
+    __slots__ = ("a", "b", "alpha", "beta", "tangent")
+
+    def __init__(
+        self, a: Point, b: Point, alpha: float, beta: float, tangent: bool = False
+    ) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "tangent", tangent)
 
 
 def core_quantity(p: Point, h: AxisHyperbola) -> float:

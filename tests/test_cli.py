@@ -1,9 +1,11 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -271,3 +273,32 @@ def test_parse_error_prints_one_line_without_usage():
     proc = run_cli("angle", "--O", "0,0", "--A", "1,2,3", "--B", "1,2", "--u", "1,0", "--v", "0,1")
     line = assert_one_line_error(proc, 1)
     assert line.startswith("uvangle angle: error: ")
+
+
+def test_invariance_rejects_negative_trials():
+    line = assert_one_line_error(run_cli("invariance", "--trials", "-2"), 1)
+    assert line == "uvangle invariance: error: argument --trials: must be a non-negative integer, got -2"
+    line = assert_one_line_error(run_cli("invariance", "--trials", "x"), 1)
+    assert line == "uvangle invariance: error: argument --trials: invalid int value: 'x'"
+    assert run_json("invariance", "--trials", "0")["inputs"]["trials"] == 0
+
+
+def test_isoptic_of_a_long_segment():
+    doc = run_json(*ISOPTIC[:2], "-1e6,0", "--B", "1e6,0", *ISOPTIC[5:], "--theta", "1")
+    assert doc["outputs"]["center"] == pytest.approx([0.0, -1e6 / math.tanh(1.0)], rel=1e-12)
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # -S keeps site (and any .pth file it runs) from importing these first.
+    code = (
+        "import uvangle.cli, sys; "
+        "print(*[m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split() == []

@@ -112,6 +112,26 @@ def test_invert_singular_raises():
         invert_map(AffineMap(1.0, 2.0, 0.5, 1.0))
 
 
+def test_invert_small_well_conditioned_map():
+    # A rotation scaled by 1e-6 has det 1e-12, but it is perfectly conditioned.
+    s = 1e-6
+    c, n = s * math.cos(0.3), s * math.sin(0.3)
+    t = AffineMap(c, -n, n, c, 2.0 * s, -3.0 * s)
+    inv = invert_map(t)
+    for got, want in zip(
+        (inv.xx, inv.xy, inv.yx, inv.yy), (c / s**2, n / s**2, -n / s**2, c / s**2)
+    ):
+        assert got == pytest.approx(want, rel=1e-15)
+    roundtrip = compose_maps(t, inv)
+    assert (roundtrip.xx, roundtrip.xy, roundtrip.yx, roundtrip.yy) == pytest.approx(
+        (1.0, 0.0, 0.0, 1.0), abs=1e-15
+    )
+    for p in (Point(0.0, 0.0), Point(1e6, -2e6), Point(-3.5, 7.25)):
+        assert_point_close(apply_map(inv, apply_map(t, p)), p, tol=1e-14)
+    with pytest.raises(SingularMap):
+        invert_map(AffineMap(s, 2.0 * s, 0.5 * s, s))
+
+
 def test_compose_inverse_roundtrip():
     rng = random.Random(4)
     for _ in range(100):

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     assert_point_close,
@@ -20,6 +22,7 @@ from uvangle import (
     chord_intersection_x,
     chord_line,
     core_quantity,
+    cross,
     intersect_lines,
     invert_map,
     one_sided_identity,
@@ -146,6 +149,39 @@ def test_power_brute_force_oracle():
         product = symmetric_area(p, result.a, UNIT) * symmetric_area(p, result.b, UNIT)
         assert product == pytest.approx(3.0, rel=1e-9)
     assert power(p, UNIT) == pytest.approx(3.0, abs=1e-12)
+
+
+_COORD = st.floats(-4.0, 4.0)
+_COMPONENT = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def power_configurations(draw):
+    """An axis hyperbola on a random sheared, non-unit frame and an off-curve point."""
+    ux, uy, vx, vy = (draw(_COMPONENT) for _ in range(4))
+    assume(min(math.hypot(ux, uy), math.hypot(vx, vy)) >= 0.1)
+    u, v = DirectionVector(ux, uy), DirectionVector(vx, vy)
+    assume(abs(cross(u, v)) >= 0.05 * u.norm * v.norm)
+    center = Point(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
+    kappa = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.2, 5.0))
+    h = AxisHyperbola.from_directions(center, kappa, u, v)
+    p = Point(draw(_COORD), draw(_COORD))
+    assume(abs(core_quantity(p, h)) > 1e-3)
+    return h, p
+
+
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(config=power_configurations(), rng=st.randoms(use_true_random=False))
+def test_power_is_secant_independent_on_sheared_frames(config, rng):
+    h, p = config
+    expected = power(p, h)
+    for _ in range(2):
+        d = random_secant_direction(rng, p, h)
+        result = secant_intersections(p, d, h)
+        assert not result.tangent
+        product = symmetric_area(p, result.a, h) * symmetric_area(p, result.b, h)
+        assert product == pytest.approx(expected, rel=1e-9)
 
 
 def test_power_on_curve_is_zero():
