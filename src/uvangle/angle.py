@@ -41,7 +41,6 @@ from .errors import (
 )
 from .kernel import (
     ABS_EPS,
-    PAR_EPS,
     REL_EPS,
     AffineMap,
     DirectionVector,
@@ -120,7 +119,7 @@ class AngleResult(_Frozen):
 
 
 def _require_through(line: Line, o: Point, name: str) -> None:
-    if not line.contains(o, tol=REL_EPS):
+    if not line.contains(o):
         raise ValueError(f"line {name} must pass through the vertex")
 
 
@@ -128,6 +127,27 @@ def _require_vertex(ray: Ray, o: Point) -> None:
     scale = max(1.0, abs(o.x), abs(o.y))
     if distance(ray.origin, o) > REL_EPS * scale:
         raise ValueError("ray must emanate from the vertex")
+
+
+def _aux_points(
+    o: Point, d: DirectionVector, u_line: Line, v_line: Line, aux: Line
+) -> tuple[Point, Point, Point]:
+    """P_U, P_V, P_L: where the auxiliary line cuts U, V and the line of the ray."""
+    try:
+        p_u = intersect_lines(u_line, aux)
+        p_v = intersect_lines(v_line, aux)
+        p_l = intersect_lines(Line(o, d), aux)
+    except ParallelLines as exc:
+        raise LambdaParallel("auxiliary line misses U, V, or the ray") from exc
+    return p_u, p_v, p_l
+
+
+def _position(p: Point, aux: Line) -> float:
+    """Position of p along the auxiliary line, in units of its direction."""
+    dd = aux.dir
+    if abs(dd.dx) >= abs(dd.dy):
+        return (p.x - aux.base.x) / dd.dx
+    return (p.y - aux.base.y) / dd.dy
 
 
 def sigma_lambda(o: Point, ray: Ray, u_line: Line, v_line: Line, aux: Line) -> SigmaValue:
@@ -146,12 +166,7 @@ def sigma_lambda(o: Point, ray: Ray, u_line: Line, v_line: Line, aux: Line) -> S
         return SigmaValue.finite(0.0)
     if is_parallel(d, v_line.dir):
         return SigmaValue.infinity()
-    try:
-        p_u = intersect_lines(u_line, aux)
-        p_v = intersect_lines(v_line, aux)
-        p_l = intersect_lines(Line(o, d), aux)
-    except ParallelLines as exc:
-        raise LambdaParallel("auxiliary line misses U, V, or the ray") from exc
+    p_u, p_v, p_l = _aux_points(o, d, u_line, v_line, aux)
     scale = max(1.0, distance(o, p_u), distance(o, p_v), distance(o, p_l))
     if (
         distance(p_l, p_u) <= REL_EPS * scale
@@ -174,20 +189,7 @@ def sigma_sign(o: Point, ray: Ray, u_line: Line, v_line: Line, aux: Line) -> Com
     d = ray.dir
     if is_parallel(d, u_line.dir) or is_parallel(d, v_line.dir):
         return ComponentLabel.SINGULAR
-    try:
-        p_u = intersect_lines(u_line, aux)
-        p_v = intersect_lines(v_line, aux)
-        p_l = intersect_lines(Line(o, d), aux)
-    except ParallelLines as exc:
-        raise LambdaParallel("auxiliary line misses U, V, or the ray") from exc
-    # Positions along the auxiliary line.
-    def param(p: Point) -> float:
-        dd = aux.dir
-        if abs(dd.dx) >= abs(dd.dy):
-            return (p.x - aux.base.x) / dd.dx
-        return (p.y - aux.base.y) / dd.dy
-
-    t_u, t_v, t_l = param(p_u), param(p_v), param(p_l)
+    t_u, t_v, t_l = (_position(p, aux) for p in _aux_points(o, d, u_line, v_line, aux))
     span = max(abs(t_u - t_v), abs(t_l - t_u), abs(t_l - t_v), ABS_EPS)
     if min(abs(t_l - t_u), abs(t_l - t_v), abs(t_u - t_v)) <= REL_EPS * span:
         return ComponentLabel.SINGULAR
@@ -199,11 +201,7 @@ def _projective_param(ray: Ray, aux: Line) -> tuple[float, float]:
     """Position of the ray-line's intersection along ``aux`` as a projective pair."""
     if is_parallel(ray.dir, aux.dir):
         return (1.0, 0.0)
-    p = intersect_lines(ray.line(), aux)
-    dd = aux.dir
-    if abs(dd.dx) >= abs(dd.dy):
-        return ((p.x - aux.base.x) / dd.dx, 1.0)
-    return ((p.y - aux.base.y) / dd.dy, 1.0)
+    return (_position(intersect_lines(ray.line(), aux), aux), 1.0)
 
 
 def area_cross_ratio(l1: Ray, l2: Ray, r1: Ray, r2: Ray, o: Point, aux: Line) -> float:
@@ -247,23 +245,11 @@ def _ray_direction(o: Point, p: Point, name: str) -> DirectionVector:
         raise ValueError(f"point {name} coincides with the vertex") from None
 
 
-def ray_slope(
-    d: DirectionVector, dirs: DirectionPair, name: str, per_direction: bool = False
-) -> float:
-    """Slope m = beta/alpha of d = alpha*u + beta*v; raises SingularRay near u or v.
-
-    By default d is singular when is_parallel(d, u) or is_parallel(d, v).  With
-    ``per_direction`` the test bounds each coefficient instead, and the error
-    names the direction that d is parallel to.
-    """
-    alpha, beta = decompose(d, dirs.u, dirs.v)
-    if per_direction:
-        if abs(alpha) * dirs.u.norm <= PAR_EPS * d.norm:
-            raise SingularRay(f"ray {name} is parallel to the v direction")
-        if abs(beta) * dirs.v.norm <= PAR_EPS * d.norm:
-            raise SingularRay(f"ray {name} is parallel to the u direction")
-    elif is_parallel(d, dirs.u) or is_parallel(d, dirs.v):
+def ray_slope(d: DirectionVector, dirs: DirectionPair, name: str) -> float:
+    """Slope m = beta/alpha of d = alpha*u + beta*v; SingularRay when d is parallel to u or v."""
+    if is_parallel(d, dirs.u) or is_parallel(d, dirs.v):
         raise SingularRay(f"ray {name} is parallel to a reference direction")
+    alpha, beta = decompose(d, dirs.u, dirs.v)
     return beta / alpha
 
 
@@ -300,8 +286,8 @@ def midpoint_ray(o: Point, r: Ray, s: Ray, dirs: DirectionPair) -> Ray:
     """
     _require_vertex(r, o)
     _require_vertex(s, o)
-    m_r = ray_slope(r.dir, dirs, "r", per_direction=True)
-    m_s = ray_slope(s.dir, dirs, "s", per_direction=True)
+    m_r = ray_slope(r.dir, dirs, "r")
+    m_s = ray_slope(s.dir, dirs, "s")
     if m_r * m_s <= 0.0:
         raise ComponentMismatch("rays lie in different components")
     m_t = math.copysign(math.sqrt(m_r * m_s), m_r)

@@ -133,7 +133,6 @@ def build_parser() -> _Parser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled demonstrations")
 
     p_angle = sub.add_parser("angle", help="angle between rays OA and OB")
     p_angle.add_argument("--O", type=_pair, required=True, dest="o")
@@ -185,6 +184,7 @@ def build_parser() -> _Parser:
 
     p_inv = sub.add_parser("invariance", help="seeded invariance demonstrations")
     p_inv.add_argument("--trials", type=_count, default=100)
+    p_inv.add_argument("--seed", type=int, default=0, help="seed for sampled demonstrations")
     add_common(p_inv)
 
     return parser
@@ -234,10 +234,11 @@ def _cmd_angle(args) -> dict:
 def _cmd_isoptic(args):
     dirs = DirectionPair(_direction(args.u), _direction(args.v))
     spec = IsopticSpec(_point(args.a), _point(args.b), dirs, args.theta)
+    if args.output == "svg":
+        samples = sample_locus(spec, args.samples)
+        return render_svg(samples, viewport=args.viewport, markers=(spec.a, spec.b))
     curve = isoptic_curve(spec)
     samples = sample_locus(spec, args.samples)
-    if args.output == "svg":
-        return render_svg(samples, viewport=args.viewport, markers=(spec.a, spec.b))
     center = conic_center(curve.original_conic)
     inputs = {
         "A": list(args.a),
@@ -312,15 +313,14 @@ def _cmd_chords(args) -> dict:
     if args.t is not None:
         t1, t2, t3, t4 = args.t
         x = chord_intersection_x(t1, t2, t3, t4)
-        point = intersect_lines(
-            chord_line(t1, t2, args.kappa), chord_line(t3, t4, args.kappa)
-        )
+        chord1, chord2 = chord_line(t1, t2, args.kappa), chord_line(t3, t4, args.kappa)
+        point = intersect_lines(chord1, chord2)
         inputs = {"t": list(args.t), "kappa": args.kappa}
         outputs = {
             "intersection_x": x,
             "intersection": [point.x, point.y],
-            "chord1": _line_record(chord_line(t1, t2, args.kappa)),
-            "chord2": _line_record(chord_line(t3, t4, args.kappa)),
+            "chord1": _line_record(chord1),
+            "chord2": _line_record(chord2),
         }
         diagnostics = []
         if args.kappa != 1.0:

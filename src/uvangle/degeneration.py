@@ -11,13 +11,9 @@ from __future__ import annotations
 import math
 
 from .errors import ComponentMismatch, PoleAtT
-from .kernel import ABS_EPS, _Frozen
+from .kernel import ABS_EPS, RESIDUAL_FLOOR, _Frozen
 
 _DEFAULT_T_SEQUENCE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-
-# Residuals below this (relative to the limit) are dominated by roundoff and
-# are excluded from the order fit.
-_RESIDUAL_FLOOR = 1e-12
 
 
 class SlopePair(_Frozen):
@@ -91,7 +87,7 @@ def first_order_limit(m: SlopePair, t_sequence: list[float] | None = None) -> Li
         extrapolated = samples[0][1]
 
     target = m.m1 - m.m2
-    floor = _RESIDUAL_FLOOR * max(1.0, abs(target))
+    floor = RESIDUAL_FLOOR * max(1.0, abs(target))
     usable = [(t, abs(v - target)) for t, v in samples if abs(v - target) > floor]
     if len(usable) >= 2:
         logs_t = [math.log(t) for t, _ in usable]

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import math
 
-from .angle import DirectionPair, ray_slope
-from .errors import ComponentMismatch, SingularPosition, ThetaTooSmall
+from .angle import DirectionPair, _slope_pair
+from .degeneration import slope_cross_ratio_angle
+from .errors import SingularPosition, ThetaTooSmall
 from .kernel import (
+    BOUNDARY_EPS,
     AffineMap,
     DirectionVector,
     Point,
@@ -30,17 +32,12 @@ from .kernel import (
     apply_map,
     invert_map,
     normalize_configuration,
-    vec,
 )
 
 THETA_MIN = 1e-6
 # The rapidity sweep of sample_locus spans |theta| + 2, and sinh overflows
 # past ~710.48, so larger angles cannot be sampled.
 THETA_MAX = 708.0
-
-# Points whose boundary factors fall below this (relative) threshold sit on
-# the singular line pair through the endpoints.
-_BOUNDARY_EPS = 1e-10
 
 
 class IsopticSpec(_Frozen):
@@ -165,23 +162,18 @@ def conic_center(conic: ConicCoefficients) -> Point:
 
 
 def asymptote_directions(conic: ConicCoefficients) -> tuple[DirectionVector, DirectionVector]:
-    """Null directions of the quadratic part (asymptote directions of a hyperbola)."""
+    """Null directions of the quadratic part (asymptote directions of a hyperbola).
+
+    With q the larger-magnitude root of q^2 + b*q + a*c = 0, the directions
+    (q, a) and (c, q) are null; q is nonzero whenever the discriminant is
+    positive, so neither form divides.
+    """
     a, b, c = conic.c_xx, conic.c_xy, conic.c_yy
     disc = b * b - 4.0 * a * c
     if disc <= 0.0:
         raise ValueError("quadratic part has no two real null directions")
-    root = math.sqrt(disc)
-    if abs(a) >= abs(c):
-        # slopes s = dx/dy from a s^2 + b s + c = 0
-        q = -(b + math.copysign(root, b)) / 2.0 if b != 0.0 else root / 2.0
-        s1 = q / a
-        s2 = (c / q) if q != 0.0 else -b / a
-        d1, d2 = DirectionVector(s1, 1.0), DirectionVector(s2, 1.0)
-    else:
-        q = -(b + math.copysign(root, b)) / 2.0 if b != 0.0 else root / 2.0
-        t1 = q / c
-        t2 = (a / q) if q != 0.0 else -b / c
-        d1, d2 = DirectionVector(1.0, t1), DirectionVector(1.0, t2)
+    q = -(b + math.copysign(math.sqrt(disc), b)) / 2.0
+    d1, d2 = DirectionVector(q, a), DirectionVector(c, q)
     return d1.scaled(1.0 / d1.norm), d2.scaled(1.0 / d2.norm)
 
 
@@ -233,7 +225,7 @@ def _classify(qx: float, qy: float) -> bool:
     f1 = (qx + 1.0) ** 2 - qy * qy
     f2 = (qx - 1.0) ** 2 - qy * qy
     scale = max(1.0, qx * qx + qy * qy)
-    if abs(f1) <= _BOUNDARY_EPS * scale or abs(f2) <= _BOUNDARY_EPS * scale:
+    if abs(f1) <= BOUNDARY_EPS * scale or abs(f2) <= BOUNDARY_EPS * scale:
         raise SingularPosition("point lies on the singular line pair through the endpoints")
     return f1 * f2 > 0.0
 
@@ -308,12 +300,8 @@ def sector_area_equivalence(
     second is log(x_2 / x_1).  The returned pair is (angle, sector area) and
     the two values agree up to roundoff.
     """
-    d_a = vec(o, a)
-    d_b = vec(o, b)
-    m_a = ray_slope(d_a, dirs, "OA")
-    m_b = ray_slope(d_b, dirs, "OB")
-    if m_a * m_b <= 0.0:
-        raise ComponentMismatch("rays lie in different components")
+    m_a, m_b = _slope_pair(o, a, b, dirs)
+    theta = slope_cross_ratio_angle(m_a, m_b)
     x_a = 1.0 / math.sqrt(abs(m_a))
     x_b = 1.0 / math.sqrt(abs(m_b))
-    return 0.5 * math.log(m_a / m_b), math.log(x_b / x_a)
+    return theta, math.log(x_b / x_a)

@@ -26,11 +26,14 @@ REL_EPS = 1e-9
 ABS_EPS = 1e-12
 # Largest |sine| between two directions that still counts as parallel.
 PAR_EPS = 1e-10
-
-
-def close(a: float, b: float, rel: float = REL_EPS, floor: float = ABS_EPS) -> bool:
-    """True when a and b agree to relative tolerance ``rel`` (absolute floor for tiny values)."""
-    return abs(a - b) <= max(floor, rel * max(abs(a), abs(b)))
+# Largest |boundary factor| / max(1, |q|^2) of a canonical point on the isoptic's singular lines.
+BOUNDARY_EPS = 1e-10
+# Largest |x*y - kappa| / max(1, |x*y|, kappa) of a point still on an axis hyperbola.
+ON_CURVE_TOL = 1e-7
+# Largest |discriminant| / (a1^2 + |4*a2*a0|) of a secant that counts as tangent.
+TANGENT_TOL = 1e-10
+# Largest limit residual / max(1, |limit|) that counts as roundoff, not truncation.
+RESIDUAL_FLOOR = 1e-12
 
 
 def _check_finite(*values: float) -> None:
@@ -112,9 +115,9 @@ def dot(d1: DirectionVector, d2: DirectionVector) -> float:
     return d1.dx * d2.dx + d1.dy * d2.dy
 
 
-def is_parallel(d1: DirectionVector, d2: DirectionVector, eps: float = PAR_EPS) -> bool:
-    """Scale-invariant parallelism test: |d1 x d2| <= eps * |d1| * |d2|."""
-    return abs(cross(d1, d2)) <= eps * d1.norm * d2.norm
+def is_parallel(d1: DirectionVector, d2: DirectionVector) -> bool:
+    """Scale-invariant parallelism test: |d1 x d2| <= PAR_EPS * |d1| * |d2|."""
+    return abs(cross(d1, d2)) <= PAR_EPS * d1.norm * d2.norm
 
 
 def translate(p: Point, d: DirectionVector, t: float = 1.0) -> Point:
@@ -131,10 +134,6 @@ class Line(_Frozen):
     def __init__(self, base: Point, dir: DirectionVector) -> None:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "dir", dir)
-
-    @classmethod
-    def through(cls, p: Point, q: Point) -> "Line":
-        return cls(p, vec(p, q))
 
     def point_at(self, t: float) -> Point:
         return translate(self.base, self.dir, t)

@@ -32,8 +32,10 @@ from .errors import (
 )
 from .kernel import (
     ABS_EPS,
+    ON_CURVE_TOL,
     PAR_EPS,
     REL_EPS,
+    TANGENT_TOL,
     AffineMap,
     DirectionVector,
     Line,
@@ -44,9 +46,6 @@ from .kernel import (
     intersect_lines,
     invert_map,
 )
-
-_ON_CURVE_TOL = 1e-7
-_TANGENT_TOL = 1e-10
 
 _REFLECT_X = AffineMap(-1.0, 0.0, 0.0, 1.0)
 
@@ -123,7 +122,7 @@ def core_quantity(p: Point, h: AxisHyperbola) -> float:
 def _require_on_curve(p: Point, h: AxisHyperbola) -> tuple[float, float]:
     x, y = h.relative_coords(p)
     residual = x * y - h.kappa
-    if abs(residual) > _ON_CURVE_TOL * max(1.0, abs(x * y), h.kappa):
+    if abs(residual) > ON_CURVE_TOL * max(1.0, abs(x * y), h.kappa):
         raise NotOnCurve(f"point is not on the hyperbola (residual {residual!r})")
     return x, y
 
@@ -144,9 +143,9 @@ def secant_intersections(p: Point, direction: DirectionVector, h: AxisHyperbola)
     a0 = px * py - h.kappa
     disc = a1 * a1 - 4.0 * a2 * a0
     scale = a1 * a1 + abs(4.0 * a2 * a0)
-    if disc < -_TANGENT_TOL * scale:
+    if disc < -TANGENT_TOL * scale:
         raise NoRealIntersection("line misses the hyperbola")
-    tangent = disc <= _TANGENT_TOL * scale
+    tangent = disc <= TANGENT_TOL * scale
     if tangent:
         t1 = t2 = -a1 / (2.0 * a2)
     else:

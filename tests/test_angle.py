@@ -337,6 +337,27 @@ def test_midpoint_bisects():
         assert abs(first.theta - 0.5 * whole.theta) <= 1e-9
 
 
+@pytest.mark.parametrize("beta", [2e-11, 5e-10, 2e-9])
+def test_midpoint_and_component_share_the_singular_ray_rule(beta):
+    # sin angle(u, v) = 0.1, so u + beta*v is within PAR_EPS of u for beta <= 1e-9.
+    dirs = DirectionPair(DirectionVector(1.0, 0.0), DirectionVector(math.sqrt(0.99), 0.1))
+    d_r = DirectionVector(1.0 + beta * dirs.v.dx, beta * dirs.v.dy)
+    d_s = DirectionVector(dirs.u.dx + dirs.v.dx, dirs.u.dy + dirs.v.dy)
+
+    def singular(call) -> bool:
+        try:
+            call()
+        except SingularRay:
+            return True
+        return False
+
+    midpoint = singular(lambda: midpoint_ray(ORIGIN, Ray(ORIGIN, d_r), Ray(ORIGIN, d_s), dirs))
+    component = singular(
+        lambda: is_same_component(ORIGIN, Point(d_r.dx, d_r.dy), Point(d_s.dx, d_s.dy), dirs)
+    )
+    assert midpoint == component == (beta <= 1e-9)
+
+
 def test_preserves_translation_and_diagonal():
     assert preserves_affine_angle(AffineMap.translation(4, -7), AXES)
     assert preserves_affine_angle(AffineMap.scaling(2, 3), AXES)

@@ -236,6 +236,13 @@ def test_non_finite_input_is_a_parse_error(argv):
     assert ": error: " in line
 
 
+def test_seed_is_an_invariance_option_only():
+    proc = run_cli("angle", "--O", "0,0", "--A", "1,1", "--B", "1,2", "--u", "1,0", "--v", "0,1",
+                   "--seed", "1")
+    line = assert_one_line_error(proc, 1)
+    assert line == "uvangle: error: unrecognized arguments: --seed 1"
+
+
 def test_non_finite_result_is_a_domain_error():
     proc = run_cli("power", "--kappa", "1", "--center", "0,0", "--P", "1e308,1e308")
     assert "domain error" in assert_one_line_error(proc, 2)

@@ -248,6 +248,23 @@ def test_original_frame_incidence_and_asymptotes():
             assert min(angles) <= 1e-8
 
 
+def _axis_parallel(d: DirectionVector) -> str:
+    assert d.norm == pytest.approx(1.0, rel=1e-15)
+    if abs(d.dy) <= 1e-15:
+        return "x"
+    assert abs(d.dx) <= 1e-15
+    return "y"
+
+
+def test_asymptote_directions_of_axis_conics():
+    # c_xx = c_yy = 0: the null directions are the coordinate axes.
+    d1, d2 = asymptote_directions(ConicCoefficients(0, 1, 0, 0, 0, -1))
+    assert {_axis_parallel(d1), _axis_parallel(d2)} == {"x", "y"}
+    spec = IsopticSpec(Point(0, 0), Point(2, 1), AXES, 0.8)
+    d1, d2 = asymptote_directions(isoptic_curve(spec).original_conic)
+    assert {_axis_parallel(d1), _axis_parallel(d2)} == {"x", "y"}
+
+
 def test_sector_area_worked_example():
     # rays meeting x*y = 1 at abscissae 1 and e
     o = Point(0, 0)
