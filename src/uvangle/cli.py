@@ -9,6 +9,11 @@ one stderr line.  All randomness used by the
 ``invariance`` demonstrations flows from an explicit seed through Python's
 Mersenne Twister (``random.Random``), so identical invocations produce
 byte-identical output.
+
+Each handler imports the modules its command uses when it runs, so one
+process loads only those.  The names are looked up at call time, never
+kept in this module's globals, so rebinding a module's function (as a
+tracer does) reaches every call.
 """
 
 from __future__ import annotations
@@ -16,43 +21,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import re
 import sys
 from collections.abc import Sequence
 
-from .angle import DirectionPair, affine_angle, sigma_lambda
-from .degeneration import SlopePair, first_order_limit, slope_cross_ratio_angle
 from .errors import GeometryError
-from .isoptic import (
-    IsopticSpec,
-    conic_center,
-    isoptic_curve,
-    sample_locus,
-)
-from .kernel import (
-    AffineMap,
-    DirectionVector,
-    Line,
-    Point,
-    Ray,
-    apply_map,
-    basis_map,
-    compose_maps,
-    intersect_lines,
-    invert_map,
-)
-from .power import (
-    AxisHyperbola,
-    chord_intersection_x,
-    chord_line,
-    core_quantity,
-    power,
-    progression_quadrilateral_area,
-    radical_axis,
-    radical_center,
-)
-from .svg import render_svg
+from .kernel import DirectionVector, Line, Point
 
 SCHEMA_VERSION = "1"
 
@@ -214,6 +188,8 @@ def _line_record(line: Line) -> dict:
 
 
 def _cmd_angle(args) -> dict:
+    from .angle import DirectionPair, affine_angle
+
     dirs = DirectionPair(_direction(args.u), _direction(args.v))
     result = affine_angle(_point(args.o), _point(args.a), _point(args.b), dirs)
     inputs = {
@@ -232,9 +208,14 @@ def _cmd_angle(args) -> dict:
 
 
 def _cmd_isoptic(args):
+    from .angle import DirectionPair
+    from .isoptic import IsopticSpec, conic_center, isoptic_curve, sample_locus
+
     dirs = DirectionPair(_direction(args.u), _direction(args.v))
     spec = IsopticSpec(_point(args.a), _point(args.b), dirs, args.theta)
     if args.output == "svg":
+        from .svg import render_svg
+
         samples = sample_locus(spec, args.samples)
         return render_svg(samples, viewport=args.viewport, markers=(spec.a, spec.b))
     curve = isoptic_curve(spec)
@@ -261,6 +242,8 @@ def _cmd_isoptic(args):
 
 
 def _cmd_power(args) -> dict:
+    from .power import AxisHyperbola, core_quantity, power
+
     h = AxisHyperbola.from_directions(
         _point(args.center), args.kappa, _direction(args.u), _direction(args.v)
     )
@@ -284,6 +267,8 @@ def _cmd_power(args) -> dict:
 
 
 def _cmd_radical_center(args) -> dict:
+    from .power import AxisHyperbola, radical_axis, radical_center
+
     u, v = _direction(args.u), _direction(args.v)
     curves = [
         AxisHyperbola.from_directions(Point(cx, cy), kappa, u, v)
@@ -310,6 +295,9 @@ def _cmd_radical_center(args) -> dict:
 
 
 def _cmd_chords(args) -> dict:
+    from .kernel import intersect_lines
+    from .power import chord_intersection_x, chord_line, progression_quadrilateral_area
+
     if args.t is not None:
         t1, t2, t3, t4 = args.t
         x = chord_intersection_x(t1, t2, t3, t4)
@@ -337,6 +325,8 @@ def _cmd_chords(args) -> dict:
 
 
 def _cmd_degenerate(args) -> dict:
+    from .degeneration import SlopePair, first_order_limit, slope_cross_ratio_angle
+
     pair = SlopePair(args.m1, args.m2)
     report = first_order_limit(pair, args.t_sequence)
     half_log = (
@@ -357,92 +347,11 @@ def _cmd_degenerate(args) -> dict:
     return _document("degenerate", inputs, outputs, [])
 
 
-def _random_invariance_config(rng: random.Random):
-    o = Point(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-    while True:
-        phi_u = rng.uniform(0.0, math.pi)
-        phi_v = rng.uniform(0.0, math.pi)
-        u = DirectionVector(math.cos(phi_u), math.sin(phi_u))
-        v = DirectionVector(math.cos(phi_v), math.sin(phi_v))
-        if abs(math.sin(phi_u - phi_v)) > 0.25:
-            break
-    m_sign = rng.choice((-1.0, 1.0))
-    m_a = m_sign * math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
-    m_b = m_sign * math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
-
-    def point_on(m: float) -> Point:
-        s = rng.uniform(0.4, 2.0)
-        return Point(o.x + s * (u.dx + m * v.dx), o.y + s * (u.dy + m * v.dy))
-
-    return o, DirectionPair(u, v), point_on(m_a), point_on(m_b)
-
-
-def _random_auxiliary(rng: random.Random, o: Point, dirs: DirectionPair, rays) -> Line:
-    while True:
-        base = Point(o.x + rng.uniform(-2.0, 2.0), o.y + rng.uniform(-2.0, 2.0))
-        phi = rng.uniform(0.0, math.pi)
-        d = DirectionVector(math.cos(phi), math.sin(phi))
-        line = Line(base, d)
-        if line.distance_to(o) < 0.05:
-            continue
-        blocked = False
-        for other in (dirs.u, dirs.v, *rays):
-            if abs(d.dx * other.dy - d.dy * other.dx) < 0.05 * other.norm:
-                blocked = True
-                break
-        if not blocked:
-            return line
-
-
 def _cmd_invariance(args) -> dict:
-    rng = random.Random(args.seed)
-    lambda_dev = 0.0
-    for _ in range(args.trials):
-        o, dirs, a, b = _random_invariance_config(rng)
-        da = DirectionVector(a.x - o.x, a.y - o.y)
-        db = DirectionVector(b.x - o.x, b.y - o.y)
-        ratios = []
-        for _ in range(2):
-            aux = _random_auxiliary(rng, o, dirs, (da, db))
-            u_line, v_line = Line(o, dirs.u), Line(o, dirs.v)
-            sa = sigma_lambda(o, Ray(o, da), u_line, v_line, aux)
-            sb = sigma_lambda(o, Ray(o, db), u_line, v_line, aux)
-            ratios.append(sa.value / sb.value)
-        lambda_dev = max(lambda_dev, abs(ratios[0] - ratios[1]) / max(map(abs, ratios)))
-
-    group_dev = 0.0
-    shear_dev = 0.0
-    for _ in range(args.trials):
-        o, dirs, a, b = _random_invariance_config(rng)
-        before = affine_angle(o, a, b, dirs)
-        to_basis = basis_map(dirs.u, dirs.v)
-        from_basis = invert_map(to_basis)
-        sx = rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 5.0)
-        sy = math.copysign(rng.uniform(0.2, 5.0), sx)
-        diag = compose_maps(compose_maps(from_basis, AffineMap.scaling(sx, sy)), to_basis)
-        shift = AffineMap.translation(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
-        good = compose_maps(shift, diag)
-        after = affine_angle(
-            apply_map(good, o), apply_map(good, a), apply_map(good, b), dirs
-        )
-        group_dev = max(group_dev, abs(after.theta - before.theta))
-
-        shear = compose_maps(
-            compose_maps(from_basis, AffineMap(1.0, 0.7, 0.0, 1.0)), to_basis
-        )
-        sheared = affine_angle(
-            apply_map(shear, o), apply_map(shear, a), apply_map(shear, b), dirs
-        )
-        if sheared.is_real:
-            shear_dev = max(shear_dev, abs(sheared.theta - before.theta))
+    from ._invariance import invariance_deviations
 
     inputs = {"seed": args.seed, "trials": args.trials}
-    outputs = {
-        "lambda_independence_max_rel_dev": lambda_dev,
-        "group_invariance_max_abs_dev": group_dev,
-        "shear_control_max_abs_dev": shear_dev,
-    }
-    return _document("invariance", inputs, outputs, [])
+    return _document("invariance", inputs, invariance_deviations(args.trials, args.seed), [])
 
 
 _HANDLERS = {

@@ -177,10 +177,14 @@ def asymptote_directions(conic: ConicCoefficients) -> tuple[DirectionVector, Dir
     return d1.scaled(1.0 / d1.norm), d2.scaled(1.0 / d2.norm)
 
 
+def _require_theta_min(theta: float) -> None:
+    if abs(theta) < THETA_MIN:
+        raise ThetaTooSmall(f"|theta| must be at least {THETA_MIN}")
+
+
 def _canonical_curve(spec: IsopticSpec) -> tuple[AffineMap, IsopticCurve]:
     """The map to the canonical frame, and the isoptic curve built from it."""
-    if abs(spec.theta) < THETA_MIN:
-        raise ThetaTooSmall(f"|theta| must be at least {THETA_MIN}")
+    _require_theta_min(spec.theta)
     to_canonical = normalize_configuration(spec.a, spec.b, spec.dirs.u, spec.dirs.v)
     beta = 1.0 / math.tanh(spec.theta)
     # p^2 - (q + beta)^2 = 1 - beta^2  <=>  p^2 - q^2 - 2*beta*q - 1 = 0
@@ -200,16 +204,15 @@ def isoptic_curve(spec: IsopticSpec) -> IsopticCurve:
     return _canonical_curve(spec)[1]
 
 
-def _require_sampleable(theta: float) -> None:
-    if abs(theta) < THETA_MIN:
-        raise ThetaTooSmall(f"|theta| must be at least {THETA_MIN}")
+def _require_theta_max(theta: float) -> None:
     if abs(theta) > THETA_MAX:
         raise ValueError(f"|theta| must be at most {THETA_MAX}")
 
 
 def isoptic_point(theta: float, t: float) -> Point:
     """Rapidity parametrization of the canonical-frame isoptic hyperbola."""
-    _require_sampleable(theta)
+    _require_theta_min(theta)
+    _require_theta_max(theta)
     sh = math.sinh(theta)
     return Point(math.sinh(t) / sh, math.cosh(t) / sh - 1.0 / math.tanh(theta))
 
@@ -256,7 +259,7 @@ def sample_locus(spec: IsopticSpec, n: int) -> list[tuple[Point, bool]]:
     if n < 2:
         raise ValueError("need at least two samples")
     to_canonical, curve = _canonical_curve(spec)
-    _require_sampleable(spec.theta)
+    _require_theta_max(spec.theta)
     f, g = curve.frame, to_canonical
     sh, beta = math.sinh(spec.theta), curve.beta
     span = abs(spec.theta) + 2.0

@@ -5,7 +5,8 @@ as a frame map (taking the asymptote directions to the coordinate axes), a
 center, and a constant kappa: in frame coordinates relative to the center the
 curve is x*y = kappa.  The core quantity of a point (p, q) in those
 coordinates is p*q - kappa; the power kappa * |p*q - kappa| equals the
-product of asymptotic symmetric areas cut by any secant through the point.
+product of asymptotic symmetric areas cut by any secant through the point
+(``power_theorem`` computes those areas).
 
 kappa is normalized positive at construction by reflecting one frame axis,
 so curves with branches in the second/fourth frame quadrants are handled
@@ -25,14 +26,12 @@ from .errors import (
     InvalidPosition,
     NoRealIntersection,
     NonLinearDifference,
-    NotOnCurve,
     ParallelAxes,
     ParallelChords,
     ParallelLines,
 )
 from .kernel import (
     ABS_EPS,
-    ON_CURVE_TOL,
     PAR_EPS,
     REL_EPS,
     TANGENT_TOL,
@@ -119,14 +118,6 @@ def core_quantity(p: Point, h: AxisHyperbola) -> float:
     return x * y - h.kappa
 
 
-def _require_on_curve(p: Point, h: AxisHyperbola) -> tuple[float, float]:
-    x, y = h.relative_coords(p)
-    residual = x * y - h.kappa
-    if abs(residual) > ON_CURVE_TOL * max(1.0, abs(x * y), h.kappa):
-        raise NotOnCurve(f"point is not on the hyperbola (residual {residual!r})")
-    return x, y
-
-
 def secant_intersections(p: Point, direction: DirectionVector, h: AxisHyperbola) -> SecantResult:
     """Both intersections of the line through p with the curve.
 
@@ -167,49 +158,9 @@ def secant_intersections(p: Point, direction: DirectionVector, h: AxisHyperbola)
     return SecantResult(point_a, point_b, alpha, beta, tangent)
 
 
-def asymptotic_projections(a: Point, h: AxisHyperbola) -> tuple[Point, Point]:
-    """Projections of a curve point onto the two asymptotes, each along the other."""
-    x, y = _require_on_curve(a, h)
-    c, d = h.frame_center()
-    inverse = invert_map(h.frame)
-    a1 = inverse.apply_point(Point(c + x, d))
-    a2 = inverse.apply_point(Point(c, d + y))
-    return a1, a2
-
-
-def projected_area(p: Point, a: Point, which: int, h: AxisHyperbola) -> float:
-    """Parallelogram area of (a - p) with (a_i - p), measured in frame coordinates."""
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
-    x, y = _require_on_curve(a, h)
-    px, py = h.relative_coords(p)
-    ax, ay = x - px, y - py
-    if which == 1:
-        bx, by = x - px, -py
-    else:
-        bx, by = -px, y - py
-    return abs(ax * by - ay * bx)
-
-
-def symmetric_area(p: Point, a: Point, h: AxisHyperbola) -> float:
-    """Geometric mean of the two projected areas."""
-    return math.sqrt(projected_area(p, a, 1, h) * projected_area(p, a, 2, h))
-
-
 def power(p: Point, h: AxisHyperbola) -> float:
     """kappa * |core|; the secant-independent product of symmetric areas."""
     return h.kappa * abs(core_quantity(p, h))
-
-
-def one_sided_identity(
-    p: Point, secant: DirectionVector, h: AxisHyperbola
-) -> tuple[float, float, float]:
-    """(S_PA*S_PB, S(P,A1)*S(P,B1), S(P,A2)*S(P,B2)) for one secant; all three agree."""
-    result = secant_intersections(p, secant, h)
-    lhs = symmetric_area(p, result.a, h) * symmetric_area(p, result.b, h)
-    mid1 = projected_area(p, result.a, 1, h) * projected_area(p, result.b, 1, h)
-    mid2 = projected_area(p, result.a, 2, h) * projected_area(p, result.b, 2, h)
-    return lhs, mid1, mid2
 
 
 def chord_line(t1: float, t2: float, kappa: float) -> Line:

@@ -47,11 +47,11 @@ from uvangle import (
     secant_intersections,
     sector_area_equivalence,
     sigma_lambda,
-    symmetric_area,
     vec,
 )
 from uvangle.degeneration import SlopePair, degenerate_cross_ratio, first_order_limit
 from uvangle.errors import GeometryError, IdenticalCurves, ParallelAxes
+from uvangle.power_theorem import one_sided_identity, symmetric_area
 
 
 def _random_frame_config(rng):
@@ -313,8 +313,6 @@ def test_criterion_06_power_theorem(acceptance):
 def test_criterion_07_one_sided_determinacy(acceptance):
     rng = random.Random(107)
     worst = 0.0
-    from uvangle import one_sided_identity
-
     for _ in range(500):
         h = random_hyperbola(rng)
         p = random_off_curve_point(rng, h)

@@ -309,3 +309,26 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().split() == []
+
+
+def test_angle_command_loads_only_its_modules():
+    # -X importtime lists on stderr every module the real entry point imports.
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "uvangle",
+         "angle", "--O", "0,0", "--A", "1,1", "--B", "1,2", "--u", "1,0", "--v", "0,1"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    loaded = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.decode().splitlines()
+        if line.startswith("import time:")
+    }
+    assert {"uvangle.cli", "uvangle.kernel", "uvangle.angle"} <= loaded
+    unwanted = {
+        "uvangle.isoptic", "uvangle.power", "uvangle.power_theorem", "uvangle.svg",
+        "uvangle.degeneration", "uvangle._invariance", "random",
+    }
+    assert sorted(loaded & unwanted) == []

@@ -1,9 +1,10 @@
 """Byte-for-byte comparison of CLI output with committed golden files.
 
-Each case runs ``python -m uvangle.cli`` and compares stdout with
-``tests/golden/<name>.<ext>``.  The golden files were captured before the
-angle moved from the auxiliary-line ratio to the (u, v) slope, so these
-tests pin the printed values of the README commands across refactors.
+Each case runs ``python -m uvangle`` and ``python -m uvangle.cli`` and
+compares stdout with ``tests/golden/<name>.<ext>``.  The golden files were
+captured before the angle moved from the auxiliary-line ratio to the (u, v)
+slope, so these tests pin the printed values of the README commands across
+refactors.
 The two ``isoptic_sheared`` files were captured before ``sample_locus``
 classified its samples in the canonical frame; they pin the sample
 coordinates on a sheared, non-unit frame with an odd sample count and a
@@ -75,21 +76,25 @@ CASES = {
 INVARIANCE_LAMBDA_DEV = 1.3162111726105019e-14
 
 
-def run_cli(*argv: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "uvangle.cli", *argv], capture_output=True
-    )
+# The package entry point (what users and the benchmark run) and the module one.
+ENTRY_POINTS = ("uvangle", "uvangle.cli")
+
+
+def run_cli(entry: str, *argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", entry, *argv], capture_output=True)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
-    proc = run_cli(*CASES[name])
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout == (GOLDEN / name).read_bytes()
+    for entry in ENTRY_POINTS:
+        proc = run_cli(entry, *CASES[name])
+        assert proc.returncode == 0, (entry, proc.stderr.decode())
+        assert proc.stdout == (GOLDEN / name).read_bytes(), entry
 
 
 def test_invariance_lambda_field_is_pinned():
-    proc = run_cli("invariance", "--trials", "200", "--seed", "0")
-    assert proc.returncode == 0, proc.stderr.decode()
-    outputs = json.loads(proc.stdout)["outputs"]
-    assert outputs["lambda_independence_max_rel_dev"] == INVARIANCE_LAMBDA_DEV
+    for entry in ENTRY_POINTS:
+        proc = run_cli(entry, "invariance", "--trials", "200", "--seed", "0")
+        assert proc.returncode == 0, (entry, proc.stderr.decode())
+        outputs = json.loads(proc.stdout)["outputs"]
+        assert outputs["lambda_independence_max_rel_dev"] == INVARIANCE_LAMBDA_DEV, entry

@@ -144,6 +144,16 @@ def test_theta_above_max_cannot_be_sampled():
     isoptic_curve(canonical_spec(709.0))  # the curve itself has no upper bound
 
 
+def test_sample_locus_checks_in_order():
+    # The sample count first, then |theta| >= THETA_MIN, then |theta| <= THETA_MAX.
+    with pytest.raises(ValueError, match="^need at least two samples$"):
+        sample_locus(canonical_spec(1e-7), 1)
+    with pytest.raises(ThetaTooSmall, match=r"^\|theta\| must be at least 1e-06$"):
+        sample_locus(canonical_spec(-1e-7), 2)
+    with pytest.raises(ValueError, match="^need at least two samples$"):
+        sample_locus(canonical_spec(709.0), 0)
+
+
 def test_parametrization_at_zero():
     theta = 0.8
     p = isoptic_point(theta, 0.0)

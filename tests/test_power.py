@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -14,25 +14,22 @@ from helpers import (
     random_secant_direction,
 )
 from uvangle import (
+    AffineMap,
     AxisHyperbola,
     DirectionVector,
     Line,
     Point,
-    asymptotic_projections,
     chord_intersection_x,
     chord_line,
     core_quantity,
     cross,
     intersect_lines,
     invert_map,
-    one_sided_identity,
     power,
     progression_quadrilateral_area,
-    projected_area,
     radical_axis,
     radical_center,
     secant_intersections,
-    symmetric_area,
 )
 from uvangle.errors import (
     CoincidentParameters,
@@ -43,6 +40,12 @@ from uvangle.errors import (
     NotOnCurve,
     ParallelAxes,
     ParallelChords,
+)
+from uvangle.power_theorem import (
+    asymptotic_projections,
+    one_sided_identity,
+    projected_area,
+    symmetric_area,
 )
 
 UNIT = AxisHyperbola.axis_aligned(Point(0, 0), 1.0)
@@ -170,9 +173,32 @@ def power_configurations(draw):
     return h, p
 
 
+class _FixedAngle(random.Random):
+    """Draws every ``uniform`` as one angle, so each secant direction is fixed."""
+
+    def __init__(self, phi: float) -> None:
+        super().__init__(0)
+        self.phi = phi
+
+    def uniform(self, a: float, b: float) -> float:
+        return self.phi
+
+
 @settings(max_examples=200, deadline=None, database=None,
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(config=power_configurations(), rng=st.randoms(use_true_random=False))
+# P = (2, 0) lies on an asymptote (frame coordinates (0, 16)), and one secant
+# point lies far out along the other, at frame y ~ -8e-4: its plane
+# coordinates carry that y only to ~2e-9 relative, beyond the bound.
+@example(
+    config=(
+        AxisHyperbola(
+            Point(0.0, 0.0), 1.0, AffineMap(0.0, 0.6772486772486772, 8.0, -5.172187262654119)
+        ),
+        Point(2.0, 0.0),
+    ),
+    rng=_FixedAngle(0.99609375),
+)
 def test_power_is_secant_independent_on_sheared_frames(config, rng):
     h, p = config
     expected = power(p, h)
