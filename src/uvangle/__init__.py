@@ -25,7 +25,6 @@ _EXPORTS_BY_MODULE = {
     ),
     "degeneration": (
         "LimitReport", "SlopePair", "degenerate_cross_ratio", "first_order_limit",
-        "slope_cross_ratio_angle",
     ),
     "errors": ("GeometryError", "errors"),
     "isoptic": (
@@ -36,7 +35,8 @@ _EXPORTS_BY_MODULE = {
     "kernel": (
         "AffineMap", "DirectionVector", "Line", "Point", "Ray", "apply_map", "basis_map",
         "compose_maps", "cross", "decompose", "distance", "dot", "intersect_lines",
-        "invert_map", "is_parallel", "normalize_configuration", "signed_area", "vec",
+        "invert_map", "is_parallel", "normalize_configuration", "signed_area",
+        "slope_cross_ratio_angle", "vec",
     ),
     "power": (
         "AxisHyperbola", "SecantResult", "chord_intersection_x", "chord_line",

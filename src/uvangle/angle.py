@@ -54,6 +54,7 @@ from .kernel import (
     intersect_lines,
     is_parallel,
     signed_area,
+    slope_cross_ratio_angle,
     vec,
 )
 
@@ -239,10 +240,9 @@ def area_cross_ratio(l1: Ray, l2: Ray, r1: Ray, r2: Ray, o: Point, aux: Line) ->
 
 
 def _ray_direction(o: Point, p: Point, name: str) -> DirectionVector:
-    try:
-        return vec(o, p)
-    except ValueError:
-        raise ValueError(f"point {name} coincides with the vertex") from None
+    if p.x == o.x and p.y == o.y:
+        raise ValueError(f"point {name} coincides with the vertex")
+    return vec(o, p)  # raises ValueError when the offset overflows
 
 
 def ray_slope(d: DirectionVector, dirs: DirectionPair, name: str) -> float:
@@ -269,7 +269,7 @@ def affine_angle(o: Point, a: Point, b: Point, dirs: DirectionPair) -> AngleResu
         return AngleResult.non_real(
             f"rays OA, OB lie in different components (sigma signs {sign_a}, {sign_b})"
         )
-    return AngleResult.real(0.5 * math.log(m_a / m_b))
+    return AngleResult.real(slope_cross_ratio_angle(m_a, m_b))
 
 
 def is_same_component(o: Point, a: Point, b: Point, dirs: DirectionPair) -> bool:

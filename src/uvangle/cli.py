@@ -325,7 +325,8 @@ def _cmd_chords(args) -> dict:
 
 
 def _cmd_degenerate(args) -> dict:
-    from .degeneration import SlopePair, first_order_limit, slope_cross_ratio_angle
+    from .degeneration import SlopePair, first_order_limit
+    from .kernel import slope_cross_ratio_angle
 
     pair = SlopePair(args.m1, args.m2)
     report = first_order_limit(pair, args.t_sequence)

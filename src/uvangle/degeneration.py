@@ -1,16 +1,16 @@
-"""Degenerate limits connecting the log-angle with the slope difference.
+"""The degenerate limit connecting the log-angle with the slope difference.
 
-Two checks live here: the closed slope form of the angle for axis reference
-directions, and the first-order limit in which the cross ratio against the
-isotropic slope pair (1/t, -1/t) recovers the plain slope difference as
-t -> 0.
+The first-order limit: the cross ratio against the isotropic slope pair
+(1/t, -1/t) recovers the plain slope difference as t -> 0.  The closed
+slope form of the angle, kernel.slope_cross_ratio_angle, lives beside the
+(u, v) decomposition that produces the slopes.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import ComponentMismatch, PoleAtT
+from .errors import PoleAtT
 from .kernel import ABS_EPS, RESIDUAL_FLOOR, _Frozen
 
 _DEFAULT_T_SEQUENCE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -38,13 +38,6 @@ class LimitReport(_Frozen):
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "extrapolated_limit", extrapolated_limit)
         object.__setattr__(self, "residual_order", residual_order)
-
-
-def slope_cross_ratio_angle(m_a: float, m_b: float) -> float:
-    """Half the log of the slope ratio; matches the area-ratio angle for axis directions."""
-    if m_a * m_b <= 0.0:
-        raise ComponentMismatch("slopes must have the same sign")
-    return 0.5 * math.log(m_a / m_b)
 
 
 def degenerate_cross_ratio(m: SlopePair, t: float) -> float:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 from .angle import DirectionPair, _slope_pair
-from .degeneration import slope_cross_ratio_angle
 from .errors import SingularPosition, ThetaTooSmall
 from .kernel import (
     BOUNDARY_EPS,
@@ -32,6 +31,7 @@ from .kernel import (
     apply_map,
     invert_map,
     normalize_configuration,
+    slope_cross_ratio_angle,
 )
 
 THETA_MIN = 1e-6
@@ -182,26 +182,20 @@ def _require_theta_min(theta: float) -> None:
         raise ThetaTooSmall(f"|theta| must be at least {THETA_MIN}")
 
 
-def _canonical_curve(spec: IsopticSpec) -> tuple[AffineMap, IsopticCurve]:
-    """The map to the canonical frame, and the isoptic curve built from it."""
+def isoptic_curve(spec: IsopticSpec) -> IsopticCurve:
+    """The isoptic hyperbola of spec, in the canonical and the original frame."""
     _require_theta_min(spec.theta)
     to_canonical = normalize_configuration(spec.a, spec.b, spec.dirs.u, spec.dirs.v)
     beta = 1.0 / math.tanh(spec.theta)
     # p^2 - (q + beta)^2 = 1 - beta^2  <=>  p^2 - q^2 - 2*beta*q - 1 = 0
     normalized = ConicCoefficients(1.0, 0.0, -1.0, 0.0, -2.0 * beta, -1.0)
     original = _pullback_conic(normalized, to_canonical)
-    curve = IsopticCurve(
+    return IsopticCurve(
         normalized_conic=normalized,
         beta=beta,
         frame=invert_map(to_canonical),
         original_conic=original,
     )
-    return to_canonical, curve
-
-
-def isoptic_curve(spec: IsopticSpec) -> IsopticCurve:
-    """The isoptic hyperbola of spec, in the canonical and the original frame."""
-    return _canonical_curve(spec)[1]
 
 
 def _require_theta_max(theta: float) -> None:
@@ -258,10 +252,11 @@ def sample_locus(spec: IsopticSpec, n: int) -> list[tuple[Point, bool]]:
     """
     if n < 2:
         raise ValueError("need at least two samples")
-    to_canonical, curve = _canonical_curve(spec)
+    _require_theta_min(spec.theta)
+    g = normalize_configuration(spec.a, spec.b, spec.dirs.u, spec.dirs.v)
+    f = invert_map(g)
     _require_theta_max(spec.theta)
-    f, g = curve.frame, to_canonical
-    sh, beta = math.sinh(spec.theta), curve.beta
+    sh, beta = math.sinh(spec.theta), 1.0 / math.tanh(spec.theta)
     span = abs(spec.theta) + 2.0
 
     def t_values(count: int) -> list[float]:

@@ -1,9 +1,10 @@
-"""Planar primitives: points, directions, lines, rays, and affine maps.
+"""Planar primitives: points, directions, lines, rays, affine maps, and slopes.
 
 Coordinates are IEEE-754 doubles.  Scalar comparisons use a relative
 tolerance with a small absolute floor; direction predicates are scale
-invariant.  All operations are pure, so everything here is safe to share
-freely between threads.
+invariant.  The (u, v) frame of the reference directions and the slope
+form of the angle in it live here.  All operations are pure, so everything
+here is safe to share freely between threads.
 
 The value types of the package (here and in the other modules) are
 immutable ``__slots__`` classes built on ``_Frozen``: assigning or deleting
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DegenerateConfiguration, ParallelLines, SingularMap
+from .errors import ComponentMismatch, DegenerateConfiguration, ParallelLines, SingularMap
 
 # Relative tolerance of scalar comparisons and of point-on-line/vertex tests.
 REL_EPS = 1e-9
@@ -279,6 +280,13 @@ def decompose(d: DirectionVector, u: DirectionVector, v: DirectionVector) -> tup
     """Coefficients (a, b) with d = a*u + b*v.  Raises for dependent u, v."""
     c = basis_map(u, v).apply_linear(d)
     return c.dx, c.dy
+
+
+def slope_cross_ratio_angle(m_a: float, m_b: float) -> float:
+    """Half the log of the slope ratio: the angle between rays of (u, v) slopes m_a, m_b."""
+    if m_a * m_b <= 0.0:
+        raise ComponentMismatch("slopes must have the same sign")
+    return 0.5 * math.log(m_a / m_b)
 
 
 def normalize_configuration(

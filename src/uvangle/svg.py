@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
+from itertools import groupby
+from operator import itemgetter
 
 from .errors import EmptyLocus
 from .kernel import Point
@@ -34,12 +37,14 @@ def render_svg(
     ``markers`` (for example the segment endpoints) are drawn as dots.  The
     byte output is deterministic for identical input.  The viewport auto-fits
     the drawn geometry with a 5% margin unless given explicitly as
-    (xmin, ymin, xmax, ymax).
+    (xmin, ymin, xmax, ymax).  A viewport that would give any drawn point a
+    nan or infinite pixel coordinate raises ValueError.
     """
     if len(samples) < 2:
         raise EmptyLocus("need at least two points to render")
+    drawn = _bounds([p for p, _ in samples] + list(markers))
     if viewport is None:
-        xmin, ymin, xmax, ymax = _bounds([p for p, _ in samples] + list(markers))
+        xmin, ymin, xmax, ymax = drawn
         span_x = xmax - xmin or 1.0
         span_y = ymax - ymin or 1.0
         xmin -= _MARGIN_FRACTION * span_x
@@ -61,6 +66,12 @@ def render_svg(
             _HEIGHT - (offset_y + (p.y - ymin) * scale),
         )
 
+    # to_pixels is monotone per coordinate: the drawn extent's corners bound every
+    # pixel, and a zero or infinite scale or offset makes them nan or infinite.
+    corners = to_pixels(Point(drawn[0], drawn[1])) + to_pixels(Point(drawn[2], drawn[3]))
+    if not all(math.isfinite(c) for c in corners):
+        raise ValueError("viewport scale sends the drawing outside finite pixel coordinates")
+
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         (
@@ -70,24 +81,13 @@ def render_svg(
         ),
     ]
 
-    run: list[tuple[Point, bool]] = []
-
-    def flush() -> None:
-        if not run:
-            return
-        css, stroke = _CLASS_STYLE[run[0][1]]
+    for admissible, run in groupby(samples, key=itemgetter(1)):
+        css, stroke = _CLASS_STYLE[admissible]
         coords = ' '.join(f'{x:.3f},{y:.3f}' for x, y in (to_pixels(p) for p, _ in run))
         lines.append(
             f'<polyline class="{css}" points="{coords}" '
             f'fill="none" stroke="{stroke}" stroke-width="1.5"/>'
         )
-        run.clear()
-
-    for sample in samples:
-        if run and run[-1][1] != sample[1]:
-            flush()
-        run.append(sample)
-    flush()
 
     for marker in markers:
         x, y = to_pixels(marker)

@@ -1,4 +1,8 @@
+from pathlib import Path
+
 import pytest
+
+SOURCES = Path(__file__).resolve().parent.parent / "src" / "uvangle"
 
 ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []
 
@@ -15,6 +19,9 @@ def acceptance():
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    # Net source size, tracked beside the benchmarks: what `wc -l src/uvangle/*.py` totals.
+    lines = sum(len(p.read_bytes().splitlines()) for p in SOURCES.glob("*.py"))
+    terminalreporter.write_line(f"source lines (src/uvangle/*.py): {lines}")
     if not ACCEPTANCE_RESULTS:
         return
     terminalreporter.write_line("")

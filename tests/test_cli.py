@@ -311,24 +311,89 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     assert proc.stdout.decode().split() == []
 
 
-def test_angle_command_loads_only_its_modules():
+def modules_loaded_by(*argv: str) -> set[str]:
     # -X importtime lists on stderr every module the real entry point imports.
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
-        [sys.executable, "-S", "-X", "importtime", "-m", "uvangle",
-         "angle", "--O", "0,0", "--A", "1,1", "--B", "1,2", "--u", "1,0", "--v", "0,1"],
+        [sys.executable, "-S", "-X", "importtime", "-m", "uvangle", *argv],
         capture_output=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    loaded = {
+    return {
         line.rsplit("|", 1)[1].strip()
         for line in proc.stderr.decode().splitlines()
         if line.startswith("import time:")
     }
+
+
+def test_angle_command_loads_only_its_modules():
+    loaded = modules_loaded_by(
+        "angle", "--O", "0,0", "--A", "1,1", "--B", "1,2", "--u", "1,0", "--v", "0,1"
+    )
     assert {"uvangle.cli", "uvangle.kernel", "uvangle.angle"} <= loaded
     unwanted = {
         "uvangle.isoptic", "uvangle.power", "uvangle.power_theorem", "uvangle.svg",
         "uvangle.degeneration", "uvangle._invariance", "random",
     }
     assert sorted(loaded & unwanted) == []
+
+
+@pytest.mark.parametrize("output", ["json", "svg"])
+def test_isoptic_command_loads_only_its_modules(output):
+    loaded = modules_loaded_by(*ISOPTIC, "--theta", "1", "--output", output)
+    assert {"uvangle.cli", "uvangle.kernel", "uvangle.angle", "uvangle.isoptic"} <= loaded
+    assert ("uvangle.svg" in loaded) == (output == "svg")
+    unwanted = {
+        "uvangle.power", "uvangle.power_theorem", "uvangle.degeneration",
+        "uvangle._invariance", "random",
+    }
+    assert sorted(loaded & unwanted) == []
+
+
+def test_angle_overflow_is_not_reported_as_coincidence():
+    proc = run_cli(
+        "angle", "--O", "1e308,0", "--A", "-1e308,1", "--B", "1,2", "--u", "1,0", "--v", "0,1"
+    )
+    assert assert_one_line_error(proc, 2) == (
+        "uvangle angle: domain error: coordinates must be finite, got -inf"
+    )
+    proc = run_cli(
+        "angle", "--O", "1e308,0", "--A", "1e308,0", "--B", "1,2", "--u", "1,0", "--v", "0,1"
+    )
+    assert assert_one_line_error(proc, 2) == (
+        "uvangle angle: domain error: point A coincides with the vertex"
+    )
+
+
+NOT_FINITE_PIXELS = "viewport scale sends the drawing outside finite pixel coordinates"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (*ISOPTIC, "--viewport", "0,0,1e-320,1e-320"),  # the scale overflows
+        (*ISOPTIC, "--viewport", "-1e308,-1e308,1e308,1e308"),  # the extent overflows
+        # a finite scale that sends the far samples to infinite pixels
+        (*ISOPTIC[:2], "-1e6,0", "--B", "1e6,0", *ISOPTIC[5:], "--viewport", "0,0,1e-300,1e-300"),
+    ],
+)
+def test_svg_without_finite_pixels_is_a_domain_error(argv):
+    proc = run_cli(*argv, "--theta", "1", "--samples", "4", "--output", "svg")
+    assert assert_one_line_error(proc, 2) == f"uvangle isoptic: domain error: {NOT_FINITE_PIXELS}"
+
+
+def test_svg_empty_viewport_keeps_its_message():
+    proc = run_cli(*ISOPTIC, "--theta", "1", "--output", "svg", "--viewport", "1,0,0,1")
+    assert assert_one_line_error(proc, 2) == (
+        "uvangle isoptic: domain error: viewport must have positive extent"
+    )
+
+
+def test_render_svg_auto_fit_of_overflowing_extent_raises():
+    from uvangle import Point, render_svg
+
+    samples = [(Point(-1e308, -1e308), True), (Point(1e308, 1e308), False)]
+    with pytest.raises(ValueError, match=NOT_FINITE_PIXELS):
+        render_svg(samples)
+    assert b"nan" not in render_svg(samples, viewport=(-2e307, -2e307, 2e307, 2e307))

@@ -30,6 +30,7 @@ from uvangle import (
 from uvangle.errors import (
     ComponentMismatch,
     DegenerateConfiguration,
+    SingularMap,
     SingularPosition,
     ThetaTooSmall,
 )
@@ -152,6 +153,17 @@ def test_sample_locus_checks_in_order():
         sample_locus(canonical_spec(-1e-7), 2)
     with pytest.raises(ValueError, match="^need at least two samples$"):
         sample_locus(canonical_spec(709.0), 0)
+
+
+def test_sample_locus_reports_an_underflowing_canonical_map():
+    # |AB| ~ 2e170 underflows the canonical map's determinant.  sample_locus
+    # builds no conic, so the inverse reports it; isoptic_curve builds the
+    # pulled-back conic first, whose quadratic part underflows to zero.
+    spec = IsopticSpec(Point(-1e170, 0), Point(1e170, 0), CANONICAL_DIRS, 1.0)
+    with pytest.raises(SingularMap, match=r"^linear part is singular \(det = 0\.0\)$"):
+        sample_locus(spec, 4)
+    with pytest.raises(ValueError, match="^quadratic part must be nonzero$"):
+        isoptic_curve(spec)
 
 
 def test_parametrization_at_zero():
@@ -371,3 +383,10 @@ def test_sample_locus_flags_match_is_admissible(spec, n):
         except SingularPosition:
             expected = False
         assert ok == expected, (p, spec, n)
+
+
+def test_sector_area_overflow_is_not_reported_as_coincidence():
+    with pytest.raises(ValueError, match="^coordinates must be finite, got -inf$"):
+        sector_area_equivalence(Point(1e308, 0), Point(-1e308, 1), Point(1, 2), AXES)
+    with pytest.raises(ValueError, match="^point B coincides with the vertex$"):
+        sector_area_equivalence(Point(1e308, 0), Point(1, 2), Point(1e308, 0), AXES)

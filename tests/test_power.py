@@ -376,6 +376,35 @@ def test_radical_center_concurrency():
             assert axis.distance_to(center) <= 1e-8 * scale
 
 
+def test_radical_structure_ignores_the_order_of_the_directions():
+    # from_directions(c, kappa, v, u) is the curve of (c, kappa, u, v) with its
+    # frame rows swapped, so it enters the other curve's frame anti-diagonally.
+    rng = random.Random(40)
+    for _ in range(50):
+        dirs = direction_pair(rng)
+        specs = [
+            (Point(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)),
+             rng.choice((-1.0, 1.0)) * log_uniform(rng, 0.2, 5.0))
+            for _ in range(3)
+        ]
+        uv = [AxisHyperbola.from_directions(c, k, dirs.u, dirs.v) for c, k in specs]
+        vu = [AxisHyperbola.from_directions(c, k, dirs.v, dirs.u) for c, k in specs]
+        axis = radical_axis(uv[0], uv[1])
+        for other in (radical_axis(uv[0], vu[1]), radical_axis(vu[0], uv[1])):
+            assert abs(cross(axis.dir, other.dir)) <= 1e-9 * axis.dir.norm * other.dir.norm
+            for t in (-1.0, 0.0, 1.0):
+                p = other.point_at(t)
+                assert axis.distance_to(p) <= 1e-9 * max(1.0, abs(p.x), abs(p.y))
+        try:
+            center = radical_center(*uv)
+        except ParallelAxes:
+            with pytest.raises(ParallelAxes):
+                radical_center(uv[0], vu[1], vu[2])
+            continue
+        assert_point_close(radical_center(uv[0], vu[1], vu[2]), center, 1e-8)
+        assert_point_close(radical_center(vu[0], uv[1], vu[2]), center, 1e-8)
+
+
 def test_radical_center_identical_pair_raises():
     h2 = AxisHyperbola.axis_aligned(Point(1, 1), 2.0)
     with pytest.raises(IdenticalCurves):
