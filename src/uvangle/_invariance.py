@@ -17,7 +17,6 @@ from .kernel import (
     Point,
     Ray,
     apply_map,
-    basis_map,
     compose_maps,
     invert_map,
 )
@@ -89,7 +88,7 @@ def invariance_deviations(trials: int, seed: int) -> dict:
     for _ in range(trials):
         o, dirs, a, b = _random_invariance_config(rng)
         before = affine_angle(o, a, b, dirs)
-        to_basis = basis_map(dirs.u, dirs.v)
+        to_basis = dirs._basis
         from_basis = invert_map(to_basis)
         sx = rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 5.0)
         sy = math.copysign(rng.uniform(0.2, 5.0), sx)

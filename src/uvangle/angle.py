@@ -48,7 +48,7 @@ from .kernel import (
     Point,
     Ray,
     _Frozen,
-    decompose,
+    basis_map,
     distance,
     dot,
     intersect_lines,
@@ -60,13 +60,14 @@ from .kernel import (
 
 
 class DirectionPair(_Frozen):
-    __slots__ = ("u", "v")
+    __slots__ = ("u", "v", "_basis")
 
     def __init__(self, u: DirectionVector, v: DirectionVector) -> None:
         if is_parallel(u, v):
             raise DegenerateConfiguration("reference directions must be independent")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
+        object.__setattr__(self, "_basis", basis_map(u, v))
 
 
 class SigmaValue(_Frozen):
@@ -249,8 +250,8 @@ def ray_slope(d: DirectionVector, dirs: DirectionPair, name: str) -> float:
     """Slope m = beta/alpha of d = alpha*u + beta*v; SingularRay when d is parallel to u or v."""
     if is_parallel(d, dirs.u) or is_parallel(d, dirs.v):
         raise SingularRay(f"ray {name} is parallel to a reference direction")
-    alpha, beta = decompose(d, dirs.u, dirs.v)
-    return beta / alpha
+    c = dirs._basis.apply_linear(d)
+    return c.dy / c.dx
 
 
 def _slope_pair(o: Point, a: Point, b: Point, dirs: DirectionPair) -> tuple[float, float]:

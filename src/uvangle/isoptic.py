@@ -41,18 +41,26 @@ THETA_MAX = 708.0
 
 
 class IsopticSpec(_Frozen):
-    __slots__ = ("a", "b", "dirs", "theta")
+    """Segment ab, reference directions and target angle of an isoptic.
+
+    ``_to_canonical`` is the map to the canonical frame and ``_frame`` its
+    inverse.  Raises DegenerateConfiguration for coincident endpoints or a
+    segment parallel to a reference direction, and SingularMap when the
+    canonical map is numerically singular (a segment longer than ~1e162).
+    """
+
+    __slots__ = ("a", "b", "dirs", "theta", "_to_canonical", "_frame")
 
     def __init__(self, a: Point, b: Point, dirs: DirectionPair, theta: float) -> None:
         if not math.isfinite(theta) or theta == 0.0:
             raise ValueError("theta must be finite and nonzero")
-        # Raises DegenerateConfiguration for coincident endpoints or a
-        # segment parallel to a reference direction.
-        normalize_configuration(a, b, dirs.u, dirs.v)
+        to_canonical = normalize_configuration(a, b, dirs.u, dirs.v)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "dirs", dirs)
         object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "_to_canonical", to_canonical)
+        object.__setattr__(self, "_frame", invert_map(to_canonical))
 
 
 class ConicCoefficients(_Frozen):
@@ -185,15 +193,14 @@ def _require_theta_min(theta: float) -> None:
 def isoptic_curve(spec: IsopticSpec) -> IsopticCurve:
     """The isoptic hyperbola of spec, in the canonical and the original frame."""
     _require_theta_min(spec.theta)
-    to_canonical = normalize_configuration(spec.a, spec.b, spec.dirs.u, spec.dirs.v)
     beta = 1.0 / math.tanh(spec.theta)
     # p^2 - (q + beta)^2 = 1 - beta^2  <=>  p^2 - q^2 - 2*beta*q - 1 = 0
     normalized = ConicCoefficients(1.0, 0.0, -1.0, 0.0, -2.0 * beta, -1.0)
-    original = _pullback_conic(normalized, to_canonical)
+    original = _pullback_conic(normalized, spec._to_canonical)
     return IsopticCurve(
         normalized_conic=normalized,
         beta=beta,
-        frame=invert_map(to_canonical),
+        frame=spec._frame,
         original_conic=original,
     )
 
@@ -234,8 +241,7 @@ def is_admissible(p: Point, spec: IsopticSpec) -> bool:
     Points on (or numerically at) the singular line pair raise
     SingularPosition.
     """
-    to_canonical = normalize_configuration(spec.a, spec.b, spec.dirs.u, spec.dirs.v)
-    q = apply_map(to_canonical, p)
+    q = apply_map(spec._to_canonical, p)
     return _classify(q.x, q.y)
 
 
@@ -246,16 +252,15 @@ def sample_locus(spec: IsopticSpec, n: int) -> list[tuple[Point, bool]]:
     parametrized branch for the first ceil(n/2) samples and on the reflected
     branch for the rest; each point is tagged with its admissibility.  That
     is decided in the canonical frame, by the rule is_admissible uses, after
-    the point is mapped back through the map is_admissible builds; a sample
-    on the singular line pair is tagged False.  Raises ValueError when
+    the point is mapped back through the spec's canonical map; a sample on
+    the singular line pair is tagged False.  Raises ValueError when
     |theta| exceeds THETA_MAX.
     """
     if n < 2:
         raise ValueError("need at least two samples")
     _require_theta_min(spec.theta)
-    g = normalize_configuration(spec.a, spec.b, spec.dirs.u, spec.dirs.v)
-    f = invert_map(g)
     _require_theta_max(spec.theta)
+    g, f = spec._to_canonical, spec._frame
     sh, beta = math.sinh(spec.theta), 1.0 / math.tanh(spec.theta)
     span = abs(spec.theta) + 2.0
 

@@ -1,8 +1,10 @@
 """Planar primitives: points, directions, lines, rays, affine maps, and slopes.
 
 Coordinates are IEEE-754 doubles.  Scalar comparisons use a relative
-tolerance with a small absolute floor; direction predicates are scale
-invariant.  The (u, v) frame of the reference directions and the slope
+tolerance with a small absolute floor.  Direction predicates compare
+products of the coordinates, so they are scale invariant while those
+products stay representable (not for directions scaled by 2^1000 or
+2^-1000).  The (u, v) frame of the reference directions and the slope
 form of the angle in it live here.  All operations are pure, so everything
 here is safe to share freely between threads.
 
@@ -11,7 +13,10 @@ immutable ``__slots__`` classes built on ``_Frozen``: assigning or deleting
 a field raises AttributeError, equality and hashing go by type and field
 values, the repr lists the fields by name, and pickling and copying
 rebuild through the constructor, which validates.  A changed value is a new
-instance built with the constructor.
+instance built with the constructor.  Derived slots (names with a leading
+underscore) keep the maps a constructor builds while validating its fields,
+so that no consumer builds them again; they take no part in equality,
+hashing, the repr or pickling, and a copy rebuilds them.
 """
 
 from __future__ import annotations
@@ -44,15 +49,18 @@ def _check_finite(*values: float) -> None:
 
 
 class _Frozen:
-    """Base of the immutable value types; the fields are the ``__slots__`` names.
+    """Base of the immutable value types; the fields are the public ``__slots__`` names.
 
-    Subclasses set their fields in ``__init__`` with ``object.__setattr__``.
+    Subclasses set fields and derived ``_`` slots in ``__init__`` with ``object.__setattr__``.
     """
 
     __slots__ = ()
 
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -69,7 +77,7 @@ class _Frozen:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({body})"
 
     def __reduce__(self):
@@ -216,9 +224,9 @@ def signed_area(x: Point, y: Point, z: Point) -> float:
 
 
 def intersect_lines(l1: Line, l2: Line) -> Point:
-    den = cross(l1.dir, l2.dir)
-    if abs(den) <= PAR_EPS * l1.dir.norm * l2.dir.norm:
+    if is_parallel(l1.dir, l2.dir):
         raise ParallelLines("lines are parallel within tolerance")
+    den = cross(l1.dir, l2.dir)
     ox, oy = l2.base.x - l1.base.x, l2.base.y - l1.base.y
     t = (ox * l2.dir.dy - oy * l2.dir.dx) / den
     return l1.point_at(t)
@@ -270,9 +278,9 @@ def basis_map(u: DirectionVector, v: DirectionVector) -> AffineMap:
 
     Raises DegenerateConfiguration when u and v are parallel within PAR_EPS.
     """
-    den = cross(u, v)
-    if abs(den) <= PAR_EPS * u.norm * v.norm:
+    if is_parallel(u, v):
         raise DegenerateConfiguration("reference directions are linearly dependent")
+    den = cross(u, v)
     return AffineMap(v.dy / den, -v.dx / den, -u.dy / den, u.dx / den)
 
 

@@ -54,20 +54,24 @@ class AxisHyperbola(_Frozen):
 
     ``center`` lives in the original plane; (c, d) is its frame image.
     ``frame`` maps the original plane to the frame where the asymptote
-    directions become the coordinate axes.
+    directions become the coordinate axes; ``_inverse`` maps back.
     """
 
-    __slots__ = ("center", "kappa", "frame")
+    __slots__ = ("center", "kappa", "frame", "_inverse", "_frame_center")
 
     def __init__(self, center: Point, kappa: float, frame: AffineMap) -> None:
         if not math.isfinite(kappa) or kappa == 0.0:
             raise ValueError("kappa must be finite and nonzero")
-        invert_map(frame)  # raises SingularMap for a degenerate frame
+        inverse = invert_map(frame)  # raises SingularMap for a degenerate frame
         if kappa < 0.0:
             frame, kappa = compose_maps(_REFLECT_X, frame), -kappa
+            inverse = invert_map(frame)
+        c = frame.apply_point(center)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "_inverse", inverse)
+        object.__setattr__(self, "_frame_center", (c.x, c.y))
 
     @classmethod
     def axis_aligned(cls, center: Point, kappa: float) -> "AxisHyperbola":
@@ -82,21 +86,20 @@ class AxisHyperbola(_Frozen):
         return cls(center, kappa, basis_map(u, v))
 
     def frame_center(self) -> tuple[float, float]:
-        c = self.frame.apply_point(self.center)
-        return c.x, c.y
+        return self._frame_center
 
     def relative_coords(self, p: Point) -> tuple[float, float]:
         """Frame coordinates of p relative to the center."""
         q = self.frame.apply_point(p)
-        c, d = self.frame_center()
+        c, d = self._frame_center
         return q.x - c, q.y - d
 
     def point_at(self, alpha: float) -> Point:
         """The curve point with center-relative frame abscissa alpha."""
         if alpha == 0.0:
             raise ValueError("abscissa on the asymptote")
-        c, d = self.frame_center()
-        return invert_map(self.frame).apply_point(Point(c + alpha, d + self.kappa / alpha))
+        c, d = self._frame_center
+        return self._inverse.apply_point(Point(c + alpha, d + self.kappa / alpha))
 
 
 class SecantResult(_Frozen):
@@ -145,13 +148,12 @@ def secant_intersections(p: Point, direction: DirectionVector, h: AxisHyperbola)
         t1, t2 = q / a2, a0 / q
         if t1 > t2:
             t1, t2 = t2, t1
-    inverse = invert_map(h.frame)
-    c, dcenter = h.frame_center()
+    c, dcenter = h._frame_center
 
     def original(t: float) -> tuple[Point, float]:
         alpha = px + t * d.dx
         frame_point = Point(c + alpha, dcenter + (py + t * d.dy))
-        return inverse.apply_point(frame_point), alpha
+        return h._inverse.apply_point(frame_point), alpha
 
     point_a, alpha = original(t1)
     point_b, beta = original(t2)
@@ -181,14 +183,14 @@ def chord_intersection_x(t1: float, t2: float, t3: float, t4: float) -> float:
     return ((t3 + t4) * p12 - (t1 + t2) * p34) / (p12 - p34)
 
 
-def _monic_in_frame(h: AxisHyperbola, frame: AffineMap) -> tuple[float, float, float]:
+def _monic_in_frame(h: AxisHyperbola, other: AxisHyperbola) -> tuple[float, float, float]:
     """Coefficients (ex, ey, e0) of the monic form w_x*w_y + ex*w_x + ey*w_y + e0
-    of ``h`` expressed in the coordinates of ``frame``."""
-    m = compose_maps(h.frame, invert_map(frame))
+    of ``h`` expressed in the frame coordinates of ``other``."""
+    m = compose_maps(h.frame, other._inverse)
     entries = (abs(m.xx), abs(m.xy), abs(m.yx), abs(m.yy))
     scale = max(entries)
     tol = REL_EPS * scale
-    c, d = h.frame_center()
+    c, d = h._frame_center
     if abs(m.xy) <= tol and abs(m.yx) <= tol:
         # z_x = m.xx*wx + tx, z_y = m.yy*wy + ty
         gx, gy = m.tx - c, m.ty - d
@@ -208,8 +210,8 @@ def radical_axis(h1: AxisHyperbola, h2: AxisHyperbola) -> Line:
     When the curves intersect, the line carries the common chord (or the
     common tangent at a tangency point).
     """
-    e1x, e1y, e10 = _monic_in_frame(h1, h1.frame)
-    e2x, e2y, e20 = _monic_in_frame(h2, h1.frame)
+    e1x, e1y, e10 = _monic_in_frame(h1, h1)
+    e2x, e2y, e20 = _monic_in_frame(h2, h1)
     ex, ey, e0 = e1x - e2x, e1y - e2y, e10 - e20
     scale = max(1.0, abs(e1x), abs(e1y), abs(e10), abs(e2x), abs(e2y), abs(e20))
     tol = ABS_EPS * scale
@@ -222,8 +224,7 @@ def radical_axis(h1: AxisHyperbola, h2: AxisHyperbola) -> Line:
     else:
         base = Point(0.0, -e0 / ey)
     direction = DirectionVector(-ey, ex)
-    inverse = invert_map(h1.frame)
-    return Line(inverse.apply_point(base), inverse.apply_linear(direction))
+    return Line(h1._inverse.apply_point(base), h1._inverse.apply_linear(direction))
 
 
 def radical_center(h1: AxisHyperbola, h2: AxisHyperbola, h3: AxisHyperbola) -> Point:
@@ -256,13 +257,17 @@ def progression_quadrilateral_area(a: float, r: float, p: float, kappa: float) -
     (a*r, a*r^3) and (p, a*r^2), the area of the quadrilateral through the
     second point, third point, R, Q does not depend on p; for kappa = 1 it
     equals (r + 1)|r - 1|^3 / (2 r^2).  The probe must avoid the four node
-    abscissae, where the construction degenerates.
+    abscissae, where the construction degenerates.  An r whose cube
+    overflows raises OverflowError.
     """
     if a <= 0.0 or r <= 0.0 or p <= 0.0 or kappa <= 0.0:
         raise ValueError("a, r, p, kappa must be positive")
     if r == 1.0:
         raise ValueError("r must differ from 1")
-    nodes = (a, a * r, a * r * r, a * r**3)
+    try:
+        nodes = (a, a * r, a * r * r, a * r**3)
+    except OverflowError:
+        raise OverflowError(f"progression a={a!r}, r={r!r} overflows: r**3 is out of range") from None
     for node in nodes:
         if abs(p - node) <= REL_EPS * max(p, node):
             raise InvalidPosition("probe abscissa coincides with a progression node")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .errors import NotOnCurve
-from .kernel import ON_CURVE_TOL, DirectionVector, Point, invert_map
+from .kernel import ON_CURVE_TOL, DirectionVector, Point
 from .power import AxisHyperbola, secant_intersections
 
 
@@ -38,10 +38,9 @@ def _require_on_curve(p: Point, h: AxisHyperbola) -> tuple[float, float]:
 def asymptotic_projections(a: Point, h: AxisHyperbola) -> tuple[Point, Point]:
     """Projections of a curve point onto the two asymptotes, each along the other."""
     x, y = _require_on_curve(a, h)
-    c, d = h.frame_center()
-    inverse = invert_map(h.frame)
-    a1 = inverse.apply_point(Point(c + x, d))
-    a2 = inverse.apply_point(Point(c, d + y))
+    c, d = h._frame_center
+    a1 = h._inverse.apply_point(Point(c + x, d))
+    a2 = h._inverse.apply_point(Point(c, d + y))
     return a1, a2
 
 

@@ -397,3 +397,17 @@ def test_render_svg_auto_fit_of_overflowing_extent_raises():
     with pytest.raises(ValueError, match=NOT_FINITE_PIXELS):
         render_svg(samples)
     assert b"nan" not in render_svg(samples, viewport=(-2e307, -2e307, 2e307, 2e307))
+
+
+def test_underflowing_canonical_map_reports_one_error_for_both_outputs():
+    argv = (*ISOPTIC[:2], "-1e170,0", "--B", "1e170,0", *ISOPTIC[5:], "--theta", "1")
+    lines = {assert_one_line_error(run_cli(*argv, "--output", output), 2)
+             for output in ("json", "svg")}
+    assert lines == {"uvangle isoptic: domain error: linear part is singular (det = 0.0)"}
+
+
+def test_overflowing_progression_is_named():
+    proc = run_cli("chords", "--progression", "1,1e300,2")
+    assert assert_one_line_error(proc, 2) == (
+        "uvangle chords: domain error: progression a=1.0, r=1e+300 overflows: r**3 is out of range"
+    )
