@@ -91,14 +91,14 @@ class AxisHyperbola(_Frozen):
     def relative_coords(self, p: Point) -> tuple[float, float]:
         """Frame coordinates of p relative to the center."""
         q = self.frame.apply_point(p)
-        c, d = self._frame_center
+        c, d = self.frame_center()
         return q.x - c, q.y - d
 
     def point_at(self, alpha: float) -> Point:
         """The curve point with center-relative frame abscissa alpha."""
         if alpha == 0.0:
             raise ValueError("abscissa on the asymptote")
-        c, d = self._frame_center
+        c, d = self.frame_center()
         return self._inverse.apply_point(Point(c + alpha, d + self.kappa / alpha))
 
 
@@ -148,7 +148,7 @@ def secant_intersections(p: Point, direction: DirectionVector, h: AxisHyperbola)
         t1, t2 = q / a2, a0 / q
         if t1 > t2:
             t1, t2 = t2, t1
-    c, dcenter = h._frame_center
+    c, dcenter = h.frame_center()
 
     def original(t: float) -> tuple[Point, float]:
         alpha = px + t * d.dx
@@ -190,7 +190,7 @@ def _monic_in_frame(h: AxisHyperbola, other: AxisHyperbola) -> tuple[float, floa
     entries = (abs(m.xx), abs(m.xy), abs(m.yx), abs(m.yy))
     scale = max(entries)
     tol = REL_EPS * scale
-    c, d = h._frame_center
+    c, d = h.frame_center()
     if abs(m.xy) <= tol and abs(m.yx) <= tol:
         # z_x = m.xx*wx + tx, z_y = m.yy*wy + ty
         gx, gy = m.tx - c, m.ty - d

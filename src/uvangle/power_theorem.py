@@ -38,7 +38,7 @@ def _require_on_curve(p: Point, h: AxisHyperbola) -> tuple[float, float]:
 def asymptotic_projections(a: Point, h: AxisHyperbola) -> tuple[Point, Point]:
     """Projections of a curve point onto the two asymptotes, each along the other."""
     x, y = _require_on_curve(a, h)
-    c, d = h._frame_center
+    c, d = h.frame_center()
     a1 = h._inverse.apply_point(Point(c + x, d))
     a2 = h._inverse.apply_point(Point(c, d + y))
     return a1, a2

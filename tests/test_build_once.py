@@ -115,10 +115,3 @@ def test_copies_rebuild_the_derived_maps(clone):
         v.hex() for v in (r2.a.x, r2.a.y, r2.b.x, r2.b.y, r2.alpha, r2.beta)
     ]
 
-
-def test_derived_slots_stay_out_of_the_value():
-    h = AxisHyperbola(Point(0.5, -1.0), 1.5, AffineMap.identity())
-    assert repr(DIRS) == f"DirectionPair(u={DIRS.u!r}, v={DIRS.v!r})"
-    assert DIRS.__reduce__() == (DirectionPair, (DIRS.u, DIRS.v))
-    assert h.__reduce__() == (AxisHyperbola, (h.center, h.kappa, h.frame))
-    assert hash(DIRS) == hash(DirectionPair(DIRS.u, DIRS.v))
