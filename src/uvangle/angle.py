@@ -48,6 +48,7 @@ from .kernel import (
     Point,
     Ray,
     _Frozen,
+    _set,
     basis_map,
     distance,
     dot,
@@ -63,11 +64,13 @@ class DirectionPair(_Frozen):
     __slots__ = ("u", "v", "_basis")
 
     def __init__(self, u: DirectionVector, v: DirectionVector) -> None:
-        if is_parallel(u, v):
-            raise DegenerateConfiguration("reference directions must be independent")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "_basis", basis_map(u, v))
+        try:
+            basis = basis_map(u, v)  # the one parallelism test of u and v
+        except DegenerateConfiguration:
+            raise DegenerateConfiguration("reference directions must be independent") from None
+        _set(self, "u", u)
+        _set(self, "v", v)
+        _set(self, "_basis", basis)
 
 
 class SigmaValue(_Frozen):
@@ -76,8 +79,8 @@ class SigmaValue(_Frozen):
     __slots__ = ("value", "infinite")
 
     def __init__(self, value: float, infinite: bool = False) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "infinite", infinite)
+        _set(self, "value", value)
+        _set(self, "infinite", infinite)
 
     @classmethod
     def finite(cls, value: float) -> "SigmaValue":
@@ -104,8 +107,8 @@ class AngleResult(_Frozen):
     __slots__ = ("theta", "reason")
 
     def __init__(self, theta: float | None, reason: str | None = None) -> None:
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "reason", reason)
+        _set(self, "theta", theta)
+        _set(self, "reason", reason)
 
     @classmethod
     def real(cls, theta: float) -> "AngleResult":

@@ -31,6 +31,23 @@ from .kernel import DirectionVector, Line, Point
 SCHEMA_VERSION = "1"
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """HelpFormatter that reads the terminal width when it formats, not when it is built.
+
+    argparse builds a formatter for every ``add_argument``, and the stock
+    ``__init__`` reads the width through ``shutil``, which imports fnmatch,
+    zlib, bz2 and lzma; a process that prints no help needs none of them.
+    """
+
+    def __init__(self, prog: str) -> None:
+        super().__init__(prog, width=0)
+
+    def format_help(self) -> str:
+        sized = argparse.HelpFormatter(self._prog)  # width from shutil.get_terminal_size()
+        self._width, self._max_help_position = sized._width, sized._max_help_position
+        return super().format_help()
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse parser that exits with status 1 and one stderr line on usage errors.
 
@@ -39,7 +56,7 @@ class _Parser(argparse.ArgumentParser):
     """
 
     def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, formatter_class=_HelpFormatter, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message: str) -> None:  # type: ignore[override]
@@ -103,7 +120,8 @@ def _float_list(text: str) -> list[float]:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="uvangle", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+    # An explicit prog spares add_subparsers formatting the usage to derive it.
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default=None, help="output path (default: stdout)")

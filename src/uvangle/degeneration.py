@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .errors import PoleAtT
-from .kernel import ABS_EPS, RESIDUAL_FLOOR, _Frozen
+from .kernel import ABS_EPS, RESIDUAL_FLOOR, _Frozen, _set
 
 _DEFAULT_T_SEQUENCE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
@@ -22,8 +22,8 @@ class SlopePair(_Frozen):
     def __init__(self, m1: float, m2: float) -> None:
         if m1 == 0.0 or m2 == 0.0:
             raise ValueError("slopes must be nonzero")
-        object.__setattr__(self, "m1", m1)
-        object.__setattr__(self, "m2", m2)
+        _set(self, "m1", m1)
+        _set(self, "m2", m2)
 
 
 class LimitReport(_Frozen):
@@ -35,9 +35,9 @@ class LimitReport(_Frozen):
         extrapolated_limit: float,
         residual_order: float,
     ) -> None:
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "extrapolated_limit", extrapolated_limit)
-        object.__setattr__(self, "residual_order", residual_order)
+        _set(self, "samples", samples)
+        _set(self, "extrapolated_limit", extrapolated_limit)
+        _set(self, "residual_order", residual_order)
 
 
 def degenerate_cross_ratio(m: SlopePair, t: float) -> float:

@@ -28,6 +28,7 @@ from .kernel import (
     Point,
     _Frozen,
     _check_finite,
+    _set,
     apply_map,
     invert_map,
     normalize_configuration,
@@ -55,12 +56,12 @@ class IsopticSpec(_Frozen):
         if not math.isfinite(theta) or theta == 0.0:
             raise ValueError("theta must be finite and nonzero")
         to_canonical = normalize_configuration(a, b, dirs.u, dirs.v)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "dirs", dirs)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "_to_canonical", to_canonical)
-        object.__setattr__(self, "_frame", invert_map(to_canonical))
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "dirs", dirs)
+        _set(self, "theta", theta)
+        _set(self, "_to_canonical", to_canonical)
+        _set(self, "_frame", invert_map(to_canonical))
 
 
 class ConicCoefficients(_Frozen):
@@ -87,7 +88,7 @@ class ConicCoefficients(_Frozen):
                     coeffs = [-x for x in coeffs]
                 break
         for name, value in zip(self.__slots__, coeffs):
-            object.__setattr__(self, name, float(value))
+            _set(self, name, float(value))
 
     def as_tuple(self) -> tuple[float, float, float, float, float, float]:
         return (self.c_xx, self.c_xy, self.c_yy, self.c_x, self.c_y, self.c_0)
@@ -124,10 +125,10 @@ class IsopticCurve(_Frozen):
         frame: AffineMap,  # canonical frame -> original plane
         original_conic: ConicCoefficients,
     ) -> None:
-        object.__setattr__(self, "normalized_conic", normalized_conic)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "original_conic", original_conic)
+        _set(self, "normalized_conic", normalized_conic)
+        _set(self, "beta", beta)
+        _set(self, "frame", frame)
+        _set(self, "original_conic", original_conic)
 
 
 def _pullback_conic(conic: ConicCoefficients, t: AffineMap) -> ConicCoefficients:

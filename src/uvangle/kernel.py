@@ -16,7 +16,12 @@ rebuild through the constructor, which validates.  A changed value is a new
 instance built with the constructor.  Derived slots (names with a leading
 underscore) keep the maps a constructor builds while validating its fields,
 so that no consumer builds them again; they take no part in equality,
-hashing, the repr or pickling, and a copy rebuilds them.
+hashing, the repr or pickling, and a copy rebuilds them.  Constructors set
+fields through ``_set``, this module's one alias of
+``object.__setattr__``.  ``Point``, ``DirectionVector`` and ``AffineMap``
+test their fields with ``math.isfinite`` inline and call ``_check_finite``
+only when a test fails, for the ValueError that names the first non-finite
+value.
 """
 
 from __future__ import annotations
@@ -42,6 +47,10 @@ TANGENT_TOL = 1e-10
 RESIDUAL_FLOOR = 1e-12
 
 
+# The field setter of every value type: _Frozen.__setattr__ refuses assignment.
+_set = object.__setattr__
+
+
 def _check_finite(*values: float) -> None:
     for v in values:
         if not math.isfinite(v):
@@ -51,7 +60,7 @@ def _check_finite(*values: float) -> None:
 class _Frozen:
     """Base of the immutable value types; the fields are the public ``__slots__`` names.
 
-    Subclasses set fields and derived ``_`` slots in ``__init__`` with ``object.__setattr__``.
+    Subclasses set fields and derived ``_`` slots in ``__init__`` with ``_set``.
     """
 
     __slots__ = ()
@@ -88,20 +97,22 @@ class Point(_Frozen):
     __slots__ = ("x", "y")
 
     def __init__(self, x: float, y: float) -> None:
-        _check_finite(x, y)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            _check_finite(x, y)
+        _set(self, "x", x)
+        _set(self, "y", y)
 
 
 class DirectionVector(_Frozen):
     __slots__ = ("dx", "dy")
 
     def __init__(self, dx: float, dy: float) -> None:
-        _check_finite(dx, dy)
+        if not (math.isfinite(dx) and math.isfinite(dy)):
+            _check_finite(dx, dy)
         if dx == 0.0 and dy == 0.0:
             raise ValueError("direction vector must be nonzero")
-        object.__setattr__(self, "dx", dx)
-        object.__setattr__(self, "dy", dy)
+        _set(self, "dx", dx)
+        _set(self, "dy", dy)
 
     @property
     def norm(self) -> float:
@@ -126,7 +137,8 @@ def dot(d1: DirectionVector, d2: DirectionVector) -> float:
 
 def is_parallel(d1: DirectionVector, d2: DirectionVector) -> bool:
     """Scale-invariant parallelism test: |d1 x d2| <= PAR_EPS * |d1| * |d2|."""
-    return abs(cross(d1, d2)) <= PAR_EPS * d1.norm * d2.norm
+    x1, y1, x2, y2 = d1.dx, d1.dy, d2.dx, d2.dy
+    return abs(x1 * y2 - y1 * x2) <= PAR_EPS * math.hypot(x1, y1) * math.hypot(x2, y2)
 
 
 def translate(p: Point, d: DirectionVector, t: float = 1.0) -> Point:
@@ -141,8 +153,8 @@ class Line(_Frozen):
     __slots__ = ("base", "dir")
 
     def __init__(self, base: Point, dir: DirectionVector) -> None:
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "dir", dir)
+        _set(self, "base", base)
+        _set(self, "dir", dir)
 
     def point_at(self, t: float) -> Point:
         return translate(self.base, self.dir, t)
@@ -169,8 +181,8 @@ class Ray(_Frozen):
     __slots__ = ("origin", "dir")
 
     def __init__(self, origin: Point, dir: DirectionVector) -> None:
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "dir", dir)
+        _set(self, "origin", origin)
+        _set(self, "dir", dir)
 
     def line(self) -> Line:
         return Line(self.origin, self.dir)
@@ -187,13 +199,17 @@ class AffineMap(_Frozen):
     def __init__(
         self, xx: float, xy: float, yx: float, yy: float, tx: float = 0.0, ty: float = 0.0
     ) -> None:
-        _check_finite(xx, xy, yx, yy, tx, ty)
-        object.__setattr__(self, "xx", xx)
-        object.__setattr__(self, "xy", xy)
-        object.__setattr__(self, "yx", yx)
-        object.__setattr__(self, "yy", yy)
-        object.__setattr__(self, "tx", tx)
-        object.__setattr__(self, "ty", ty)
+        if not (
+            math.isfinite(xx) and math.isfinite(xy) and math.isfinite(yx)
+            and math.isfinite(yy) and math.isfinite(tx) and math.isfinite(ty)
+        ):
+            _check_finite(xx, xy, yx, yy, tx, ty)
+        _set(self, "xx", xx)
+        _set(self, "xy", xy)
+        _set(self, "yx", yx)
+        _set(self, "yy", yy)
+        _set(self, "tx", tx)
+        _set(self, "ty", ty)
 
     @classmethod
     def identity(cls) -> "AffineMap":

@@ -40,6 +40,7 @@ from .kernel import (
     Line,
     Point,
     _Frozen,
+    _set,
     basis_map,
     compose_maps,
     intersect_lines,
@@ -67,11 +68,11 @@ class AxisHyperbola(_Frozen):
             frame, kappa = compose_maps(_REFLECT_X, frame), -kappa
             inverse = invert_map(frame)
         c = frame.apply_point(center)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "_inverse", inverse)
-        object.__setattr__(self, "_frame_center", (c.x, c.y))
+        _set(self, "center", center)
+        _set(self, "kappa", kappa)
+        _set(self, "frame", frame)
+        _set(self, "_inverse", inverse)
+        _set(self, "_frame_center", (c.x, c.y))
 
     @classmethod
     def axis_aligned(cls, center: Point, kappa: float) -> "AxisHyperbola":
@@ -108,11 +109,11 @@ class SecantResult(_Frozen):
     def __init__(
         self, a: Point, b: Point, alpha: float, beta: float, tangent: bool = False
     ) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "tangent", tangent)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
+        _set(self, "tangent", tangent)
 
 
 def core_quantity(p: Point, h: AxisHyperbola) -> float:
@@ -258,7 +259,7 @@ def progression_quadrilateral_area(a: float, r: float, p: float, kappa: float) -
     second point, third point, R, Q does not depend on p; for kappa = 1 it
     equals (r + 1)|r - 1|^3 / (2 r^2).  The probe must avoid the four node
     abscissae, where the construction degenerates.  An r whose cube
-    overflows raises OverflowError.
+    overflows, or a node that does, raises OverflowError.
     """
     if a <= 0.0 or r <= 0.0 or p <= 0.0 or kappa <= 0.0:
         raise ValueError("a, r, p, kappa must be positive")
@@ -268,13 +269,15 @@ def progression_quadrilateral_area(a: float, r: float, p: float, kappa: float) -
         nodes = (a, a * r, a * r * r, a * r**3)
     except OverflowError:
         raise OverflowError(f"progression a={a!r}, r={r!r} overflows: r**3 is out of range") from None
-    for node in nodes:
+    for k, node in enumerate(nodes):
+        if math.isinf(node):
+            raise OverflowError(f"progression a={a!r}, r={r!r} overflows: a*r**{k} is out of range")
         if abs(p - node) <= REL_EPS * max(p, node):
             raise InvalidPosition("probe abscissa coincides with a progression node")
-    x_b, x_c = a * r, a * r * r
+    x_b, x_c, x_d = nodes[1:]
     try:
         q = intersect_lines(chord_line(a, x_c, kappa), chord_line(p, x_b, kappa))
-        rr = intersect_lines(chord_line(x_b, a * r**3, kappa), chord_line(p, x_c, kappa))
+        rr = intersect_lines(chord_line(x_b, x_d, kappa), chord_line(p, x_c, kappa))
     except (ParallelLines, CoincidentParameters) as exc:
         raise DegenerateIntersection("chord intersection is undefined") from exc
     b_point = Point(x_b, kappa / x_b)

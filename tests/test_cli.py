@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from uvangle.cli import main
+from uvangle.cli import build_parser, main
 
 SCHEMA = json.loads(
     (resources.files("uvangle") / "schemas" / "result_v1.json").read_text()
@@ -334,7 +335,7 @@ def test_angle_command_loads_only_its_modules():
     assert {"uvangle.cli", "uvangle.kernel", "uvangle.angle"} <= loaded
     unwanted = {
         "uvangle.isoptic", "uvangle.power", "uvangle.power_theorem", "uvangle.svg",
-        "uvangle.degeneration", "uvangle._invariance", "random",
+        "uvangle.degeneration", "uvangle._invariance", "random", "shutil",
     }
     assert sorted(loaded & unwanted) == []
 
@@ -411,3 +412,58 @@ def test_overflowing_progression_is_named():
     assert assert_one_line_error(proc, 2) == (
         "uvangle chords: domain error: progression a=1.0, r=1e+300 overflows: r**3 is out of range"
     )
+
+
+def test_overflowing_progression_node_is_named():
+    # r**3 = 1e300 is finite, but the node a*r**3 is not.
+    proc = run_cli("chords", "--progression", "1e10,1e100,2")
+    assert assert_one_line_error(proc, 2) == (
+        "uvangle chords: domain error: progression a=10000000000.0, r=1e+100 overflows: "
+        "a*r**3 is out of range"
+    )
+
+
+def _parsers() -> dict:
+    parser = build_parser()
+    subparsers = parser._subparsers._group_actions[0].choices
+    assert list(subparsers) == [
+        "angle", "isoptic", "power", "radical-center", "chords", "degenerate", "invariance",
+    ]
+    return {"": parser, **subparsers}
+
+
+def _stock_help(parser) -> str:
+    # The same parser formatted by argparse's own HelpFormatter.
+    ours, parser.formatter_class = parser.formatter_class, argparse.HelpFormatter
+    try:
+        return parser.format_help()
+    finally:
+        parser.formatter_class = ours
+
+
+@pytest.mark.parametrize("columns", [None, "60", "200"])
+def test_help_matches_the_stock_formatter(monkeypatch, columns):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    for name, parser in _parsers().items():
+        assert parser.prog == f"uvangle {name}".strip()
+        ours = parser.format_help()
+        assert ours == _stock_help(parser), name
+        assert parser.format_usage() == ours[: len(parser.format_usage())]
+
+
+def test_help_in_a_pipe_is_the_stock_help(monkeypatch):
+    # A pipe is no terminal, so without COLUMNS the width falls back to 80 columns.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "COLUMNS"}
+    env["PYTHONPATH"] = str(src)
+    monkeypatch.setenv("COLUMNS", "80")
+    for name, parser in _parsers().items():
+        argv = [name, "--help"] if name else ["--help"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "uvangle", *argv], capture_output=True, env=env
+        )
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert proc.stdout.decode() == _stock_help(parser), name

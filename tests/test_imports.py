@@ -38,6 +38,30 @@ def test_no_unused_imports(path):
     assert sorted(_imported(tree) - _used(tree)) == []
 
 
+def _setattr_spellings(tree: ast.Module) -> list[ast.Attribute]:
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+    ]
+
+
+def test_object_setattr_has_one_home():
+    # Value types set their fields through kernel._set, the one alias.
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = _setattr_spellings(tree)
+        if path.name != "kernel.py":
+            assert found == [], f"{path.name}:{found[0].lineno} spells object.__setattr__"
+            continue
+        assert len(found) == 1, [node.lineno for node in found]
+        alias = [
+            node for node in tree.body
+            if isinstance(node, ast.Assign) and node.value is found[0]
+        ]
+        assert [target.id for node in alias for target in node.targets] == ["_set"]
+
+
 # ``__init__.py`` resolves its exports lazily from one name -> submodule table.
 
 

@@ -2,10 +2,13 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import assert_point_close, direction_pair, random_invertible_map, random_vertex
 from uvangle import (
     AffineMap,
+    DirectionPair,
     DirectionVector,
     Line,
     Point,
@@ -13,14 +16,17 @@ from uvangle import (
     apply_map,
     basis_map,
     compose_maps,
+    cross,
     decompose,
     intersect_lines,
     invert_map,
+    is_parallel,
     normalize_configuration,
     signed_area,
     vec,
 )
 from uvangle.errors import DegenerateConfiguration, ParallelLines, SingularMap
+from uvangle.kernel import PAR_EPS
 
 
 def test_signed_area_unit_right_triangle():
@@ -245,3 +251,66 @@ def test_basis_map_rejects_dependent_directions():
             decompose(DirectionVector(1, 2), u, v)
         with pytest.raises(DegenerateConfiguration):
             AxisHyperbola.from_directions(Point(0, 0), 1.0, u, v)
+
+
+def _reference_is_parallel(d1: DirectionVector, d2: DirectionVector) -> bool:
+    return abs(cross(d1, d2)) <= PAR_EPS * d1.norm * d2.norm
+
+
+_norms = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@st.composite
+def _near_parallel_pairs(draw):
+    """Directions turned by 0.9-1.1 PAR_EPS (or that plus pi): both sides of the boundary."""
+    angle = draw(st.floats(min_value=0.0, max_value=2.0 * math.pi))
+    turn = draw(st.floats(min_value=0.9, max_value=1.1)) * PAR_EPS
+    turn = draw(st.sampled_from([turn, -turn, math.pi + turn, math.pi - turn]))
+    r1, r2 = draw(_norms), draw(_norms)
+    return (
+        DirectionVector(r1 * math.cos(angle), r1 * math.sin(angle)),
+        DirectionVector(r2 * math.cos(angle + turn), r2 * math.sin(angle + turn)),
+    )
+
+
+_coordinates = st.floats(min_value=-1e150, max_value=1e150)
+_directions = st.tuples(_coordinates, _coordinates).filter(lambda d: d != (0.0, 0.0))
+_any_pairs = st.tuples(_directions, _directions).map(
+    lambda pair: (DirectionVector(*pair[0]), DirectionVector(*pair[1]))
+)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(pair=st.one_of(_near_parallel_pairs(), _any_pairs))
+@example(pair=(DirectionVector(1.0, 0.0), DirectionVector(1.0, PAR_EPS)))  # on the boundary
+@example(pair=(DirectionVector(1.0, 0.0), DirectionVector(-1.0, 1.01 * PAR_EPS)))
+def test_is_parallel_decides_as_the_cross_product_reference(pair):
+    d1, d2 = pair
+    assert is_parallel(d1, d2) == _reference_is_parallel(d1, d2)
+    assert is_parallel(d2, d1) == _reference_is_parallel(d2, d1)
+
+
+def test_near_parallel_directions_reach_both_decisions():
+    u, angle = DirectionVector(0.6, 0.8), math.atan2(0.8, 0.6)
+    decisions = set()
+    for k in range(80, 121):
+        turn = k / 100.0 * PAR_EPS
+        v = DirectionVector(math.cos(angle + turn), math.sin(angle + turn))
+        decisions.add(is_parallel(u, v))
+        assert is_parallel(u, v) == _reference_is_parallel(u, v)
+    assert decisions == {True, False}
+
+
+@pytest.mark.parametrize(
+    "u, v",
+    [
+        (DirectionVector(1.0, 1.0), DirectionVector(-2.0, -2.0)),
+        (DirectionVector(3.0, 4.0), DirectionVector(3.0, 4.0)),
+        (DirectionVector(1.0, 0.0), DirectionVector(1.0, PAR_EPS)),
+        (DirectionVector(1e-200, 0.0), DirectionVector(-1e200, 0.5 * PAR_EPS * 1e200)),
+    ],
+)
+def test_direction_pair_of_parallel_directions_keeps_its_message(u, v):
+    with pytest.raises(DegenerateConfiguration) as info:
+        DirectionPair(u, v)
+    assert str(info.value) == "reference directions must be independent"

@@ -178,3 +178,43 @@ def test_round_trip_keeps_normalized_fields():
 def test_invalid_fields_raise(build, error):
     with pytest.raises(error):
         build()
+
+
+# Types whose fields are all coordinates, with the field values of one valid instance.
+FINITE_CHECKED = [
+    (Point, (1.0, -2.5)),
+    (DirectionVector, (3.0, 4.0)),
+    (AffineMap, (2.0, 0.5, -0.25, 1.5, 3.0, -1.0)),
+]
+
+
+def _with(values, replacements):
+    return [replacements.get(i, value) for i, value in enumerate(values)]
+
+
+@pytest.mark.parametrize("cls, values", FINITE_CHECKED, ids=lambda c: getattr(c, "__name__", ""))
+def test_non_finite_field_names_the_first_bad_value(cls, values):
+    for i in range(len(values)):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError) as info:
+                cls(*_with(values, {i: bad}))
+            assert str(info.value) == f"coordinates must be finite, got {bad!r}"
+        for j in range(i + 1, len(values)):
+            with pytest.raises(ValueError) as info:
+                cls(*_with(values, {i: -math.inf, j: math.nan}))
+            assert str(info.value) == "coordinates must be finite, got -inf"
+
+
+@pytest.mark.parametrize("cls, values", FINITE_CHECKED, ids=lambda c: getattr(c, "__name__", ""))
+def test_non_float_field_raises_what_isfinite_raises(cls, values):
+    for i in range(len(values)):
+        with pytest.raises(TypeError, match="must be real number, not str"):
+            cls(*_with(values, {i: "1.0"}))
+        with pytest.raises(OverflowError, match="int too large to convert to float"):
+            cls(*_with(values, {i: 10**400}))
+        # The first bad field decides, whatever follows it.
+        for j in range(i + 1, len(values)):
+            with pytest.raises(ValueError, match="got nan"):
+                cls(*_with(values, {i: math.nan, j: "1.0"}))
+            with pytest.raises(TypeError):
+                cls(*_with(values, {i: "1.0", j: math.nan}))
