@@ -19,9 +19,11 @@ __version__ = "0.1.0"
 # Submodule -> the public names it defines.  ``errors`` exports itself.
 _EXPORTS_BY_MODULE = {
     "angle": (
-        "AngleResult", "ComponentLabel", "DirectionPair", "SigmaValue", "affine_angle",
-        "area_cross_ratio", "is_same_component", "midpoint_ray", "preserves_affine_angle",
-        "sigma_lambda", "sigma_sign",
+        "AngleResult", "affine_angle", "is_same_component", "midpoint_ray",
+        "preserves_affine_angle",
+    ),
+    "area_ratio": (
+        "ComponentLabel", "SigmaValue", "area_cross_ratio", "sigma_lambda", "sigma_sign",
     ),
     "degeneration": (
         "LimitReport", "SlopePair", "degenerate_cross_ratio", "first_order_limit",
@@ -33,10 +35,10 @@ _EXPORTS_BY_MODULE = {
         "sample_locus", "sector_area_equivalence",
     ),
     "kernel": (
-        "AffineMap", "DirectionVector", "Line", "Point", "Ray", "apply_map", "basis_map",
-        "compose_maps", "cross", "decompose", "distance", "dot", "intersect_lines",
-        "invert_map", "is_parallel", "normalize_configuration", "signed_area",
-        "slope_cross_ratio_angle", "vec",
+        "AffineMap", "DirectionPair", "DirectionVector", "Line", "Point", "Ray", "apply_map",
+        "basis_map", "compose_maps", "cross", "decompose", "distance", "dot",
+        "intersect_lines", "invert_map", "is_parallel", "normalize_configuration",
+        "signed_area", "slope_cross_ratio_angle", "vec",
     ),
     "power": (
         "AxisHyperbola", "SecantResult", "chord_intersection_x", "chord_line",

@@ -9,9 +9,11 @@ from __future__ import annotations
 import math
 import random
 
-from .angle import DirectionPair, affine_angle, sigma_lambda
+from .angle import affine_angle
+from .area_ratio import sigma_lambda
 from .kernel import (
     AffineMap,
+    DirectionPair,
     DirectionVector,
     Line,
     Point,

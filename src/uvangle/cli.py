@@ -26,7 +26,7 @@ import sys
 from collections.abc import Sequence
 
 from .errors import GeometryError
-from .kernel import DirectionVector, Line, Point
+from .kernel import DirectionPair, DirectionVector, Line, Point
 
 SCHEMA_VERSION = "1"
 
@@ -206,7 +206,7 @@ def _line_record(line: Line) -> dict:
 
 
 def _cmd_angle(args) -> dict:
-    from .angle import DirectionPair, affine_angle
+    from .angle import affine_angle
 
     dirs = DirectionPair(_direction(args.u), _direction(args.v))
     result = affine_angle(_point(args.o), _point(args.a), _point(args.b), dirs)
@@ -226,7 +226,6 @@ def _cmd_angle(args) -> dict:
 
 
 def _cmd_isoptic(args):
-    from .angle import DirectionPair
     from .isoptic import IsopticSpec, conic_center, isoptic_curve, sample_locus
 
     dirs = DirectionPair(_direction(args.u), _direction(args.v))

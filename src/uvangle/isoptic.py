@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 
-from .angle import DirectionPair, _slope_pair
+from .angle import _slope_pair
 from .errors import SingularPosition, ThetaTooSmall
 from .kernel import (
     BOUNDARY_EPS,
     AffineMap,
+    DirectionPair,
     DirectionVector,
     Point,
     _Frozen,
@@ -55,7 +56,7 @@ class IsopticSpec(_Frozen):
     def __init__(self, a: Point, b: Point, dirs: DirectionPair, theta: float) -> None:
         if not math.isfinite(theta) or theta == 0.0:
             raise ValueError("theta must be finite and nonzero")
-        to_canonical = normalize_configuration(a, b, dirs.u, dirs.v)
+        to_canonical = normalize_configuration(a, b, dirs)
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "dirs", dirs)

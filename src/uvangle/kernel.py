@@ -4,9 +4,10 @@ Coordinates are IEEE-754 doubles.  Scalar comparisons use a relative
 tolerance with a small absolute floor.  Direction predicates compare
 products of the coordinates, so they are scale invariant while those
 products stay representable (not for directions scaled by 2^1000 or
-2^-1000).  The (u, v) frame of the reference directions and the slope
-form of the angle in it live here.  All operations are pure, so everything
-here is safe to share freely between threads.
+2^-1000).  The (u, v) frame of the reference directions (``basis_map``,
+kept by ``DirectionPair``) and the slope form of the angle in it live
+here.  All operations are pure, so everything here is safe to share freely
+between threads.
 
 The value types of the package (here and in the other modules) are
 immutable ``__slots__`` classes built on ``_Frozen``: assigning or deleting
@@ -300,9 +301,22 @@ def basis_map(u: DirectionVector, v: DirectionVector) -> AffineMap:
     return AffineMap(v.dy / den, -v.dx / den, -u.dy / den, u.dx / den)
 
 
-def decompose(d: DirectionVector, u: DirectionVector, v: DirectionVector) -> tuple[float, float]:
-    """Coefficients (a, b) with d = a*u + b*v.  Raises for dependent u, v."""
-    c = basis_map(u, v).apply_linear(d)
+class DirectionPair(_Frozen):
+    __slots__ = ("u", "v", "_basis")
+
+    def __init__(self, u: DirectionVector, v: DirectionVector) -> None:
+        try:
+            basis = basis_map(u, v)  # the one parallelism test of u and v
+        except DegenerateConfiguration:
+            raise DegenerateConfiguration("reference directions must be independent") from None
+        _set(self, "u", u)
+        _set(self, "v", v)
+        _set(self, "_basis", basis)
+
+
+def decompose(d: DirectionVector, dirs: DirectionPair) -> tuple[float, float]:
+    """Coefficients (a, b) with d = a*u + b*v."""
+    c = dirs._basis.apply_linear(d)
     return c.dx, c.dy
 
 
@@ -313,30 +327,27 @@ def slope_cross_ratio_angle(m_a: float, m_b: float) -> float:
     return 0.5 * math.log(m_a / m_b)
 
 
-def normalize_configuration(
-    a: Point, b: Point, u: DirectionVector, v: DirectionVector
-) -> AffineMap:
+def normalize_configuration(a: Point, b: Point, dirs: DirectionPair) -> AffineMap:
     """Affine map sending a to (-1, 0), b to (1, 0), u along (1, 1), v along (1, -1).
 
     The half-offset (b - a)/2 is decomposed as s*u + t*v; the linear part maps
     u to (1, 1)/(2s) and v to (1, -1)/(2t), and the midpoint of ab goes to the
-    origin.  Raises DegenerateConfiguration when u, v are dependent, the points
-    coincide, or the segment is parallel to either reference direction.
+    origin.  Raises DegenerateConfiguration when the points coincide or the
+    segment is parallel to either reference direction.
     """
-    to_basis = basis_map(u, v)
     hx, hy = (b.x - a.x) / 2.0, (b.y - a.y) / 2.0
     scale = max(1.0, abs(a.x), abs(a.y), abs(b.x), abs(b.y))
     if math.hypot(hx, hy) <= ABS_EPS * scale:
         raise DegenerateConfiguration("segment endpoints coincide")
     h = DirectionVector(hx, hy)
-    if is_parallel(h, v):
+    if is_parallel(h, dirs.v):
         raise DegenerateConfiguration("segment is parallel to the v direction")
-    if is_parallel(h, u):
+    if is_parallel(h, dirs.u):
         raise DegenerateConfiguration("segment is parallel to the u direction")
     # With (s, t) the (u, v) coordinates of h, the linear part sends (u, v)
     # coordinates (x, y) to (x/(2s) + y/(2t), x/(2s) - y/(2t)); it is composed
-    # with to_basis here, entry by entry.
-    f = to_basis
+    # with the (u, v) frame here, entry by entry.
+    f = dirs._basis
     p = 0.5 / (f.xx * hx + f.xy * hy)  # 1/(2s)
     q = 0.5 / (f.yx * hx + f.yy * hy)  # 1/(2t)
     xx, xy = p * f.xx + q * f.yx, p * f.xy + q * f.yy

@@ -66,7 +66,7 @@ class AxisHyperbola(_Frozen):
         inverse = invert_map(frame)  # raises SingularMap for a degenerate frame
         if kappa < 0.0:
             frame, kappa = compose_maps(_REFLECT_X, frame), -kappa
-            inverse = invert_map(frame)
+            inverse = invert_map(frame)  # negating a column of the first one flips zero signs
         c = frame.apply_point(center)
         _set(self, "center", center)
         _set(self, "kappa", kappa)

@@ -8,6 +8,8 @@ import sys
 import time
 from pathlib import Path
 
+import mpmath
+
 from helpers import (
     basis_point,
     direction_pair,
@@ -544,5 +546,80 @@ def test_criterion_12_cli_determinism_and_worked_examples(acceptance):
         ok,
         f"deterministic {deterministic}; power {doc['outputs']['power']!r}; "
         f"area {area!r}; documented {documented}",
+    )
+    assert ok
+
+
+def _cayley_klein_angle(o, a, b, dirs, center, radius):
+    """Half the log of the cross ratio of OA, OB and the tangents from O to l_u * l_v = R^2.
+
+    l_u, l_v are the (u, v) coordinates of X - center, so the absolute conic's
+    asymptotes run along u and v.  The tangent nearer u comes first.  The
+    caller sets the working precision.
+    """
+    mpf = mpmath.mpf
+    ux, uy, vx, vy = (mpf(c) for c in (dirs.u.dx, dirs.u.dy, dirs.v.dx, dirs.v.dy))
+    det = ux * vy - uy * vx
+    p = (vy / det, -vx / det)  # l_u(X) = p . (X - center)
+    q = (-uy / det, ux / det)  # l_v(X) = q . (X - center)
+    ox, oy = mpf(o.x) - mpf(center.x), mpf(o.y) - mpf(center.y)
+    a0, b0 = p[0] * ox + p[1] * oy, q[0] * ox + q[1] * oy
+    # On X = O + t*(1, k), (a0 + t*p.d)(b0 + t*q.d) = R^2 has a double root iff
+    # (a0*q.d - b0*p.d)^2 + 4 R^2 (p.d)(q.d) = 0, a quadratic in k.
+    w = (a0 * q[0] - b0 * p[0], a0 * q[1] - b0 * p[1])
+    r2 = mpf(radius) ** 2
+    qa = w[1] ** 2 + 4 * r2 * p[1] * q[1]
+    qb = 2 * w[0] * w[1] + 4 * r2 * (p[0] * q[1] + p[1] * q[0])
+    qc = w[0] ** 2 + 4 * r2 * p[0] * q[0]
+    root = mpmath.sqrt(qb * qb - 4 * qa * qc)
+    tangents = [(mpf(1), (-qb + s * root) / (2 * qa)) for s in (1, -1)]
+    tangents.sort(key=lambda d: abs(d[0] * uy - d[1] * ux) / mpmath.hypot(*d))
+    (t1x, t1y), (t2x, t2y) = tangents
+
+    def cross_with(px, py, tx, ty):
+        return (mpf(px) - mpf(o.x)) * ty - (mpf(py) - mpf(o.y)) * tx
+
+    ratio = (cross_with(a.x, a.y, t1x, t1y) * cross_with(b.x, b.y, t2x, t2y)) / (
+        cross_with(a.x, a.y, t2x, t2y) * cross_with(b.x, b.y, t1x, t1y)
+    )
+    return mpmath.log(ratio) / 2
+
+
+def test_criterion_13_cayley_klein_degeneration(acceptance):
+    # The affine angle is the R -> infinity limit of the Cayley-Klein angle
+    # whose absolute conic is the hyperbola l_u * l_v = R^2, with error O(R^-2).
+    rng = random.Random(113)
+    radii = [10.0 ** (1.0 + 0.5 * i) for i in range(7)]  # 10 ... 1e4
+    worst_error = 0.0
+    orders = []
+    with mpmath.workdps(50):
+        for _ in range(50):
+            o, dirs = _random_frame_config(rng)
+            u, v = (d.scaled(log_uniform(rng, 0.3, 3.0)) for d in (dirs.u, dirs.v))
+            dirs = DirectionPair(u, v)
+            while True:
+                m_a, m_b = same_component_slopes(rng, 2, 0.2, 5.0)
+                if abs(math.log(m_a / m_b)) > 0.1:
+                    break
+            a = basis_point(o, dirs, m_a, scale=rng.uniform(0.3, 2.0))
+            b = basis_point(o, dirs, m_b, scale=rng.uniform(0.3, 2.0))
+            s, t = (rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0) for _ in range(2))
+            center = basis_point(o, dirs, t / s, scale=s)  # o + s*u + t*v
+            theta = mpmath.mpf(affine_angle(o, a, b, dirs).theta)
+            errors = [abs(_cayley_klein_angle(o, a, b, dirs, center, r) - theta) for r in radii]
+            worst_error = max(worst_error, float(errors[-1]))
+            xs = [math.log(r) for r in radii]
+            ys = [math.log(float(e)) for e in errors]
+            mean_x, mean_y = sum(xs) / len(xs), sum(ys) / len(ys)
+            slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sum(
+                (x - mean_x) ** 2 for x in xs
+            )
+            orders.append(-slope)
+    ok = all(1.9 <= order <= 2.1 for order in orders)
+    acceptance(
+        "13 Cayley-Klein degeneration",
+        ok,
+        f"worst |CK - affine| at R=1e4 {worst_error:.3e}; "
+        f"log-log order {min(orders):.3f}..{max(orders):.3f}",
     )
     assert ok

@@ -4,7 +4,8 @@
 and that map's inverse, ``AxisHyperbola`` its inverse frame and frame
 center.  The call counts go through every ``uvangle`` module namespace, the
 way perfbench's tracer rebinds functions, so a consumer that builds one of
-those maps again shows up as an extra call.
+those maps again shows up as an extra call.  The kernel entry points that
+take a ``DirectionPair`` read its basis and build none.
 """
 
 import copy
@@ -27,6 +28,8 @@ from uvangle import (
     IsopticSpec,
     Point,
     affine_angle,
+    decompose,
+    normalize_configuration,
     sample_locus,
     secant_intersections,
 )
@@ -70,6 +73,12 @@ def test_isoptic_builds_the_canonical_map_once(calls, capsys, output):
     assert (calls["normalize_configuration"], calls["invert_map"]) == (1, 1)
 
 
+@pytest.mark.parametrize("output", ["json", "svg"])
+def test_isoptic_builds_the_basis_once(calls, capsys, output):
+    run_main(*ISOPTIC, "--output", output)
+    assert calls["basis_map"] == 1
+
+
 def test_radical_center_inverts_each_frame_once(calls, capsys):
     run_main("radical-center", "--h1", "0,0,1", "--h2", "-1,-0.5,3", "--h3", "1,2,2",
              "--u", "2,0.5", "--v", "-0.6,1.5")
@@ -83,6 +92,14 @@ def test_angle_builds_the_basis_once(calls, capsys):
 
 
 DIRS = DirectionPair(DirectionVector(2.0, 0.5), DirectionVector(-0.6, 1.5))
+
+
+def test_pair_entry_points_build_no_basis(calls):
+    normalize_configuration(Point(0.3, -0.7), Point(2.1, 0.4), DIRS)
+    d = DirectionVector(1.0, 2.0)
+    c = DIRS._basis.apply_linear(d)
+    assert decompose(d, DIRS) == (c.dx, c.dy)
+    assert calls["basis_map"] == 0
 
 
 def pickled(value):

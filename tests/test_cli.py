@@ -312,20 +312,26 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     assert proc.stdout.decode().split() == []
 
 
+# Runs the package as ``-m`` does and lists sys.modules at exit.  ``-X importtime``
+# would miss modules loaded through ``importlib.import_module``, as the lazy
+# exports of ``uvangle`` and ``uvangle.angle`` load them.
+MODULES_AT_EXIT = """
+import atexit, runpy, sys
+atexit.register(lambda: sys.stderr.write("\\n".join(["modules:", *sys.modules])))
+sys.argv[0] = "uvangle"
+runpy.run_module("uvangle", run_name="__main__", alter_sys=True)
+"""
+
+
 def modules_loaded_by(*argv: str) -> set[str]:
-    # -X importtime lists on stderr every module the real entry point imports.
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
-        [sys.executable, "-S", "-X", "importtime", "-m", "uvangle", *argv],
+        [sys.executable, "-S", "-c", MODULES_AT_EXIT, *argv],
         capture_output=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    return {
-        line.rsplit("|", 1)[1].strip()
-        for line in proc.stderr.decode().splitlines()
-        if line.startswith("import time:")
-    }
+    return set(proc.stderr.decode().split("modules:\n", 1)[1].splitlines())
 
 
 def test_angle_command_loads_only_its_modules():
@@ -335,7 +341,7 @@ def test_angle_command_loads_only_its_modules():
     assert {"uvangle.cli", "uvangle.kernel", "uvangle.angle"} <= loaded
     unwanted = {
         "uvangle.isoptic", "uvangle.power", "uvangle.power_theorem", "uvangle.svg",
-        "uvangle.degeneration", "uvangle._invariance", "random", "shutil",
+        "uvangle.degeneration", "uvangle._invariance", "uvangle.area_ratio", "random", "shutil",
     }
     assert sorted(loaded & unwanted) == []
 
@@ -347,9 +353,14 @@ def test_isoptic_command_loads_only_its_modules(output):
     assert ("uvangle.svg" in loaded) == (output == "svg")
     unwanted = {
         "uvangle.power", "uvangle.power_theorem", "uvangle.degeneration",
-        "uvangle._invariance", "random",
+        "uvangle._invariance", "uvangle.area_ratio", "random",
     }
     assert sorted(loaded & unwanted) == []
+
+
+def test_invariance_command_loads_the_area_ratio_oracle():
+    loaded = modules_loaded_by("invariance", "--trials", "2", "--seed", "0")
+    assert {"uvangle.angle", "uvangle.area_ratio", "uvangle._invariance"} <= loaded
 
 
 def test_angle_overflow_is_not_reported_as_coincidence():

@@ -9,6 +9,10 @@ The two ``isoptic_sheared`` files were captured before ``sample_locus``
 classified its samples in the canonical frame; they pin the sample
 coordinates on a sheared, non-unit frame with an odd sample count and a
 negative angle.
+``radical_center_reflected`` has negative kappas, so each frame is
+reflected and inverted again; it pins a radical axis whose ``c`` prints as
+``-0.0``, a sign that deriving the reflected inverse from the first one
+would flip.
 To recapture after an intended output change, write each case's stdout to
 its golden file.
 
@@ -68,6 +72,9 @@ CASES = {
     "radical_center_sheared.json": (
         "radical-center", "--h1", "0,0,1", "--h2", "-1,-0.5,3", "--h3", "1,2,2",
         "--u", SHEARED_U, "--v", SHEARED_V,
+    ),
+    "radical_center_reflected.json": (
+        "radical-center", "--h1", "-2,0,3", "--h2", "2,-0.5,-3", "--h3", "-2,0.5,-3",
     ),
     "degenerate.json": ("degenerate", "--m1", "2", "--m2", "1"),
 }

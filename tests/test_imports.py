@@ -80,6 +80,26 @@ def test_lazy_table_matches_all_and_every_name_resolves():
     assert set(uvangle.__all__) <= set(dir(uvangle))
 
 
+AREA_RATIO_NAMES = (
+    "ComponentLabel", "SigmaValue", "area_cross_ratio", "sigma_lambda", "sigma_sign",
+)
+
+
+def test_moved_names_resolve_at_their_old_paths():
+    import uvangle
+    import uvangle.angle
+    import uvangle.area_ratio
+    import uvangle.kernel
+
+    for name in AREA_RATIO_NAMES:
+        assert getattr(uvangle.angle, name) is getattr(uvangle.area_ratio, name), name
+        assert uvangle._EXPORTS[name] == "area_ratio", name
+    assert uvangle.angle.DirectionPair is uvangle.kernel.DirectionPair
+    assert uvangle._EXPORTS["DirectionPair"] == "kernel"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        uvangle.angle.no_such_name
+
+
 def test_star_import_binds_every_export():
     import uvangle
 

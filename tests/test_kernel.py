@@ -150,7 +150,7 @@ def test_compose_inverse_roundtrip():
 
 def test_normalize_canonical_is_identity():
     t = normalize_configuration(
-        Point(-1, 0), Point(1, 0), DirectionVector(1, 1), DirectionVector(1, -1)
+        Point(-1, 0), Point(1, 0), DirectionPair(DirectionVector(1, 1), DirectionVector(1, -1))
     )
     assert_point_close(apply_map(t, Point(-1, 0)), Point(-1, 0), tol=1e-12)
     assert_point_close(apply_map(t, Point(1, 0)), Point(1, 0), tol=1e-12)
@@ -160,33 +160,34 @@ def test_normalize_canonical_is_identity():
     assert t.yy == pytest.approx(1.0, abs=1e-12)
 
 
-def _check_normalization_postconditions(a, b, u, v, tol=1e-9):
-    t = normalize_configuration(a, b, u, v)
+def _check_normalization_postconditions(a, b, dirs, tol=1e-9):
+    t = normalize_configuration(a, b, dirs)
     assert_point_close(apply_map(t, a), Point(-1, 0), tol=tol)
     assert_point_close(apply_map(t, b), Point(1, 0), tol=tol)
-    iu = apply_map(t, u)
-    iv = apply_map(t, v)
+    iu = apply_map(t, dirs.u)
+    iv = apply_map(t, dirs.v)
     assert abs(iu.dx * 1 - iu.dy * 1) <= tol * iu.norm * math.sqrt(2)  # parallel (1, 1)
     assert abs(iv.dx * -1 - iv.dy * 1) <= tol * iv.norm * math.sqrt(2)  # parallel (1, -1)
 
 
 def test_normalize_worked_example():
     _check_normalization_postconditions(
-        Point(0, 0), Point(2, 0), DirectionVector(1, 1), DirectionVector(1, -1)
+        Point(0, 0), Point(2, 0), DirectionPair(DirectionVector(1, 1), DirectionVector(1, -1))
     )
 
 
 def test_normalize_segment_parallel_to_reference_raises():
     with pytest.raises(DegenerateConfiguration):
         normalize_configuration(
-            Point(0, 0), Point(1, 1), DirectionVector(1, 1), DirectionVector(1, -1)
+            Point(0, 0), Point(1, 1), DirectionPair(DirectionVector(1, 1), DirectionVector(1, -1))
         )
 
 
 def test_normalize_dependent_directions_raise():
+    # normalize_configuration takes a DirectionPair, whose constructor refuses them.
     with pytest.raises(DegenerateConfiguration):
         normalize_configuration(
-            Point(0, 0), Point(1, 0), DirectionVector(1, 1), DirectionVector(2, 2)
+            Point(0, 0), Point(1, 0), DirectionPair(DirectionVector(1, 1), DirectionVector(2, 2))
         )
 
 
@@ -207,7 +208,7 @@ def test_normalize_random_postconditions():
         c2 = abs(d.dx * dirs.v.dy - d.dy * dirs.v.dx) / (d.norm * dirs.v.norm)
         if min(c1, c2) < 0.1:
             continue
-        _check_normalization_postconditions(a, b, dirs.u, dirs.v)
+        _check_normalization_postconditions(a, b, dirs)
         done += 1
 
 
@@ -236,7 +237,7 @@ def test_basis_map_sends_u_and_v_to_the_unit_vectors():
             assert abs(got - want) <= 1e-12
         alpha, beta = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
         d = DirectionVector(alpha * u.dx + beta * v.dx, alpha * u.dy + beta * v.dy)
-        a, b = decompose(d, u, v)
+        a, b = decompose(d, DirectionPair(u, v))
         assert abs(a - alpha) <= 1e-9 * max(1.0, abs(alpha)) and abs(b - beta) <= 1e-9 * max(1.0, abs(beta))
 
 
@@ -248,7 +249,7 @@ def test_basis_map_rejects_dependent_directions():
         with pytest.raises(DegenerateConfiguration):
             basis_map(u, v)
         with pytest.raises(DegenerateConfiguration):
-            decompose(DirectionVector(1, 2), u, v)
+            decompose(DirectionVector(1, 2), DirectionPair(u, v))
         with pytest.raises(DegenerateConfiguration):
             AxisHyperbola.from_directions(Point(0, 0), 1.0, u, v)
 
