@@ -98,6 +98,7 @@ def test_degenerate_document():
 
 def test_invariance_document():
     doc = run_json("invariance", "--trials", "40", "--seed", "7")
+    assert list(doc["inputs"]) == ["seed", "trials"]  # not the parser's order
     out = doc["outputs"]
     assert out["lambda_independence_max_rel_dev"] <= 1e-9
     assert out["group_invariance_max_abs_dev"] <= 1e-9
@@ -478,3 +479,12 @@ def test_help_in_a_pipe_is_the_stock_help(monkeypatch):
         )
         assert proc.returncode == 0 and proc.stderr == b""
         assert proc.stdout.decode() == _stock_help(parser), name
+
+
+def test_help_matches_its_golden(monkeypatch):
+    # The goldens hold `uvangle [<command>] --help` at 80 columns; unlike the stock
+    # formatter test above, they see a reordered or renamed option.
+    monkeypatch.setenv("COLUMNS", "80")
+    golden = Path(__file__).parent / "golden" / "help"
+    for name, parser in _parsers().items():
+        assert parser.format_help() == (golden / f"{name or 'uvangle'}.txt").read_text(), name

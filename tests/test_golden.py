@@ -9,6 +9,8 @@ The two ``isoptic_sheared`` files were captured before ``sample_locus``
 classified its samples in the canonical frame; they pin the sample
 coordinates on a sheared, non-unit frame with an odd sample count and a
 negative angle.
+``chords_t_kappa2`` is the one document with a nonempty ``diagnostics``,
+and ``degenerate_t_sequence`` echoes a given ``--t-sequence``.
 ``radical_center_reflected`` has negative kappas, so each frame is
 reflected and inverted again; it pins a radical axis whose ``c`` prints as
 ``-0.0``, a sign that deriving the reflected inverse from the first one
@@ -50,6 +52,7 @@ CASES = {
     "chords_progression_5.json": ("chords", "--progression", "1,2,5", "--kappa", "1"),
     "chords_progression_100.json": ("chords", "--progression", "1,2,100", "--kappa", "1"),
     "chords_t.json": ("chords", "--t", "1,4,2,3"),
+    "chords_t_kappa2.json": ("chords", "--t", "1,4,2,3", "--kappa", "2"),
     "isoptic_64.json": (
         "isoptic", "--A", "-1,0", "--B", "1,0", "--u", "1,1", "--v", "1,-1",
         "--theta", "1", "--samples", "64",
@@ -77,6 +80,9 @@ CASES = {
         "radical-center", "--h1", "-2,0,3", "--h2", "2,-0.5,-3", "--h3", "-2,0.5,-3",
     ),
     "degenerate.json": ("degenerate", "--m1", "2", "--m2", "1"),
+    "degenerate_t_sequence.json": (
+        "degenerate", "--m1", "2", "--m2", "1", "--t-sequence", "0.1,0.05,0.01",
+    ),
 }
 
 # lambda_independence_max_rel_dev of ``invariance --trials 200 --seed 0``.
