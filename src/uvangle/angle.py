@@ -79,10 +79,15 @@ def _ray_direction(o: Point, p: Point, name: str) -> DirectionVector:
 
 
 def ray_slope(d: DirectionVector, dirs: DirectionPair, name: str) -> float:
-    """Slope m = beta/alpha of d = alpha*u + beta*v; SingularRay when d is parallel to u or v."""
+    """Slope m = beta/alpha of d = alpha*u + beta*v.
+
+    Raises SingularRay when d is parallel to u or v, or when alpha underflows to 0.
+    """
     if is_parallel(d, dirs.u) or is_parallel(d, dirs.v):
         raise SingularRay(f"ray {name} is parallel to a reference direction")
     c = dirs._basis.apply_linear(d)
+    if c.dx == 0.0:
+        raise SingularRay(f"ray {name}'s (u, v) coordinate alpha underflows to 0")
     return c.dy / c.dx
 
 

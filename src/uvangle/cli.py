@@ -3,12 +3,18 @@
 Every subcommand prints a versioned JSON document with a fixed key order
 (schema_version, command, inputs, outputs, diagnostics); the ``isoptic``
 subcommand can emit an SVG rendering instead.  Exit codes: 0 success,
-1 usage or parse error (including non-finite numbers), 2 domain error
-(including non-finite results and an unwritable ``--out``); every error is
-one stderr line.  All randomness used by the
-``invariance`` demonstrations flows from an explicit seed through Python's
-Mersenne Twister (``random.Random``), so identical invocations produce
-byte-identical output.
+1 usage or parse error (including non-finite numbers and counts above
+their caps), 2 domain error (including non-finite results and an
+unwritable ``--out``); every error is one stderr line.  All randomness used
+by the ``invariance`` demonstrations flows from an explicit seed through
+Python's Mersenne Twister (``random.Random``), so identical invocations
+produce byte-identical output.
+
+Each option is declared once, on its sub-parser in ``build_parser``, and its
+dest is its JSON key.  A sub-parser's defaults name its handler, which
+returns the outputs and diagnostics (or SVG bytes), and the options that
+``main`` echoes as ``inputs``, in that order; ``--out``, ``--output`` and
+``--viewport`` say where and how to write the result and are not echoed.
 
 Each handler imports the modules its command uses when it runs, so one
 process loads only those.  The names are looked up at call time, never
@@ -29,6 +35,10 @@ from .errors import GeometryError
 from .kernel import DirectionPair, DirectionVector, Line, Point
 
 SCHEMA_VERSION = "1"
+# Caps on the counts, enforced when parsing: 65,536 samples print 8.7 MB of
+# JSON in about a second, and 100,000 trials take under 20 s.
+MAX_SAMPLES = 65_536
+MAX_TRIALS = 100_000
 
 
 class _HelpFormatter(argparse.HelpFormatter):
@@ -101,11 +111,22 @@ def _quad(text: str) -> tuple[float, float, float, float]:
     return _floats(text, 4, "quadruple")  # type: ignore[return-value]
 
 
-def _count(text: str) -> int:
+def _int(text: str, cap: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value > cap:
+        raise argparse.ArgumentTypeError(f"must be at most {cap}, got {value}")
+    return value
+
+
+def _samples(text: str) -> int:
+    return _int(text, MAX_SAMPLES)  # fewer than two stays a domain error of sample_locus
+
+
+def _trials(text: str) -> int:
+    value = _int(text, MAX_TRIALS)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
     return value
@@ -123,81 +144,63 @@ def build_parser() -> _Parser:
     # An explicit prog spares add_subparsers formatting the usage to derive it.
     sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
+    p = sub.add_parser("angle", help="angle between rays OA and OB")
+    p.set_defaults(handler=_cmd_angle, echo=("O", "A", "B", "u", "v"))
+    p.add_argument("--O", type=_pair, required=True)
+    p.add_argument("--A", type=_pair, required=True)
+    p.add_argument("--B", type=_pair, required=True)
+    p.add_argument("--u", type=_pair, required=True)
+    p.add_argument("--v", type=_pair, required=True)
 
-    p_angle = sub.add_parser("angle", help="angle between rays OA and OB")
-    p_angle.add_argument("--O", type=_pair, required=True, dest="o")
-    p_angle.add_argument("--A", type=_pair, required=True, dest="a")
-    p_angle.add_argument("--B", type=_pair, required=True, dest="b")
-    p_angle.add_argument("--u", type=_pair, required=True)
-    p_angle.add_argument("--v", type=_pair, required=True)
-    add_common(p_angle)
+    p = sub.add_parser("isoptic", help="isoptic hyperbola of a segment")
+    p.set_defaults(handler=_cmd_isoptic, echo=("A", "B", "u", "v", "theta", "samples"))
+    p.add_argument("--A", type=_pair, required=True)
+    p.add_argument("--B", type=_pair, required=True)
+    p.add_argument("--u", type=_pair, required=True)
+    p.add_argument("--v", type=_pair, required=True)
+    p.add_argument("--theta", type=_scalar, required=True)
+    p.add_argument("--samples", type=_samples, default=32)
+    p.add_argument("--output", choices=("json", "svg"), default="json")
+    p.add_argument("--viewport", type=_quad, default=None)
 
-    p_iso = sub.add_parser("isoptic", help="isoptic hyperbola of a segment")
-    p_iso.add_argument("--A", type=_pair, required=True, dest="a")
-    p_iso.add_argument("--B", type=_pair, required=True, dest="b")
-    p_iso.add_argument("--u", type=_pair, required=True)
-    p_iso.add_argument("--v", type=_pair, required=True)
-    p_iso.add_argument("--theta", type=_scalar, required=True)
-    p_iso.add_argument("--samples", type=int, default=32)
-    p_iso.add_argument("--output", choices=("json", "svg"), default="json")
-    p_iso.add_argument("--viewport", type=_quad, default=None)
-    add_common(p_iso)
+    p = sub.add_parser("power", help="hyperbolic power of a point")
+    p.set_defaults(handler=_cmd_power, echo=("kappa", "center", "P", "u", "v"))
+    p.add_argument("--kappa", type=_scalar, required=True)
+    p.add_argument("--center", type=_pair, required=True)
+    p.add_argument("--P", type=_pair, required=True)
+    p.add_argument("--u", type=_pair, default=(1.0, 0.0))
+    p.add_argument("--v", type=_pair, default=(0.0, 1.0))
 
-    p_pow = sub.add_parser("power", help="hyperbolic power of a point")
-    p_pow.add_argument("--kappa", type=_scalar, required=True)
-    p_pow.add_argument("--center", type=_pair, required=True)
-    p_pow.add_argument("--P", type=_pair, required=True, dest="p")
-    p_pow.add_argument("--u", type=_pair, default=(1.0, 0.0))
-    p_pow.add_argument("--v", type=_pair, default=(0.0, 1.0))
-    add_common(p_pow)
+    p = sub.add_parser("radical-center", help="radical center of three hyperbolas")
+    p.set_defaults(handler=_cmd_radical_center, echo=("h1", "h2", "h3", "u", "v"))
+    p.add_argument("--h1", type=_triple, required=True, metavar="CX,CY,KAPPA")
+    p.add_argument("--h2", type=_triple, required=True, metavar="CX,CY,KAPPA")
+    p.add_argument("--h3", type=_triple, required=True, metavar="CX,CY,KAPPA")
+    p.add_argument("--u", type=_pair, default=(1.0, 0.0))
+    p.add_argument("--v", type=_pair, default=(0.0, 1.0))
 
-    p_rad = sub.add_parser("radical-center", help="radical center of three hyperbolas")
-    p_rad.add_argument("--h1", type=_triple, required=True, metavar="CX,CY,KAPPA")
-    p_rad.add_argument("--h2", type=_triple, required=True, metavar="CX,CY,KAPPA")
-    p_rad.add_argument("--h3", type=_triple, required=True, metavar="CX,CY,KAPPA")
-    p_rad.add_argument("--u", type=_pair, default=(1.0, 0.0))
-    p_rad.add_argument("--v", type=_pair, default=(0.0, 1.0))
-    add_common(p_rad)
-
-    p_chords = sub.add_parser("chords", help="chord intersections on x*y = kappa")
-    group = p_chords.add_mutually_exclusive_group(required=True)
+    p = sub.add_parser("chords", help="chord intersections on x*y = kappa")
+    # inputs echoes only the one of t and progression that was given.
+    p.set_defaults(handler=_cmd_chords, echo=("t", "progression", "kappa"))
+    group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--t", type=_quad, default=None, metavar="T1,T2,T3,T4")
     group.add_argument("--progression", type=_triple, default=None, metavar="A,R,P")
-    p_chords.add_argument("--kappa", type=_scalar, default=1.0)
-    add_common(p_chords)
+    p.add_argument("--kappa", type=_scalar, default=1.0)
 
-    p_deg = sub.add_parser("degenerate", help="first-order degenerate limit of the log angle")
-    p_deg.add_argument("--m1", type=_scalar, required=True)
-    p_deg.add_argument("--m2", type=_scalar, required=True)
-    p_deg.add_argument("--t-sequence", type=_float_list, default=None, dest="t_sequence")
-    add_common(p_deg)
+    p = sub.add_parser("degenerate", help="first-order degenerate limit of the log angle")
+    p.set_defaults(handler=_cmd_degenerate, echo=("m1", "m2", "t_sequence"))
+    p.add_argument("--m1", type=_scalar, required=True)
+    p.add_argument("--m2", type=_scalar, required=True)
+    p.add_argument("--t-sequence", type=_float_list, default=None)
 
-    p_inv = sub.add_parser("invariance", help="seeded invariance demonstrations")
-    p_inv.add_argument("--trials", type=_count, default=100)
-    p_inv.add_argument("--seed", type=int, default=0, help="seed for sampled demonstrations")
-    add_common(p_inv)
+    p = sub.add_parser("invariance", help="seeded invariance demonstrations")
+    p.set_defaults(handler=_cmd_invariance, echo=("seed", "trials"))
+    p.add_argument("--trials", type=_trials, default=100)
+    p.add_argument("--seed", type=int, default=0, help="seed for sampled demonstrations")
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
     return parser
-
-
-def _document(command: str, inputs: dict, outputs: dict, diagnostics: list[str]) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "outputs": outputs,
-        "diagnostics": diagnostics,
-    }
-
-
-def _point(values: Sequence[float]) -> Point:
-    return Point(values[0], values[1])
-
-
-def _direction(values: Sequence[float]) -> DirectionVector:
-    return DirectionVector(values[0], values[1])
 
 
 def _line_record(line: Line) -> dict:
@@ -205,31 +208,19 @@ def _line_record(line: Line) -> dict:
     return {"a": a, "b": b, "c": c}
 
 
-def _cmd_angle(args) -> dict:
+def _cmd_angle(args) -> tuple[dict, list[str]]:
     from .angle import affine_angle
 
-    dirs = DirectionPair(_direction(args.u), _direction(args.v))
-    result = affine_angle(_point(args.o), _point(args.a), _point(args.b), dirs)
-    inputs = {
-        "O": list(args.o),
-        "A": list(args.a),
-        "B": list(args.b),
-        "u": list(args.u),
-        "v": list(args.v),
-    }
-    outputs = {
-        "real": result.is_real,
-        "angle": result.theta,
-        "reason": result.reason,
-    }
-    return _document("angle", inputs, outputs, [])
+    dirs = DirectionPair(DirectionVector(*args.u), DirectionVector(*args.v))
+    result = affine_angle(Point(*args.O), Point(*args.A), Point(*args.B), dirs)
+    return {"real": result.is_real, "angle": result.theta, "reason": result.reason}, []
 
 
-def _cmd_isoptic(args):
+def _cmd_isoptic(args) -> tuple[dict, list[str]] | bytes:
     from .isoptic import IsopticSpec, conic_center, isoptic_curve, sample_locus
 
-    dirs = DirectionPair(_direction(args.u), _direction(args.v))
-    spec = IsopticSpec(_point(args.a), _point(args.b), dirs, args.theta)
+    dirs = DirectionPair(DirectionVector(*args.u), DirectionVector(*args.v))
+    spec = IsopticSpec(Point(*args.A), Point(*args.B), dirs, args.theta)
     if args.output == "svg":
         from .svg import render_svg
 
@@ -238,15 +229,7 @@ def _cmd_isoptic(args):
     curve = isoptic_curve(spec)
     samples = sample_locus(spec, args.samples)
     center = conic_center(curve.original_conic)
-    inputs = {
-        "A": list(args.a),
-        "B": list(args.b),
-        "u": list(args.u),
-        "v": list(args.v),
-        "theta": args.theta,
-        "samples": args.samples,
-    }
-    outputs = {
+    return {
         "beta": curve.beta,
         "normalized_conic": list(curve.normalized_conic.as_tuple()),
         "original_conic": list(curve.original_conic.as_tuple()),
@@ -254,39 +237,30 @@ def _cmd_isoptic(args):
         "samples": [
             {"point": [p.x, p.y], "admissible": ok} for p, ok in samples
         ],
-    }
-    return _document("isoptic", inputs, outputs, [])
+    }, []
 
 
-def _cmd_power(args) -> dict:
+def _cmd_power(args) -> tuple[dict, list[str]]:
     from .power import AxisHyperbola, core_quantity, power
 
     h = AxisHyperbola.from_directions(
-        _point(args.center), args.kappa, _direction(args.u), _direction(args.v)
+        Point(*args.center), args.kappa, DirectionVector(*args.u), DirectionVector(*args.v)
     )
-    p = _point(args.p)
+    p = Point(*args.P)
     core = core_quantity(p, h)
     rel = h.relative_coords(p)
-    inputs = {
-        "kappa": args.kappa,
-        "center": list(args.center),
-        "P": list(args.p),
-        "u": list(args.u),
-        "v": list(args.v),
-    }
-    outputs = {
+    return {
         "power": power(p, h),
         "core": core,
         "on_curve": core == 0.0,
         "tangents_exist": core < 0.0 and rel[0] != 0.0 and rel[1] != 0.0,
-    }
-    return _document("power", inputs, outputs, [])
+    }, []
 
 
-def _cmd_radical_center(args) -> dict:
+def _cmd_radical_center(args) -> tuple[dict, list[str]]:
     from .power import AxisHyperbola, radical_axis, radical_center
 
-    u, v = _direction(args.u), _direction(args.v)
+    u, v = DirectionVector(*args.u), DirectionVector(*args.v)
     curves = [
         AxisHyperbola.from_directions(Point(cx, cy), kappa, u, v)
         for cx, cy, kappa in (args.h1, args.h2, args.h3)
@@ -297,21 +271,10 @@ def _cmd_radical_center(args) -> dict:
         radical_axis(curves[1], curves[2]),
         radical_axis(curves[2], curves[0]),
     ]
-    inputs = {
-        "h1": list(args.h1),
-        "h2": list(args.h2),
-        "h3": list(args.h3),
-        "u": list(args.u),
-        "v": list(args.v),
-    }
-    outputs = {
-        "center": [center.x, center.y],
-        "axes": [_line_record(axis) for axis in axes],
-    }
-    return _document("radical-center", inputs, outputs, [])
+    return {"center": [center.x, center.y], "axes": [_line_record(axis) for axis in axes]}, []
 
 
-def _cmd_chords(args) -> dict:
+def _cmd_chords(args) -> tuple[dict, list[str]]:
     from .kernel import intersect_lines
     from .power import chord_intersection_x, chord_line, progression_quadrilateral_area
 
@@ -320,67 +283,43 @@ def _cmd_chords(args) -> dict:
         x = chord_intersection_x(t1, t2, t3, t4)
         chord1, chord2 = chord_line(t1, t2, args.kappa), chord_line(t3, t4, args.kappa)
         point = intersect_lines(chord1, chord2)
-        inputs = {"t": list(args.t), "kappa": args.kappa}
         outputs = {
             "intersection_x": x,
             "intersection": [point.x, point.y],
             "chord1": _line_record(chord1),
             "chord2": _line_record(chord2),
         }
-        diagnostics = []
-        if args.kappa != 1.0:
-            diagnostics.append(
-                "intersection_x uses the unit-kappa closed form; intersection uses kappa"
-            )
-        return _document("chords", inputs, outputs, diagnostics)
+        unit = "intersection_x uses the unit-kappa closed form; intersection uses kappa"
+        return outputs, [] if args.kappa == 1.0 else [unit]
     a, r, p = args.progression
     area = progression_quadrilateral_area(a, r, p, args.kappa)
     closed_form = args.kappa * (r + 1.0) * abs(r - 1.0) ** 3 / (2.0 * r * r)
-    inputs = {"progression": [a, r, p], "kappa": args.kappa}
-    outputs = {"area": area, "closed_form": closed_form}
-    return _document("chords", inputs, outputs, [])
+    return {"area": area, "closed_form": closed_form}, []
 
 
-def _cmd_degenerate(args) -> dict:
+def _cmd_degenerate(args) -> tuple[dict, list[str]]:
     from .degeneration import SlopePair, first_order_limit
     from .kernel import slope_cross_ratio_angle
 
     pair = SlopePair(args.m1, args.m2)
     report = first_order_limit(pair, args.t_sequence)
+    args.t_sequence = [t for t, _ in report.samples]  # inputs echoes the sequence used
     half_log = (
         slope_cross_ratio_angle(args.m1, args.m2) if args.m1 * args.m2 > 0.0 else None
     )
-    inputs = {
-        "m1": args.m1,
-        "m2": args.m2,
-        "t_sequence": [t for t, _ in report.samples],
-    }
-    outputs = {
+    return {
         "values": [[t, v] for t, v in report.samples],
         "extrapolated_limit": report.extrapolated_limit,
         "residual_order": None if math.isnan(report.residual_order) else report.residual_order,
         "slope_difference": args.m1 - args.m2,
         "half_log_angle": half_log,
-    }
-    return _document("degenerate", inputs, outputs, [])
+    }, []
 
 
-def _cmd_invariance(args) -> dict:
+def _cmd_invariance(args) -> tuple[dict, list[str]]:
     from ._invariance import invariance_deviations
 
-    inputs = {"seed": args.seed, "trials": args.trials}
-    return _document("invariance", inputs, invariance_deviations(args.trials, args.seed), [])
-
-
-_HANDLERS = {
-    "angle": _cmd_angle,
-    "isoptic": _cmd_isoptic,
-    "power": _cmd_power,
-    "radical-center": _cmd_radical_center,
-    "chords": _cmd_chords,
-    "degenerate": _cmd_degenerate,
-    "invariance": _cmd_invariance,
-}
+    return invariance_deviations(args.trials, args.seed), []
 
 
 def _emit(payload, out_path: str | None) -> None:
@@ -401,7 +340,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _emit(_HANDLERS[args.command](args), args.out)
+        result = args.handler(args)
+        if not isinstance(result, bytes):
+            outputs, diagnostics = result
+            given = vars(args)  # read after the handler, which may set what it used
+            result = {
+                "schema_version": SCHEMA_VERSION,
+                "command": args.command,
+                "inputs": {key: given[key] for key in args.echo if given[key] is not None},
+                "outputs": outputs,
+                "diagnostics": diagnostics,
+            }
+        _emit(result, args.out)
     except (GeometryError, ValueError, OverflowError) as exc:
         print(f"uvangle {args.command}: domain error: {exc}", file=sys.stderr)
         return 2

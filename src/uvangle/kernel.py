@@ -332,8 +332,9 @@ def normalize_configuration(a: Point, b: Point, dirs: DirectionPair) -> AffineMa
 
     The half-offset (b - a)/2 is decomposed as s*u + t*v; the linear part maps
     u to (1, 1)/(2s) and v to (1, -1)/(2t), and the midpoint of ab goes to the
-    origin.  Raises DegenerateConfiguration when the points coincide or the
-    segment is parallel to either reference direction.
+    origin.  Raises DegenerateConfiguration when the points coincide, the
+    segment is parallel to either reference direction, or s or t underflows
+    to 0.
     """
     hx, hy = (b.x - a.x) / 2.0, (b.y - a.y) / 2.0
     scale = max(1.0, abs(a.x), abs(a.y), abs(b.x), abs(b.y))
@@ -348,8 +349,12 @@ def normalize_configuration(a: Point, b: Point, dirs: DirectionPair) -> AffineMa
     # coordinates (x, y) to (x/(2s) + y/(2t), x/(2s) - y/(2t)); it is composed
     # with the (u, v) frame here, entry by entry.
     f = dirs._basis
-    p = 0.5 / (f.xx * hx + f.xy * hy)  # 1/(2s)
-    q = 0.5 / (f.yx * hx + f.yy * hy)  # 1/(2t)
+    s, t = f.xx * hx + f.xy * hy, f.yx * hx + f.yy * hy
+    # h is parallel to neither direction, so s or t is 0 only by underflow.
+    for name, value in (("s", s), ("t", t)):
+        if value == 0.0:
+            raise DegenerateConfiguration(f"segment's (u, v) coordinate {name} underflows to 0")
+    p, q = 0.5 / s, 0.5 / t  # 1/(2s), 1/(2t)
     xx, xy = p * f.xx + q * f.yx, p * f.xy + q * f.yy
     yx, yy = p * f.xx - q * f.yx, p * f.xy - q * f.yy
     mx, my = (a.x + b.x) / 2.0, (a.y + b.y) / 2.0

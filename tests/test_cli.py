@@ -10,6 +10,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uvangle.cli import build_parser, main
 
@@ -488,3 +490,129 @@ def test_help_matches_its_golden(monkeypatch):
     golden = Path(__file__).parent / "golden" / "help"
     for name, parser in _parsers().items():
         assert parser.format_help() == (golden / f"{name or 'uvangle'}.txt").read_text(), name
+
+
+@pytest.mark.parametrize(
+    "coordinate, frame",
+    [
+        # The frame's determinant overflows, so both coordinates come out 0.
+        ("s", ("--A", "1e-300,1e-200", "--B", "0.5,1e-300", "--u", "1e-200,-1e308",
+               "--v", "123456789,1")),
+        ("t", ("--A", "-2e-12,-2.1e-22", "--B", "2e-12,2.1e-22", "--u", "1,0",
+               "--v", "0,1.7e308")),
+    ],
+)
+def test_underflowing_segment_coordinate_is_named(coordinate, frame):
+    proc = run_cli("isoptic", *frame, "--theta", "1", "--samples", "3")
+    assert assert_one_line_error(proc, 2) == (
+        f"uvangle isoptic: domain error: segment's (u, v) coordinate {coordinate} underflows to 0"
+    )
+
+
+ALPHA_UNDERFLOWS = (
+    "angle", "--O", "-1e-200,2", "--A", "2.2250738585072014e-308,2", "--B", "2,-3",
+    "--u", "-3,1e308", "--v", "-0.25,0.5",
+)
+
+
+def test_underflowing_ray_coordinate_is_named():
+    assert assert_one_line_error(run_cli(*ALPHA_UNDERFLOWS), 2) == (
+        "uvangle angle: domain error: ray OA's (u, v) coordinate alpha underflows to 0"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [((*ISOPTIC, "--theta", "1", "--samples"), 65_536), (("invariance", "--trials"), 100_000)],
+)
+def test_counts_are_capped_when_parsed(capsys, argv, cap):
+    parser = build_parser()
+    assert vars(parser.parse_args([*argv, str(cap)]))[argv[-1][2:]] == cap
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([*argv, str(cap + 1)])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == (
+        f"uvangle {argv[0]}: error: argument {argv[-1]}: must be at most {cap}, got {cap + 1}\n"
+    )
+
+
+# The contract fuzzer's grammar: extreme, non-finite and malformed number spellings,
+# small counts and each count cap + 1 (a count just below a cap would run for seconds).
+NUMBERS = (
+    "0", "-0.0", "1", "-1", "5e-324", "-5e-324", "2.2250738585072014e-308",
+    "-2.2250738585072014e-308", "1e200", "-1e200", "1e-200", "-1e-200", "1e300", "-1e300",
+    "1e-300", "-1e-300", "1e308", "-1e308", "1.7976931348623157e308",
+    "-1.7976931348623157e308", "nan", "inf", "-inf", "1e999", "-1e999", "x", "",
+)
+
+
+# Half the draws are finite, so that more runs get past the parser.
+NUMBER = st.sampled_from(NUMBERS[:20]) | st.sampled_from(NUMBERS)
+
+
+def numbers(k: int):
+    return st.lists(NUMBER, min_size=k, max_size=k).map(",".join)
+
+
+def optional(values):
+    return st.none() | values
+
+
+PAIR, FRAME = numbers(2), (("--u", optional(numbers(2))), ("--v", optional(numbers(2))))
+GRAMMAR = {
+    "angle": (("--O", PAIR), ("--A", PAIR), ("--B", PAIR), ("--u", PAIR), ("--v", PAIR)),
+    "isoptic": (
+        ("--A", PAIR), ("--B", PAIR), ("--u", PAIR), ("--v", PAIR), ("--theta", numbers(1)),
+        ("--samples", optional(st.sampled_from(("-1", "0", "1", "2", "3", "5", "x", "65537")))),
+    ),
+    "power": (("--kappa", numbers(1)), ("--center", PAIR), ("--P", PAIR), *FRAME),
+    "radical-center": (("--h1", numbers(3)), ("--h2", numbers(3)), ("--h3", numbers(3)), *FRAME),
+    "chords": (
+        ("--t", optional(numbers(4))), ("--progression", optional(numbers(3))),
+        ("--kappa", optional(numbers(1))),
+    ),
+    "degenerate": (
+        ("--m1", numbers(1)), ("--m2", numbers(1)),
+        ("--t-sequence", optional(st.integers(1, 4).flatmap(numbers))),
+    ),
+    "invariance": (
+        ("--trials", optional(st.sampled_from(("-1", "0", "1", "2", "3", "x", "100001")))),
+        ("--seed", optional(st.sampled_from(("0", "7", "-3", "x")))),
+    ),
+}
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    argv = [command]
+    for flag, values in GRAMMAR[command]:
+        value = draw(values)
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # perfbench's in-process runner and its contract rule, imported as the benchmark does.
+    root = Path(__file__).resolve().parent.parent
+    sys.path.insert(0, str(root / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(root / "perfbench"))
+    workloads.load_uvangle(str(root / "src"))
+    return workloads
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@example(argv=[
+    "isoptic", "--A", "1e-300,1e-200", "--B", "0.5,1e-300", "--u", "1e-200,-1e308",
+    "--v", "123456789,1", "--theta", "1", "--samples", "3",
+])
+@example(argv=list(ALPHA_UNDERFLOWS))
+@given(argv=cli_argv())
+def test_every_command_ends_in_json_or_one_error_line(workloads, argv):
+    code, stdout, stderr = workloads.run_in_process(argv)
+    assert workloads.contract_violation(code, stdout, stderr) is None, (argv, code, stderr)
