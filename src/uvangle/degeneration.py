@@ -75,6 +75,8 @@ def first_order_limit(m: SlopePair, t_sequence: list[float] | None = None) -> Li
     if len(samples) >= 2:
         (t_prev, v_prev), (t_last, v_last) = samples[-2], samples[-1]
         w = t_prev * t_prev - t_last * t_last
+        if w == 0.0:  # t_prev > t_last > 0, so only by underflow
+            raise ValueError(f"t = {t_prev!r} is too small to extrapolate from: t**2 underflows")
         extrapolated = (t_prev * t_prev * v_last - t_last * t_last * v_prev) / w
     else:
         extrapolated = samples[0][1]

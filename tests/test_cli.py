@@ -492,33 +492,37 @@ def test_help_matches_its_golden(monkeypatch):
         assert parser.format_help() == (golden / f"{name or 'uvangle'}.txt").read_text(), name
 
 
-@pytest.mark.parametrize(
-    "coordinate, frame",
-    [
-        # The frame's determinant overflows, so both coordinates come out 0.
-        ("s", ("--A", "1e-300,1e-200", "--B", "0.5,1e-300", "--u", "1e-200,-1e308",
-               "--v", "123456789,1")),
-        ("t", ("--A", "-2e-12,-2.1e-22", "--B", "2e-12,2.1e-22", "--u", "1,0",
-               "--v", "0,1.7e308")),
-    ],
+# Each divided by a value that underflowed to 0 and printed a ZeroDivisionError traceback.
+ISOPTIC_S_UNDERFLOWS = (  # the frame's determinant overflows, so s and t both come out 0
+    "isoptic", "--A", "1e-300,1e-200", "--B", "0.5,1e-300", "--u", "1e-200,-1e308",
+    "--v", "123456789,1", "--theta", "1", "--samples", "3",
 )
-def test_underflowing_segment_coordinate_is_named(coordinate, frame):
-    proc = run_cli("isoptic", *frame, "--theta", "1", "--samples", "3")
-    assert assert_one_line_error(proc, 2) == (
-        f"uvangle isoptic: domain error: segment's (u, v) coordinate {coordinate} underflows to 0"
-    )
-
-
 ALPHA_UNDERFLOWS = (
     "angle", "--O", "-1e-200,2", "--A", "2.2250738585072014e-308,2", "--B", "2,-3",
     "--u", "-3,1e308", "--v", "-0.25,0.5",
 )
+T_SQUARED_UNDERFLOWS = (
+    "degenerate", "--m1", "2.2250738585072014e-308", "--m2", "0.5",
+    "--t-sequence", "1e-200,1e-300",
+)
 
 
-def test_underflowing_ray_coordinate_is_named():
-    assert assert_one_line_error(run_cli(*ALPHA_UNDERFLOWS), 2) == (
-        "uvangle angle: domain error: ray OA's (u, v) coordinate alpha underflows to 0"
-    )
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (ISOPTIC_S_UNDERFLOWS, "segment's (u, v) coordinate s underflows to 0"),
+        (
+            ("isoptic", "--A", "-2e-12,-2.1e-22", "--B", "2e-12,2.1e-22", "--u", "1,0",
+             "--v", "0,1.7e308", "--theta", "1"),
+            "segment's (u, v) coordinate t underflows to 0",
+        ),
+        (ALPHA_UNDERFLOWS, "ray OA's (u, v) coordinate alpha underflows to 0"),
+        (T_SQUARED_UNDERFLOWS, "t = 1e-200 is too small to extrapolate from: t**2 underflows"),
+    ],
+)
+def test_underflow_is_a_named_domain_error(argv, message):
+    line = assert_one_line_error(run_cli(*argv), 2)
+    assert line == f"uvangle {argv[0]}: domain error: {message}"
 
 
 @pytest.mark.parametrize(
@@ -544,9 +548,8 @@ NUMBERS = (
     "1e-300", "-1e-300", "1e308", "-1e308", "1.7976931348623157e308",
     "-1.7976931348623157e308", "nan", "inf", "-inf", "1e999", "-1e999", "x", "",
 )
-
-
-# Half the draws are finite, so that more runs get past the parser.
+# The first 20 spellings are finite; drawing from them half the time gets more runs
+# past the parser.
 NUMBER = st.sampled_from(NUMBERS[:20]) | st.sampled_from(NUMBERS)
 
 
@@ -607,11 +610,9 @@ def workloads():
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
-@example(argv=[
-    "isoptic", "--A", "1e-300,1e-200", "--B", "0.5,1e-300", "--u", "1e-200,-1e308",
-    "--v", "123456789,1", "--theta", "1", "--samples", "3",
-])
+@example(argv=list(ISOPTIC_S_UNDERFLOWS))
 @example(argv=list(ALPHA_UNDERFLOWS))
+@example(argv=list(T_SQUARED_UNDERFLOWS))
 @given(argv=cli_argv())
 def test_every_command_ends_in_json_or_one_error_line(workloads, argv):
     code, stdout, stderr = workloads.run_in_process(argv)
