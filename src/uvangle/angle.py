@@ -22,13 +22,14 @@ from .kernel import (
     DirectionVector,
     Point,
     Ray,
+    _check_finite,
+    _cross_if_independent,
     _Frozen,
     _set,
     distance,
     dot,
     is_parallel,
     slope_cross_ratio_angle,
-    vec,
 )
 
 # The public names of ``area_ratio``, kept importable from here.
@@ -72,10 +73,38 @@ def _require_vertex(ray: Ray, o: Point) -> None:
         raise ValueError("ray must emanate from the vertex")
 
 
-def _ray_direction(o: Point, p: Point, name: str) -> DirectionVector:
+def _offset(o: Point, p: Point, name: str) -> tuple[float, float]:
+    """Direction from the vertex o to p; ValueError when they coincide or it overflows."""
     if p.x == o.x and p.y == o.y:
         raise ValueError(f"point {name} coincides with the vertex")
-    return vec(o, p)  # raises ValueError when the offset overflows
+    dx, dy = p.x - o.x, p.y - o.y
+    if not (math.isfinite(dx) and math.isfinite(dy)):
+        _check_finite(dx, dy)
+    return dx, dy
+
+
+def _slope(dx: float, dy: float, dirs: DirectionPair, name: str) -> float:
+    """Slope beta/alpha of the direction (dx, dy) = alpha*u + beta*v.
+
+    Raises SingularRay when the direction is parallel to u or v, ValueError
+    when its (u, v) coordinates overflow or both underflow to 0, and
+    SingularRay when alpha alone underflows to 0, in that order.
+    """
+    u, v = dirs.u, dirs.v
+    if (
+        _cross_if_independent(dx, dy, u.dx, u.dy) == 0.0
+        or _cross_if_independent(dx, dy, v.dx, v.dy) == 0.0
+    ):
+        raise SingularRay(f"ray {name} is parallel to a reference direction")
+    f = dirs._basis
+    alpha, beta = f.xx * dx + f.xy * dy, f.yx * dx + f.yy * dy  # the frame's apply_linear
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        _check_finite(alpha, beta)
+    if alpha == 0.0:
+        if beta == 0.0:
+            raise ValueError("direction vector must be nonzero")
+        raise SingularRay(f"ray {name}'s (u, v) coordinate alpha underflows to 0")
+    return beta / alpha
 
 
 def ray_slope(d: DirectionVector, dirs: DirectionPair, name: str) -> float:
@@ -83,18 +112,13 @@ def ray_slope(d: DirectionVector, dirs: DirectionPair, name: str) -> float:
 
     Raises SingularRay when d is parallel to u or v, or when alpha underflows to 0.
     """
-    if is_parallel(d, dirs.u) or is_parallel(d, dirs.v):
-        raise SingularRay(f"ray {name} is parallel to a reference direction")
-    c = dirs._basis.apply_linear(d)
-    if c.dx == 0.0:
-        raise SingularRay(f"ray {name}'s (u, v) coordinate alpha underflows to 0")
-    return c.dy / c.dx
+    return _slope(d.dx, d.dy, dirs, name)
 
 
 def _slope_pair(o: Point, a: Point, b: Point, dirs: DirectionPair) -> tuple[float, float]:
-    da = _ray_direction(o, a, "A")
-    db = _ray_direction(o, b, "B")
-    return ray_slope(da, dirs, "OA"), ray_slope(db, dirs, "OB")
+    ax, ay = _offset(o, a, "A")
+    bx, by = _offset(o, b, "B")
+    return _slope(ax, ay, dirs, "OA"), _slope(bx, by, dirs, "OB")
 
 
 def affine_angle(o: Point, a: Point, b: Point, dirs: DirectionPair) -> AngleResult:
@@ -107,7 +131,7 @@ def affine_angle(o: Point, a: Point, b: Point, dirs: DirectionPair) -> AngleResu
         return AngleResult.non_real(
             f"rays OA, OB lie in different components (sigma signs {sign_a}, {sign_b})"
         )
-    return AngleResult.real(slope_cross_ratio_angle(m_a, m_b))
+    return AngleResult(slope_cross_ratio_angle(m_a, m_b))
 
 
 def is_same_component(o: Point, a: Point, b: Point, dirs: DirectionPair) -> bool:
@@ -124,8 +148,8 @@ def midpoint_ray(o: Point, r: Ray, s: Ray, dirs: DirectionPair) -> Ray:
     """
     _require_vertex(r, o)
     _require_vertex(s, o)
-    m_r = ray_slope(r.dir, dirs, "r")
-    m_s = ray_slope(s.dir, dirs, "s")
+    m_r = _slope(r.dir.dx, r.dir.dy, dirs, "r")
+    m_s = _slope(s.dir.dx, s.dir.dy, dirs, "s")
     if m_r * m_s <= 0.0:
         raise ComponentMismatch("rays lie in different components")
     m_t = math.copysign(math.sqrt(m_r * m_s), m_r)

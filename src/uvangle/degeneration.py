@@ -43,8 +43,9 @@ class LimitReport(_Frozen):
 def degenerate_cross_ratio(m: SlopePair, t: float) -> float:
     """((1 - m1 t)(1 + m2 t)) / ((1 + m1 t)(1 - m2 t))."""
     factors = (1.0 - m.m1 * t, 1.0 + m.m2 * t, 1.0 + m.m1 * t, 1.0 - m.m2 * t)
+    floor = ABS_EPS * max(1.0, abs(m.m1 * t), abs(m.m2 * t))
     for f in factors:
-        if abs(f) <= ABS_EPS * max(1.0, abs(m.m1 * t), abs(m.m2 * t)):
+        if abs(f) <= floor:
             raise PoleAtT(f"t = {t!r} hits a pole or zero of the cross ratio")
     return (factors[0] * factors[1]) / (factors[2] * factors[3])
 
@@ -57,6 +58,9 @@ def first_order_limit(m: SlopePair, t_sequence: list[float] | None = None) -> Li
     smallest t values removes the leading t^2 term.  residual_order is the
     log-log slope of |value - (m1 - m2)| against t over the samples whose
     residuals exceed the roundoff floor (NaN when fewer than two qualify).
+    Raises ValueError when the smallest t is so small that 1 + |m| t rounds to
+    1 for either slope: every factor of the cross ratio would then be 1 and
+    the samples would carry no trace of the slopes.
     """
     if t_sequence is None:
         t_sequence = list(_DEFAULT_T_SEQUENCE)
@@ -70,13 +74,22 @@ def first_order_limit(m: SlopePair, t_sequence: list[float] | None = None) -> Li
     if any(t > bound for t in t_sequence):
         raise PoleAtT(f"t values must stay below {bound!r} to keep clear of the poles")
 
-    samples = [(t, math.log(degenerate_cross_ratio(m, t)) / (-2.0 * t)) for t in t_sequence]
-
-    if len(samples) >= 2:
-        (t_prev, v_prev), (t_last, v_last) = samples[-2], samples[-1]
-        w = t_prev * t_prev - t_last * t_last
+    t_last = t_sequence[-1]
+    if len(t_sequence) >= 2:
+        t_prev = t_sequence[-2]
+        w = t_prev * t_prev - t_last * t_last  # the Richardson weight
         if w == 0.0:  # t_prev > t_last > 0, so only by underflow
             raise ValueError(f"t = {t_prev!r} is too small to extrapolate from: t**2 underflows")
+    for name, slope in (("m1", m.m1), ("m2", m.m2)):
+        if 1.0 + abs(slope) * t_last == 1.0:  # 1 + |m|*t grows with t: test the smallest t
+            raise ValueError(
+                f"t = {t_last!r} is too small for {name} = {slope!r}: 1 + |{name}|*t rounds to 1"
+            )
+
+    samples = [(t, math.log(degenerate_cross_ratio(m, t)) / (-2.0 * t)) for t in t_sequence]
+
+    if len(t_sequence) >= 2:
+        v_prev, v_last = samples[-2][1], samples[-1][1]
         extrapolated = (t_prev * t_prev * v_last - t_last * t_last * v_prev) / w
     else:
         extrapolated = samples[0][1]

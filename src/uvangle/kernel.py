@@ -1,10 +1,18 @@
 """Planar primitives: points, directions, lines, rays, affine maps, and slopes.
 
 Coordinates are IEEE-754 doubles.  Scalar comparisons use a relative
-tolerance with a small absolute floor.  Direction predicates compare
-products of the coordinates, so they are scale invariant while those
-products stay representable (not for directions scaled by 2^1000 or
-2^-1000).  The (u, v) frame of the reference directions (``basis_map``,
+tolerance with a small absolute floor.  Every direction test goes through
+one float predicate, ``_cross_if_independent``: it takes two directions as
+coordinates, not values, and returns their cross product, or 0.0 when the
+sine between them is at most PAR_EPS, so a caller that needs the cross
+product (``basis_map``, ``intersect_lines``) computes it once.  It compares
+products of the coordinates, so it is scale invariant while those products
+stay representable (not for directions scaled by 2^1000 or 2^-1000);
+``is_parallel`` is the same test on two ``DirectionVector`` values.  The
+query paths of this package work on floats from the caller's values to the
+result and build no intermediate values; where a value's constructor would
+have rejected an intermediate, they raise its error in the same order.  The
+(u, v) frame of the reference directions (``basis_map``,
 kept by ``DirectionPair``) and the slope form of the angle in it live
 here.  All operations are pure, so everything here is safe to share freely
 between threads.
@@ -136,10 +144,21 @@ def dot(d1: DirectionVector, d2: DirectionVector) -> float:
     return d1.dx * d2.dx + d1.dy * d2.dy
 
 
+def _cross_if_independent(x1: float, y1: float, x2: float, y2: float) -> float:
+    """The cross product x1*y2 - y1*x2, or 0.0 when the two directions are parallel.
+
+    Parallel means |cross| <= PAR_EPS * |(x1, y1)| * |(x2, y2)|, so a nonzero
+    result always belongs to independent directions.
+    """
+    c = x1 * y2 - y1 * x2
+    if abs(c) <= PAR_EPS * math.hypot(x1, y1) * math.hypot(x2, y2):
+        return 0.0
+    return c
+
+
 def is_parallel(d1: DirectionVector, d2: DirectionVector) -> bool:
     """Scale-invariant parallelism test: |d1 x d2| <= PAR_EPS * |d1| * |d2|."""
-    x1, y1, x2, y2 = d1.dx, d1.dy, d2.dx, d2.dy
-    return abs(x1 * y2 - y1 * x2) <= PAR_EPS * math.hypot(x1, y1) * math.hypot(x2, y2)
+    return _cross_if_independent(d1.dx, d1.dy, d2.dx, d2.dy) == 0.0
 
 
 def translate(p: Point, d: DirectionVector, t: float = 1.0) -> Point:
@@ -241,9 +260,9 @@ def signed_area(x: Point, y: Point, z: Point) -> float:
 
 
 def intersect_lines(l1: Line, l2: Line) -> Point:
-    if is_parallel(l1.dir, l2.dir):
+    den = _cross_if_independent(l1.dir.dx, l1.dir.dy, l2.dir.dx, l2.dir.dy)
+    if den == 0.0:
         raise ParallelLines("lines are parallel within tolerance")
-    den = cross(l1.dir, l2.dir)
     ox, oy = l2.base.x - l1.base.x, l2.base.y - l1.base.y
     t = (ox * l2.dir.dy - oy * l2.dir.dx) / den
     return l1.point_at(t)
@@ -262,16 +281,22 @@ def apply_map(t: AffineMap, g):
     raise TypeError(f"cannot apply an affine map to {type(g).__name__}")
 
 
+def _invertible_det(t: AffineMap) -> float:
+    """The determinant of t; raises SingularMap when |det| <= ABS_EPS * (largest |entry|)^2."""
+    det = t.det
+    scale = max(abs(t.xx), abs(t.xy), abs(t.yx), abs(t.yy))
+    if abs(det) <= ABS_EPS * scale * scale:
+        raise SingularMap(f"linear part is singular (det = {det!r})")
+    return det
+
+
 def invert_map(t: AffineMap) -> AffineMap:
     """Inverse map; raises SingularMap when |det| <= ABS_EPS * (largest |entry|)^2.
 
     The threshold is relative to the entries, so a well-conditioned map of any
     scale inverts.
     """
-    det = t.det
-    scale = max(abs(t.xx), abs(t.xy), abs(t.yx), abs(t.yy))
-    if abs(det) <= ABS_EPS * scale * scale:
-        raise SingularMap(f"linear part is singular (det = {det!r})")
+    det = _invertible_det(t)
     xx, xy, yx, yy = t.yy / det, -t.xy / det, -t.yx / det, t.xx / det
     tx = -(xx * t.tx + xy * t.ty)
     ty = -(yx * t.tx + yy * t.ty)
@@ -293,11 +318,15 @@ def compose_maps(t1: AffineMap, t2: AffineMap) -> AffineMap:
 def basis_map(u: DirectionVector, v: DirectionVector) -> AffineMap:
     """Linear map sending u to (1, 0) and v to (0, 1): the (u, v) coordinate frame.
 
-    Raises DegenerateConfiguration when u and v are parallel within PAR_EPS.
+    Raises DegenerateConfiguration when u and v are parallel within PAR_EPS,
+    and OverflowError when cross(u, v) overflows, which would divide every
+    entry down to 0.
     """
-    if is_parallel(u, v):
+    den = _cross_if_independent(u.dx, u.dy, v.dx, v.dy)
+    if den == 0.0:
         raise DegenerateConfiguration("reference directions are linearly dependent")
-    den = cross(u, v)
+    if not math.isfinite(den):  # nan only as inf - inf
+        raise OverflowError(f"reference directions' cross product overflows: cross(u, v) = {den!r}")
     return AffineMap(v.dy / den, -v.dx / den, -u.dy / den, u.dx / den)
 
 
@@ -334,7 +363,7 @@ def normalize_configuration(a: Point, b: Point, dirs: DirectionPair) -> AffineMa
     u to (1, 1)/(2s) and v to (1, -1)/(2t), and the midpoint of ab goes to the
     origin.  Raises DegenerateConfiguration when the points coincide, the
     segment is parallel to either reference direction, or s or t underflows
-    to 0.
+    to 0 or is too small for 1/(2s) or 1/(2t) to be finite.
     """
     hx, hy = (b.x - a.x) / 2.0, (b.y - a.y) / 2.0
     scale = max(1.0, abs(a.x), abs(a.y), abs(b.x), abs(b.y))
@@ -355,6 +384,12 @@ def normalize_configuration(a: Point, b: Point, dirs: DirectionPair) -> AffineMa
         if value == 0.0:
             raise DegenerateConfiguration(f"segment's (u, v) coordinate {name} underflows to 0")
     p, q = 0.5 / s, 0.5 / t  # 1/(2s), 1/(2t)
+    for name, value, inverse in (("s", s, p), ("t", t, q)):
+        if math.isinf(inverse):  # s or t is subnormal
+            raise DegenerateConfiguration(
+                f"segment's (u, v) coordinate {name} = {value!r} is too small: "
+                f"1/(2{name}) overflows"
+            )
     xx, xy = p * f.xx + q * f.yx, p * f.xy + q * f.yy
     yx, yy = p * f.xx - q * f.yx, p * f.xy - q * f.yy
     mx, my = (a.x + b.x) / 2.0, (a.y + b.y) / 2.0

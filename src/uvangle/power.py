@@ -39,7 +39,9 @@ from .kernel import (
     DirectionVector,
     Line,
     Point,
+    _check_finite,
     _Frozen,
+    _invertible_det,
     _set,
     basis_map,
     compose_maps,
@@ -63,16 +65,24 @@ class AxisHyperbola(_Frozen):
     def __init__(self, center: Point, kappa: float, frame: AffineMap) -> None:
         if not math.isfinite(kappa) or kappa == 0.0:
             raise ValueError("kappa must be finite and nonzero")
-        inverse = invert_map(frame)  # raises SingularMap for a degenerate frame
         if kappa < 0.0:
+            # The given frame decides singularity, so a SingularMap prints its
+            # determinant; only the reflected frame is inverted.  Its inverse is
+            # the given frame's with the first column negated, but inverting it
+            # directly keeps the zero signs that negation would flip.
+            _invertible_det(frame)
             frame, kappa = compose_maps(_REFLECT_X, frame), -kappa
-            inverse = invert_map(frame)  # negating a column of the first one flips zero signs
-        c = frame.apply_point(center)
+        inverse = invert_map(frame)  # raises SingularMap for a degenerate frame
+        # The frame's apply_point on the center, with the ValueError of its Point.
+        cx = frame.xx * center.x + frame.xy * center.y + frame.tx
+        cy = frame.yx * center.x + frame.yy * center.y + frame.ty
+        if not (math.isfinite(cx) and math.isfinite(cy)):
+            _check_finite(cx, cy)
         _set(self, "center", center)
         _set(self, "kappa", kappa)
         _set(self, "frame", frame)
         _set(self, "_inverse", inverse)
-        _set(self, "_frame_center", (c.x, c.y))
+        _set(self, "_frame_center", (cx, cy))
 
     @classmethod
     def axis_aligned(cls, center: Point, kappa: float) -> "AxisHyperbola":
@@ -91,9 +101,12 @@ class AxisHyperbola(_Frozen):
 
     def relative_coords(self, p: Point) -> tuple[float, float]:
         """Frame coordinates of p relative to the center."""
-        q = self.frame.apply_point(p)
-        c, d = self.frame_center()
-        return q.x - c, q.y - d
+        f = self.frame  # the frame's apply_point, with its ValueError for non-finite values
+        x, y = f.xx * p.x + f.xy * p.y + f.tx, f.yx * p.x + f.yy * p.y + f.ty
+        if not (math.isfinite(x) and math.isfinite(y)):
+            _check_finite(x, y)
+        c, d = self._frame_center
+        return x - c, y - d
 
     def point_at(self, alpha: float) -> Point:
         """The curve point with center-relative frame abscissa alpha."""
@@ -130,11 +143,18 @@ def secant_intersections(p: Point, direction: DirectionVector, h: AxisHyperbola)
     directions meet the curve at most once and raise NoRealIntersection.
     """
     px, py = h.relative_coords(p)
-    d = h.frame.apply_linear(direction)
-    a2 = d.dx * d.dy
-    if abs(a2) <= PAR_EPS * d.norm * d.norm:
+    f = h.frame  # the frame's apply_linear, with the checks of its DirectionVector
+    dx = f.xx * direction.dx + f.xy * direction.dy
+    dy = f.yx * direction.dx + f.yy * direction.dy
+    if not (math.isfinite(dx) and math.isfinite(dy)):
+        _check_finite(dx, dy)
+    if dx == 0.0 and dy == 0.0:
+        raise ValueError("direction vector must be nonzero")
+    a2 = dx * dy
+    norm = math.hypot(dx, dy)
+    if abs(a2) <= PAR_EPS * norm * norm:
         raise NoRealIntersection("secant direction is parallel to an asymptote")
-    a1 = d.dx * py + d.dy * px
+    a1 = dx * py + dy * px
     a0 = px * py - h.kappa
     disc = a1 * a1 - 4.0 * a2 * a0
     scale = a1 * a1 + abs(4.0 * a2 * a0)
@@ -149,12 +169,15 @@ def secant_intersections(p: Point, direction: DirectionVector, h: AxisHyperbola)
         t1, t2 = q / a2, a0 / q
         if t1 > t2:
             t1, t2 = t2, t1
-    c, dcenter = h.frame_center()
+    c, dcenter = h._frame_center
+    g = h._inverse
 
     def original(t: float) -> tuple[Point, float]:
-        alpha = px + t * d.dx
-        frame_point = Point(c + alpha, dcenter + (py + t * d.dy))
-        return h._inverse.apply_point(frame_point), alpha
+        alpha = px + t * dx
+        x, y = c + alpha, dcenter + (py + t * dy)  # the frame point, mapped back by g
+        if not (math.isfinite(x) and math.isfinite(y)):
+            _check_finite(x, y)
+        return Point(g.xx * x + g.xy * y + g.tx, g.yx * x + g.yy * y + g.ty), alpha
 
     point_a, alpha = original(t1)
     point_b, beta = original(t2)
@@ -187,19 +210,27 @@ def chord_intersection_x(t1: float, t2: float, t3: float, t4: float) -> float:
 def _monic_in_frame(h: AxisHyperbola, other: AxisHyperbola) -> tuple[float, float, float]:
     """Coefficients (ex, ey, e0) of the monic form w_x*w_y + ex*w_x + ey*w_y + e0
     of ``h`` expressed in the frame coordinates of ``other``."""
-    m = compose_maps(h.frame, other._inverse)
-    entries = (abs(m.xx), abs(m.xy), abs(m.yx), abs(m.yy))
-    scale = max(entries)
-    tol = REL_EPS * scale
-    c, d = h.frame_center()
-    if abs(m.xy) <= tol and abs(m.yx) <= tol:
-        # z_x = m.xx*wx + tx, z_y = m.yy*wy + ty
-        gx, gy = m.tx - c, m.ty - d
-        return gy / m.yy, gx / m.xx, (gx * gy - h.kappa) / (m.xx * m.yy)
-    if abs(m.xx) <= tol and abs(m.yy) <= tol:
-        # z_x = m.xy*wy + tx, z_y = m.yx*wx + ty
-        gx, gy = m.tx - c, m.ty - d
-        return gx / m.xy, gy / m.yx, (gx * gy - h.kappa) / (m.xy * m.yx)
+    f, g = h.frame, other._inverse
+    # The entries of compose_maps(f, g), with the checks of its AffineMap.
+    xx, xy = f.xx * g.xx + f.xy * g.yx, f.xx * g.xy + f.xy * g.yy
+    yx, yy = f.yx * g.xx + f.yy * g.yx, f.yx * g.xy + f.yy * g.yy
+    tx = f.xx * g.tx + f.xy * g.ty + f.tx
+    ty = f.yx * g.tx + f.yy * g.ty + f.ty
+    if not (
+        math.isfinite(xx) and math.isfinite(xy) and math.isfinite(yx)
+        and math.isfinite(yy) and math.isfinite(tx) and math.isfinite(ty)
+    ):
+        _check_finite(xx, xy, yx, yy, tx, ty)
+    tol = REL_EPS * max(abs(xx), abs(xy), abs(yx), abs(yy))
+    c, d = h._frame_center
+    if abs(xy) <= tol and abs(yx) <= tol:
+        # z_x = xx*wx + tx, z_y = yy*wy + ty
+        gx, gy = tx - c, ty - d
+        return gy / yy, gx / xx, (gx * gy - h.kappa) / (xx * yy)
+    if abs(xx) <= tol and abs(yy) <= tol:
+        # z_x = xy*wy + tx, z_y = yx*wx + ty
+        gx, gy = tx - c, ty - d
+        return gx / xy, gy / yx, (gx * gy - h.kappa) / (xy * yx)
     raise NonLinearDifference("hyperbolas do not share an asymptote direction pair")
 
 
@@ -220,12 +251,22 @@ def radical_axis(h1: AxisHyperbola, h2: AxisHyperbola) -> Line:
         if abs(e0) <= tol:
             raise IdenticalCurves("the two hyperbolas coincide")
         raise EmptyRadicalAxis("equal centers with different kappa give an empty axis")
+    # The base point (bx, by) and direction (dx, dy) in h1's frame, with the
+    # checks of their values, mapped back by h1's inverse frame.
     if abs(ex) >= abs(ey):
-        base = Point(-e0 / ex, 0.0)
+        bx, by = -e0 / ex, 0.0
     else:
-        base = Point(0.0, -e0 / ey)
-    direction = DirectionVector(-ey, ex)
-    return Line(h1._inverse.apply_point(base), h1._inverse.apply_linear(direction))
+        bx, by = 0.0, -e0 / ey
+    dx, dy = -ey, ex
+    if not (math.isfinite(bx) and math.isfinite(by)):
+        _check_finite(bx, by)
+    if not (math.isfinite(dx) and math.isfinite(dy)):
+        _check_finite(dx, dy)
+    g = h1._inverse
+    return Line(
+        Point(g.xx * bx + g.xy * by + g.tx, g.yx * bx + g.yy * by + g.ty),
+        DirectionVector(g.xx * dx + g.xy * dy, g.yx * dx + g.yy * dy),
+    )
 
 
 def radical_center(h1: AxisHyperbola, h2: AxisHyperbola, h3: AxisHyperbola) -> Point:

@@ -5,7 +5,8 @@ and that map's inverse, ``AxisHyperbola`` its inverse frame and frame
 center.  The call counts go through every ``uvangle`` module namespace, the
 way perfbench's tracer rebinds functions, so a consumer that builds one of
 those maps again shows up as an extra call.  The kernel entry points that
-take a ``DirectionPair`` read its basis and build none.
+take a ``DirectionPair`` read its basis and build none, and the query paths
+build no ``DirectionVector`` or ``AffineMap`` on the way to their result.
 """
 
 import copy
@@ -29,9 +30,11 @@ from uvangle import (
     Point,
     affine_angle,
     decompose,
+    is_same_component,
     normalize_configuration,
     sample_locus,
     secant_intersections,
+    sector_area_equivalence,
 )
 
 COUNTED = ("normalize_configuration", "invert_map", "basis_map", "decompose")
@@ -85,6 +88,13 @@ def test_radical_center_inverts_each_frame_once(calls, capsys):
     assert calls["invert_map"] == 3
 
 
+def test_reflected_radical_center_inverts_each_frame_once(calls, capsys):
+    # kappa < 0 reflects the frame; only the reflected frame is inverted.
+    run_main("radical-center", "--h1", "0,0,-1", "--h2", "-1,-0.5,-3", "--h3", "1,2,2",
+             "--u", "2,0.5", "--v", "-0.6,1.5")
+    assert calls["invert_map"] == 3
+
+
 def test_angle_builds_the_basis_once(calls, capsys):
     run_main("angle", "--O", "0.5,-0.25", "--A", "3,1.5", "--B", "1.5,2",
              "--u", "2,0.5", "--v", "-0.6,1.5")
@@ -100,6 +110,36 @@ def test_pair_entry_points_build_no_basis(calls):
     c = DIRS._basis.apply_linear(d)
     assert decompose(d, DIRS) == (c.dx, c.dy)
     assert calls["basis_map"] == 0
+
+
+@pytest.fixture
+def constructed(monkeypatch):
+    counts: Counter = Counter()
+    for cls in (DirectionVector, AffineMap):
+        def init(self, *args, _name=cls.__name__, _init=cls.__init__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    return counts
+
+
+O, A, B = Point(0.5, -0.25), Point(3.0, 1.5), Point(1.5, 2.0)
+SECANT = DirectionVector(1.0, 0.3)
+QUERIES = {
+    "affine_angle": lambda h: affine_angle(O, A, B, DIRS),
+    "is_same_component": lambda h: is_same_component(O, A, B, DIRS),
+    "sector_area_equivalence": lambda h: sector_area_equivalence(O, A, B, DIRS),
+    "secant_intersections": lambda h: secant_intersections(B, SECANT, h),
+}
+
+
+@pytest.mark.parametrize("query", QUERIES)
+def test_queries_build_no_directions_or_maps(constructed, query):
+    h = AxisHyperbola.from_directions(Point(0.5, -1.0), -1.5, DIRS.u, DIRS.v)
+    constructed.clear()  # the arguments and the curve are the caller's
+    QUERIES[query](h)
+    assert constructed == {}
 
 
 def pickled(value):

@@ -493,9 +493,9 @@ def test_help_matches_its_golden(monkeypatch):
 
 
 # Each divided by a value that underflowed to 0 and printed a ZeroDivisionError traceback.
-ISOPTIC_S_UNDERFLOWS = (  # the frame's determinant overflows, so s and t both come out 0
-    "isoptic", "--A", "1e-300,1e-200", "--B", "0.5,1e-300", "--u", "1e-200,-1e308",
-    "--v", "123456789,1", "--theta", "1", "--samples", "3",
+ISOPTIC_S_UNDERFLOWS = (
+    "isoptic", "--A", "-2.1e-22,-2e-12", "--B", "2.1e-22,2e-12", "--u", "1.7e308,0",
+    "--v", "0,1", "--theta", "1", "--samples", "3",
 )
 ALPHA_UNDERFLOWS = (
     "angle", "--O", "-1e-200,2", "--A", "2.2250738585072014e-308,2", "--B", "2,-3",
@@ -523,6 +523,60 @@ T_SQUARED_UNDERFLOWS = (
 def test_underflow_is_a_named_domain_error(argv, message):
     line = assert_one_line_error(run_cli(*argv), 2)
     assert line == f"uvangle {argv[0]}: domain error: {message}"
+
+
+# cross(u, v) overflows to inf, and the (u, v) frame divided by it came out all zero: the
+# angle printed "direction vector must be nonzero", the isoptic "coordinate s underflows".
+FRAME_OVERFLOWS = ("--u", "1e-200,-1e308", "--v", "123456789,1")
+ISOPTIC_FRAME_OVERFLOWS = (
+    "isoptic", "--A", "1e-300,1e-200", "--B", "0.5,1e-300", *FRAME_OVERFLOWS,
+    "--theta", "1", "--samples", "3",
+)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("angle", "--O", "0,0", "--A", "1,1", "--B", "1,2", *FRAME_OVERFLOWS),
+            "reference directions' cross product overflows: cross(u, v) = inf",
+        ),
+        (
+            ISOPTIC_FRAME_OVERFLOWS,
+            "reference directions' cross product overflows: cross(u, v) = inf",
+        ),
+        (  # t is subnormal, so 1/(2t) is inf and the canonical map's entries were nan
+            ("isoptic", "--A", "-2e-12,-2.1e-22", "--B", "2e-12,2.1e-22", "--u", "1,0",
+             "--v", "0,1.7e300", "--theta", "1"),
+            "segment's (u, v) coordinate t = 1.24e-322 is too small: 1/(2t) overflows",
+        ),
+        (  # 1 + 2*1e-20 rounds to 1: the limit printed -1.5e-20 beside slope difference 1.5
+            ("degenerate", "--m1", "2", "--m2", "0.5", "--t-sequence", "1e-10,1e-20"),
+            "t = 1e-20 is too small for m1 = 2.0: 1 + |m1|*t rounds to 1",
+        ),
+        (
+            ("degenerate", "--m1", "2", "--m2", "0.5", "--t-sequence", "1e-150,1e-170"),
+            "t = 1e-170 is too small for m1 = 2.0: 1 + |m1|*t rounds to 1",
+        ),
+        (
+            ("degenerate", "--m1", "1e-3", "--m2", "1e10", "--t-sequence", "1e-11,1e-14"),
+            "t = 1e-14 is too small for m1 = 0.001: 1 + |m1|*t rounds to 1",
+        ),
+        (
+            ("degenerate", "--m1", "1e10", "--m2", "1e-3", "--t-sequence", "1e-11,1e-14"),
+            "t = 1e-14 is too small for m2 = 0.001: 1 + |m2|*t rounds to 1",
+        ),
+    ],
+)
+def test_lost_precision_is_a_named_domain_error(argv, message):
+    line = assert_one_line_error(run_cli(*argv), 2)
+    assert line == f"uvangle {argv[0]}: domain error: {message}"
+
+
+def test_limit_keeps_every_slope_difference_it_can_resolve():
+    # 1 + 0.5*3e-16 still differs from 1, so the check lets it through.
+    doc = run_json("degenerate", "--m1", "2", "--m2", "0.5", "--t-sequence", "1e-10,3e-16")
+    assert doc["outputs"]["slope_difference"] == 1.5
 
 
 @pytest.mark.parametrize(
@@ -611,6 +665,7 @@ def workloads():
 
 @settings(derandomize=True, max_examples=400, deadline=None)
 @example(argv=list(ISOPTIC_S_UNDERFLOWS))
+@example(argv=list(ISOPTIC_FRAME_OVERFLOWS))
 @example(argv=list(ALPHA_UNDERFLOWS))
 @example(argv=list(T_SQUARED_UNDERFLOWS))
 @given(argv=cli_argv())
