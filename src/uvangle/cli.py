@@ -32,7 +32,7 @@ import sys
 from collections.abc import Sequence
 
 from .errors import GeometryError
-from .kernel import DirectionPair, DirectionVector, Line, Point
+from .kernel import DirectionPair, DirectionVector, Line, Point, basis_map
 
 SCHEMA_VERSION = "1"
 # Caps on the counts, enforced when parsing: 65,536 samples print 8.7 MB of
@@ -260,10 +260,9 @@ def _cmd_power(args) -> tuple[dict, list[str]]:
 def _cmd_radical_center(args) -> tuple[dict, list[str]]:
     from .power import AxisHyperbola, radical_axis, radical_center
 
-    u, v = DirectionVector(*args.u), DirectionVector(*args.v)
+    basis = basis_map(DirectionVector(*args.u), DirectionVector(*args.v))  # one for all three
     curves = [
-        AxisHyperbola.from_directions(Point(cx, cy), kappa, u, v)
-        for cx, cy, kappa in (args.h1, args.h2, args.h3)
+        AxisHyperbola(Point(cx, cy), kappa, basis) for cx, cy, kappa in (args.h1, args.h2, args.h3)
     ]
     center = radical_center(*curves)
     axes = [

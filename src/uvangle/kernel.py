@@ -2,17 +2,14 @@
 
 Coordinates are IEEE-754 doubles.  Scalar comparisons use a relative
 tolerance with a small absolute floor.  Every direction test goes through
-one float predicate, ``_cross_if_independent``: it takes two directions as
-coordinates, not values, and returns their cross product, or 0.0 when the
-sine between them is at most PAR_EPS, so a caller that needs the cross
-product (``basis_map``, ``intersect_lines``) computes it once.  It compares
-products of the coordinates, so it is scale invariant while those products
-stay representable (not for directions scaled by 2^1000 or 2^-1000);
-``is_parallel`` is the same test on two ``DirectionVector`` values.  The
-query paths of this package work on floats from the caller's values to the
-result and build no intermediate values; where a value's constructor would
-have rejected an intermediate, they raise its error in the same order.  The
-(u, v) frame of the reference directions (``basis_map``,
+one float predicate, ``_cross_if_independent``, which takes coordinates and
+returns the cross product, or 0.0 when the sine is at most PAR_EPS, so no
+caller computes the cross product twice.  It compares products of the
+coordinates, so it is scale invariant while those products stay
+representable (not for directions scaled by 2^1000 or 2^-1000).  The query
+paths of the package compute on floats and build no intermediate values;
+where such a value's constructor would have raised, they raise its error.
+The (u, v) frame of the reference directions (``basis_map``,
 kept by ``DirectionPair``) and the slope form of the angle in it live
 here.  All operations are pure, so everything here is safe to share freely
 between threads.

@@ -73,16 +73,12 @@ class AxisHyperbola(_Frozen):
             _invertible_det(frame)
             frame, kappa = compose_maps(_REFLECT_X, frame), -kappa
         inverse = invert_map(frame)  # raises SingularMap for a degenerate frame
-        # The frame's apply_point on the center, with the ValueError of its Point.
-        cx = frame.xx * center.x + frame.xy * center.y + frame.tx
-        cy = frame.yx * center.x + frame.yy * center.y + frame.ty
-        if not (math.isfinite(cx) and math.isfinite(cy)):
-            _check_finite(cx, cy)
+        c = frame.apply_point(center)
         _set(self, "center", center)
         _set(self, "kappa", kappa)
         _set(self, "frame", frame)
         _set(self, "_inverse", inverse)
-        _set(self, "_frame_center", (cx, cy))
+        _set(self, "_frame_center", (c.x, c.y))
 
     @classmethod
     def axis_aligned(cls, center: Point, kappa: float) -> "AxisHyperbola":
@@ -258,10 +254,8 @@ def radical_axis(h1: AxisHyperbola, h2: AxisHyperbola) -> Line:
     else:
         bx, by = 0.0, -e0 / ey
     dx, dy = -ey, ex
-    if not (math.isfinite(bx) and math.isfinite(by)):
-        _check_finite(bx, by)
-    if not (math.isfinite(dx) and math.isfinite(dy)):
-        _check_finite(dx, dy)
+    if not (math.isfinite(bx) and math.isfinite(by) and math.isfinite(dx) and math.isfinite(dy)):
+        _check_finite(bx, by, dx, dy)
     g = h1._inverse
     return Line(
         Point(g.xx * bx + g.xy * by + g.tx, g.yx * bx + g.yy * by + g.ty),

@@ -88,6 +88,12 @@ def test_radical_center_inverts_each_frame_once(calls, capsys):
     assert calls["invert_map"] == 3
 
 
+def test_radical_center_builds_the_basis_once(calls, capsys):
+    run_main("radical-center", "--h1", "0,0,1", "--h2", "-1,-0.5,3", "--h3", "1,2,2",
+             "--u", "2,0.5", "--v", "-0.6,1.5")
+    assert calls["basis_map"] == 1
+
+
 def test_reflected_radical_center_inverts_each_frame_once(calls, capsys):
     # kappa < 0 reflects the frame; only the reflected frame is inverted.
     run_main("radical-center", "--h1", "0,0,-1", "--h2", "-1,-0.5,-3", "--h3", "1,2,2",
