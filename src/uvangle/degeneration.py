@@ -59,8 +59,9 @@ def first_order_limit(m: SlopePair, t_sequence: list[float] | None = None) -> Li
     log-log slope of |value - (m1 - m2)| against t over the samples whose
     residuals exceed the roundoff floor (NaN when fewer than two qualify).
     Raises ValueError when the smallest t is so small that 1 + |m| t rounds to
-    1 for either slope: every factor of the cross ratio would then be 1 and
-    the samples would carry no trace of the slopes.
+    1 for both slopes: every factor of the cross ratio would then be 1 and
+    the samples would carry no trace of the slopes.  One slope alone may
+    round away, because its share of the limit is then below roundoff.
     """
     if t_sequence is None:
         t_sequence = list(_DEFAULT_T_SEQUENCE)
@@ -80,11 +81,9 @@ def first_order_limit(m: SlopePair, t_sequence: list[float] | None = None) -> Li
         w = t_prev * t_prev - t_last * t_last  # the Richardson weight
         if w == 0.0:  # t_prev > t_last > 0, so only by underflow
             raise ValueError(f"t = {t_prev!r} is too small to extrapolate from: t**2 underflows")
-    for name, slope in (("m1", m.m1), ("m2", m.m2)):
-        if 1.0 + abs(slope) * t_last == 1.0:  # 1 + |m|*t grows with t: test the smallest t
-            raise ValueError(
-                f"t = {t_last!r} is too small for {name} = {slope!r}: 1 + |{name}|*t rounds to 1"
-            )
+    # 1 + |m|*t grows with t, so the smallest t is the first to round.
+    if 1.0 + abs(m.m1) * t_last == 1.0 and 1.0 + abs(m.m2) * t_last == 1.0:
+        raise ValueError(f"t = {t_last!r} is too small: 1 + |m1|*t and 1 + |m2|*t round to 1")
 
     samples = [(t, math.log(degenerate_cross_ratio(m, t)) / (-2.0 * t)) for t in t_sequence]
 
