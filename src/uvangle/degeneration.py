@@ -61,7 +61,8 @@ def first_order_limit(m: SlopePair, t_sequence: list[float] | None = None) -> Li
     Raises ValueError when the smallest t is so small that 1 + |m| t rounds to
     1 for both slopes: every factor of the cross ratio would then be 1 and
     the samples would carry no trace of the slopes.  One slope alone may
-    round away, because its share of the limit is then below roundoff.
+    round away: its share of the limit is then below the samples' own
+    roundoff, about 1e-16 / t.
     """
     if t_sequence is None:
         t_sequence = list(_DEFAULT_T_SEQUENCE)

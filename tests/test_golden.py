@@ -12,9 +12,9 @@ negative angle.
 ``chords_t_kappa2`` is the one document with a nonempty ``diagnostics``,
 and ``degenerate_t_sequence`` echoes a given ``--t-sequence``.
 ``radical_center_reflected`` has negative kappas, so each frame is
-reflected and inverted again; it pins a radical axis whose ``c`` prints as
-``-0.0``, a sign that deriving the reflected inverse from the first one
-would flip.
+reflected before it is inverted; it pins a radical axis whose ``c`` prints
+as ``-0.0``, a sign that deriving the reflected inverse from the given
+frame's inverse would flip.
 To recapture after an intended output change, write each case's stdout to
 its golden file.
 
