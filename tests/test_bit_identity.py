@@ -14,8 +14,12 @@ exactly parallel to u or v and within ``PAR_EPS`` of them, a vertex equal to
 A or B, overflowing offsets, (u, v) coordinates that underflow or overflow,
 components and midpoints, secants parallel to an asymptote or tangent,
 kappa < 0 on general and singular frames, every radical-axis error, and the
-first-order limit with default and given t sequences.  Each error's class
-and message are pinned, and so is which of two errors a call raises first.
+first-order limit with default and given t sequences, and ``sample_locus``
+at odd and even n, next to A and B, at |theta| = THETA_MAX and on frames
+scaled by 2^k.  Each error's class and message are pinned, and so is which
+of two errors a call raises first.  A locus of more than ten samples is
+recorded as its count, its number of admissible samples and the SHA-256 of
+its formatted samples, so the golden stays small.
 
 To recapture both after an intended change of results:
 
@@ -24,6 +28,7 @@ To recapture both after an intended change of results:
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from pathlib import Path
@@ -80,9 +85,9 @@ def _fmt(value) -> str:
     raise TypeError(f"no format for {type(value).__name__}")
 
 
-def _record(lines: list[str], name: str, call) -> None:
+def _record(lines: list[str], name: str, call, fmt=_fmt) -> None:
     try:
-        text = _fmt(call())
+        text = fmt(call())
     except Exception as exc:  # the class and message are part of the result
         text = f"{type(exc).__name__}: {exc}"
     lines.append(f"{len(lines):05d} {name} {text}")
@@ -496,12 +501,108 @@ def _edge_limit(lines: list[str]) -> None:
     _record(lines, "SlopePair zero", lambda: SlopePair(0.0, 1.0))
 
 
+def _digest(samples) -> str:
+    admissible = sum(ok for _, ok in samples)
+    digest = hashlib.sha256(_fmt(samples).encode()).hexdigest()
+    return f"{len(samples)} samples, {admissible} admissible, sha256 {digest}"
+
+
+def _edge_locus(lines: list[str]) -> None:
+    from uvangle import (
+        AffineMap,
+        DirectionPair,
+        DirectionVector,
+        IsopticSpec,
+        Point,
+        is_admissible,
+        sample_locus,
+    )
+    from uvangle.isoptic import THETA_MAX, THETA_MIN
+    from uvangle.kernel import _set
+
+    dirs = DirectionPair(DirectionVector(2.0, 0.5), DirectionVector(-0.6, 1.5))
+    a, b = Point(0.3, -0.7), Point(2.1, 0.4)
+
+    def locus(name: str, spec, counts) -> None:
+        for n in counts:
+            fmt = _fmt if n <= 10 else _digest
+            _record(lines, f"sample_locus {name} n={n}", lambda: sample_locus(spec, n), fmt)
+
+    def spec_or_error(name: str, make):
+        try:
+            return make()
+        except Exception as exc:
+            lines.append(f"{len(lines):05d} IsopticSpec {name} {type(exc).__name__}: {exc}")
+            return None
+
+    for theta in (-1.3, 1.3):
+        spec = IsopticSpec(a, b, dirs, theta)
+        locus(f"sheared {theta!r}", spec, (2, 3, 4, 5, 8, 256, 257, 4096))
+    # With span = |theta| + 2, the grid holds t = -theta and t = theta, whose samples are A
+    # and B on the singular line pair: (theta, n) = (1, 7), (1, 8), (2, 9), (2, 10).
+    for theta, counts in ((1.0, (7, 8)), (-1.0, (7, 8)), (2.0, (9, 10))):
+        spec = IsopticSpec(a, b, dirs, theta)
+        locus(f"through A and B {theta!r}", spec, counts)
+    for name, p in (("A", a), ("B", b), ("near A", Point(a.x + 1e-12, a.y))):
+        _record(lines, f"is_admissible at {name}",
+                lambda: is_admissible(p, IsopticSpec(a, b, dirs, 1.0)))
+    above, below = math.nextafter(THETA_MAX, math.inf), math.nextafter(THETA_MIN, 0.0)
+    for theta in (THETA_MAX, -THETA_MAX, 707.9, THETA_MIN, -THETA_MIN, above, -above, below):
+        spec = IsopticSpec(a, b, dirs, theta)
+        locus(f"theta {theta!r}", spec, (2, 3, 4, 256, 257))
+    # The sample-count test comes first, then the theta tests.
+    for theta in (1.3, below, above):
+        spec = IsopticSpec(a, b, dirs, theta)
+        locus(f"theta {theta!r}", spec, (1, 0, -1))
+
+    # Frames scaled by 2^k: the points, or the directions alone.
+    for k in (-35, 200, 500):
+        pa, pb = Point(math.ldexp(a.x, k), math.ldexp(a.y, k)), Point(
+            math.ldexp(b.x, k), math.ldexp(b.y, k))
+        spec = spec_or_error(f"points 2^{k}", lambda: IsopticSpec(pa, pb, dirs, -1.3))
+        if spec is not None:
+            locus(f"points 2^{k}", spec, (3, 4, 257))
+    for k in (-500, 500):
+        scaled = DirectionPair(
+            DirectionVector(math.ldexp(2.0, k), math.ldexp(0.5, k)),
+            DirectionVector(math.ldexp(-0.6, k), math.ldexp(1.5, k)),
+        )
+        spec = spec_or_error(f"directions 2^{k}", lambda: IsopticSpec(a, b, scaled, 2.5))
+        if spec is not None:
+            locus(f"directions 2^{k}", spec, (3, 4, 257))
+
+    # Maps no IsopticSpec builds (its canonical map is invertible, so samples and their
+    # canonical images stay far below the float range), set around the constructor to pin
+    # the order of the per-sample errors: the sample's own, then its canonical image's.
+    def forged(to_canonical, frame):
+        spec = object.__new__(IsopticSpec)
+        for name, value in (("a", a), ("b", b), ("dirs", dirs), ("theta", 1.3),
+                            ("_to_canonical", to_canonical), ("_frame", frame)):
+            _set(spec, name, value)
+        return spec
+
+    identity, huge = AffineMap.identity(), AffineMap(1e308, 0.0, 0.0, 1e308)
+    maps = [
+        ("sample overflows", identity, huge),
+        ("sample and image overflow", huge, huge),
+        ("image overflows", huge, identity),
+        ("image y overflows", AffineMap(1.0, 0.0, 0.0, 1e308), identity),
+        ("image y overflows, (qx + 1)**2 too", AffineMap(1e200, 0.0, 0.0, 1e308), identity),
+        ("image is nan", AffineMap(1e308, 1e308, 0.0, 1.0), AffineMap(1.0, 0.0, -1.0, 1.0)),
+        ("(qx + 1)**2 overflows", AffineMap(1e200, 0.0, 0.0, 1.0), identity),
+        ("qy*qy overflows", AffineMap(1.0, 0.0, 0.0, 1e200), identity),
+    ]
+    for name, to_canonical, frame in maps:
+        locus(f"forged {name}", forged(to_canonical, frame), (2, 3, 4))
+
+
 def edges() -> list[str]:
     lines: list[str] = []
     _edge_angles(lines)
     _edge_kernel(lines)
     _edge_power(lines)
     _edge_limit(lines)
+    _edge_locus(lines)
     return lines
 
 
