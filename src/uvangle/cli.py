@@ -258,18 +258,14 @@ def _cmd_power(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_radical_center(args) -> tuple[dict, list[str]]:
-    from .power import AxisHyperbola, radical_axis, radical_center
+    from .power import AxisHyperbola, _radical_center_on_axes, radical_axis
 
     basis = basis_map(DirectionVector(*args.u), DirectionVector(*args.v))  # one for all three
-    curves = [
+    h1, h2, h3 = [
         AxisHyperbola(Point(cx, cy), kappa, basis) for cx, cy, kappa in (args.h1, args.h2, args.h3)
     ]
-    center = radical_center(*curves)
-    axes = [
-        radical_axis(curves[0], curves[1]),
-        radical_axis(curves[1], curves[2]),
-        radical_axis(curves[2], curves[0]),
-    ]
+    center, l12, l23 = _radical_center_on_axes(h1, h2, h3)
+    axes = [l12, l23, radical_axis(h3, h1)]
     return {"center": [center.x, center.y], "axes": [_line_record(axis) for axis in axes]}, []
 
 

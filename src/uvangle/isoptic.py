@@ -252,45 +252,62 @@ def sample_locus(spec: IsopticSpec, n: int) -> list[tuple[Point, bool]]:
 
     The rapidity parameter sweeps [-T, T] with T = |theta| + 2 on the
     parametrized branch for the first ceil(n/2) samples and on the reflected
-    branch for the rest; each point is tagged with its admissibility.  That
-    is decided in the canonical frame, by the rule is_admissible uses, after
-    the point is mapped back through the spec's canonical map; a sample on
-    the singular line pair is tagged False.  Raises ValueError when
-    |theta| exceeds THETA_MAX.
+    branch for the rest; each point is tagged with its admissibility.  When
+    n is even the two branches share the t grid, so each grid point's
+    sinh and cosh are evaluated once and its canonical point is reflected.
+    Admissibility is decided in the canonical frame, by the rule
+    is_admissible uses, after the point is mapped back through the spec's
+    canonical map; a sample on the singular line pair is tagged False.
+    Raises ValueError when |theta| exceeds THETA_MAX.
     """
     if n < 2:
         raise ValueError("need at least two samples")
-    _require_theta_min(spec.theta)
-    _require_theta_max(spec.theta)
+    theta = spec.theta
+    _require_theta_min(theta)
+    _require_theta_max(theta)
     g, f = spec._to_canonical, spec._frame
-    sh, beta = math.sinh(spec.theta), 1.0 / math.tanh(spec.theta)
-    span = abs(spec.theta) + 2.0
+    gxx, gxy, gyx, gyy, gtx, gty = g.xx, g.xy, g.yx, g.yy, g.tx, g.ty
+    fxx, fxy, fyx, fyy, ftx, fty = f.xx, f.xy, f.yx, f.yy, f.tx, f.ty
+    sinh, cosh, isfinite = math.sinh, math.cosh, math.isfinite
+    sh, beta = sinh(theta), 1.0 / math.tanh(theta)
+    span = abs(theta) + 2.0
 
-    def t_values(count: int) -> list[float]:
+    def canonical(count: int) -> list[tuple[float, float]]:
+        """The points of one branch's t grid: isoptic_point's float expressions."""
         if count == 1:
-            return [0.0]
-        step = 2.0 * span / (count - 1)
-        return [-span + i * step for i in range(count)]
+            ts = [0.0]
+        else:
+            step = 2.0 * span / (count - 1)
+            ts = [-span + i * step for i in range(count)]
+        return [(sinh(t) / sh, cosh(t) / sh - beta) for t in ts]
 
     n_primary = (n + 1) // 2
+    primary = canonical(n_primary)
+    reflected = primary if n == 2 * n_primary else canonical(n - n_primary)
+    two_beta = 2.0 * beta
     samples: list[tuple[Point, bool]] = []
-    for branch in range(2):
-        count = n_primary if branch == 0 else n - n_primary
-        for t in t_values(count) if count else []:
-            # The float expressions of isoptic_point, reflect_branch and
-            # apply_map, so samples and flags match them bit for bit.
-            cx, cy = math.sinh(t) / sh, math.cosh(t) / sh - beta
-            if branch == 1:
-                cx, cy = -cx, -cy - 2.0 * beta
-            original = Point(f.xx * cx + f.xy * cy + f.tx, f.yx * cx + f.yy * cy + f.ty)
-            qx = g.xx * original.x + g.xy * original.y + g.tx
-            qy = g.yx * original.x + g.yy * original.y + g.ty
-            _check_finite(qx, qy)  # the ValueError apply_map's Point would raise
-            try:
-                ok = _classify(qx, qy)
-            except SingularPosition:
+    append = samples.append
+    for branch, points in ((0, primary), (1, reflected)):
+        for cx, cy in points:
+            if branch:  # reflect_branch
+                cx, cy = -cx, -cy - two_beta
+            # The float expressions of apply_map, there and back.
+            x, y = fxx * cx + fxy * cy + ftx, fyx * cx + fyy * cy + fty
+            if not (isfinite(x) and isfinite(y)):
+                _check_finite(x, y)  # the ValueError the sample's Point would raise
+            qx, qy = gxx * x + gxy * y + gtx, gyx * x + gyy * y + gty
+            if not (isfinite(qx) and isfinite(qy)):
+                _check_finite(qx, qy)  # the ValueError apply_map's Point would raise
+            # _classify's rule, with a sample on the singular line pair tagged False.
+            f1 = (qx + 1.0) ** 2 - qy * qy
+            f2 = (qx - 1.0) ** 2 - qy * qy
+            r2 = qx * qx + qy * qy
+            tol = BOUNDARY_EPS * (r2 if r2 > 1.0 else 1.0)
+            if abs(f1) <= tol or abs(f2) <= tol:
                 ok = False
-            samples.append((original, ok))
+            else:
+                ok = f1 * f2 > 0.0
+            append((Point(x, y), ok))
     return samples
 
 

@@ -7,9 +7,12 @@ way perfbench's tracer rebinds functions, so a consumer that builds one of
 those maps again shows up as an extra call.  The kernel entry points that
 take a ``DirectionPair`` read its basis and build none, and the query paths
 build no ``DirectionVector`` or ``AffineMap`` on the way to their result.
+``sample_locus`` builds one ``Point`` per sample and evaluates each t grid
+point's sinh once, and ``radical-center`` computes each radical axis once.
 """
 
 import copy
+import math
 import pickle
 import sys
 from collections import Counter
@@ -37,7 +40,15 @@ from uvangle import (
     sector_area_equivalence,
 )
 
-COUNTED = ("normalize_configuration", "invert_map", "basis_map", "decompose")
+# Each counted function and the module that defines it (``uvangle.power`` is also
+# the name of a function the package exports, so modules are named, not imported).
+COUNTED = {
+    "normalize_configuration": "uvangle.kernel",
+    "invert_map": "uvangle.kernel",
+    "basis_map": "uvangle.kernel",
+    "decompose": "uvangle.kernel",
+    "radical_axis": "uvangle.power",
+}
 
 ISOPTIC = (
     "isoptic", "--A", "0.3,-0.7", "--B", "2.1,0.4", "--u", "2,0.5", "--v", "-0.6,1.5",
@@ -57,8 +68,8 @@ def calls(monkeypatch):
         return wrapper
 
     # The handlers import these modules when they run; all are loaded above.
-    for name in COUNTED:
-        original = getattr(uvangle.kernel, name)
+    for name, home in COUNTED.items():
+        original = getattr(sys.modules[home], name)
         wrapper = counting(name, original)
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "uvangle" and getattr(module, name, None) is original:
@@ -94,6 +105,12 @@ def test_radical_center_builds_the_basis_once(calls, capsys):
     assert calls["basis_map"] == 1
 
 
+def test_radical_center_computes_each_axis_once(calls, capsys):
+    run_main("radical-center", "--h1", "0,0,1", "--h2", "-1,-0.5,3", "--h3", "1,2,2",
+             "--u", "2,0.5", "--v", "-0.6,1.5")
+    assert calls["radical_axis"] == 3
+
+
 def test_reflected_radical_center_inverts_each_frame_once(calls, capsys):
     # kappa < 0 reflects the frame; only the reflected frame is inverted.
     run_main("radical-center", "--h1", "0,0,-1", "--h2", "-1,-0.5,-3", "--h3", "1,2,2",
@@ -121,7 +138,7 @@ def test_pair_entry_points_build_no_basis(calls):
 @pytest.fixture
 def constructed(monkeypatch):
     counts: Counter = Counter()
-    for cls in (DirectionVector, AffineMap):
+    for cls in (DirectionVector, AffineMap, Point):
         def init(self, *args, _name=cls.__name__, _init=cls.__init__, **kwargs):
             counts[_name] += 1
             _init(self, *args, **kwargs)
@@ -145,7 +162,32 @@ def test_queries_build_no_directions_or_maps(constructed, query):
     h = AxisHyperbola.from_directions(Point(0.5, -1.0), -1.5, DIRS.u, DIRS.v)
     constructed.clear()  # the arguments and the curve are the caller's
     QUERIES[query](h)
-    assert constructed == {}
+    assert (constructed["DirectionVector"], constructed["AffineMap"]) == (0, 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 33, 256])
+def test_sample_locus_builds_one_point_per_sample(constructed, n):
+    spec = IsopticSpec(Point(0.3, -0.7), Point(2.1, 0.4), DIRS, -1.3)
+    constructed.clear()
+    sample_locus(spec, n)
+    assert constructed == {"Point": n}
+
+
+@pytest.mark.parametrize("n, sinh_calls", [(2, 2), (8, 5), (256, 129), (3, 4), (33, 34)])
+def test_sample_locus_evaluates_sinh_once_per_grid_point(monkeypatch, n, sinh_calls):
+    # Even n: both branches share one grid of n/2 points; odd n: two grids.  The
+    # extra call is sinh(theta).
+    spec = IsopticSpec(Point(0.3, -0.7), Point(2.1, 0.4), DIRS, -1.3)
+    counts: Counter = Counter()
+    sinh = math.sinh
+
+    def counting(x):
+        counts["sinh"] += 1
+        return sinh(x)
+
+    monkeypatch.setattr(math, "sinh", counting)
+    sample_locus(spec, n)
+    assert counts["sinh"] == sinh_calls
 
 
 def pickled(value):
