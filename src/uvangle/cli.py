@@ -299,9 +299,14 @@ def _cmd_degenerate(args) -> tuple[dict, list[str]]:
     pair = SlopePair(args.m1, args.m2)
     report = first_order_limit(pair, args.t_sequence)
     args.t_sequence = [t for t, _ in report.samples]  # inputs echoes the sequence used
-    half_log = (
-        slope_cross_ratio_angle(args.m1, args.m2) if args.m1 * args.m2 > 0.0 else None
-    )
+    half_log = None
+    if args.m1 * args.m2 > 0.0:
+        ratio = args.m1 / args.m2  # a subnormal slope sends it out of range
+        if math.isinf(ratio):
+            raise OverflowError("m1/m2 overflows")
+        if ratio == 0.0:
+            raise ValueError("m1/m2 underflows to 0")
+        half_log = slope_cross_ratio_angle(args.m1, args.m2)
     return {
         "values": [[t, v] for t, v in report.samples],
         "extrapolated_limit": report.extrapolated_limit,
@@ -317,10 +322,40 @@ def _cmd_invariance(args) -> tuple[dict, list[str]]:
     return invariance_deviations(args.trials, args.seed), []
 
 
+def _floats_in(value):
+    """The floats in a JSON-like value, in document order."""
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _floats_in(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _floats_in(item)
+
+
+def _non_finite_output(outputs: dict) -> str | None:
+    """What is wrong with the first output key holding nan or an infinity, or None."""
+    for key, value in outputs.items():
+        for x in _floats_in(value):
+            if math.isnan(x):
+                return f"output {key} is nan"
+            if math.isinf(x):
+                return f"output {key} overflows to {x!r}"
+    return None
+
+
 def _emit(payload, out_path: str | None) -> None:
-    """Write the document (strict JSON: nan and infinities raise ValueError) or SVG bytes."""
+    """Write the document (strict JSON: nan and infinities raise ValueError) or SVG bytes.
+
+    The ValueError of a non-finite output names the first output key holding one.
+    """
     if isinstance(payload, dict):
-        data = (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode("utf-8")
+        try:
+            text = json.dumps(payload, indent=2, allow_nan=False)
+        except ValueError as exc:
+            raise ValueError(_non_finite_output(payload["outputs"]) or str(exc)) from None
+        data = (text + "\n").encode("utf-8")
     else:
         data = payload
     if out_path is None:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uvangle.cli import build_parser, main
+from uvangle.cli import _non_finite_output, build_parser, main
 
 SCHEMA = json.loads(
     (resources.files("uvangle") / "schemas" / "result_v1.json").read_text()
@@ -571,6 +571,42 @@ def test_limit_of_a_slope_below_roundoff_is_kept():
     assert doc["outputs"]["extrapolated_limit"] == pytest.approx(1.25, rel=1e-9)
 
 
+# A subnormal slope sends m1/m2 out of range: the first printed "Out of range float values
+# are not JSON compliant: inf", the second "math domain error".
+RATIO_OVERFLOWS = ("degenerate", "--m1", "2.8", "--m2", "5e-324")
+RATIO_UNDERFLOWS = ("degenerate", "--m1", "-5e-324", "--m2", "-2.11")
+# The power overflows to inf, and the error named no output.
+POWER_OVERFLOWS = (
+    "power", "--kappa", "3", "--center", "0.98,1.8e33", "--P=-0.0,-1e308",
+    "--u", "0.707,-2.89", "--v", "1e-300,-1",
+)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (RATIO_OVERFLOWS, "m1/m2 overflows"),
+        (RATIO_UNDERFLOWS, "m1/m2 underflows to 0"),
+        (POWER_OVERFLOWS, "output power overflows to inf"),
+    ],
+)
+def test_out_of_range_result_is_a_named_domain_error(argv, message):
+    line = assert_one_line_error(run_cli(*argv), 2)
+    assert line == f"uvangle {argv[0]}: domain error: {message}"
+
+
+@pytest.mark.parametrize(
+    "outputs, message",
+    [
+        ({"a": 1.0, "b": [[0.0, -math.inf]], "c": math.nan}, "output b overflows to -inf"),
+        ({"a": "x", "b": {"c": math.nan}}, "output b is nan"),
+        ({"a": [1.0, None, True]}, None),
+    ],
+)
+def test_non_finite_output_names_the_first_key_holding_one(outputs, message):
+    assert _non_finite_output(outputs) == message
+
+
 @pytest.mark.parametrize(
     "argv, cap",
     [((*ISOPTIC, "--theta", "1", "--samples"), 65_536), (("invariance", "--trials"), 100_000)],
@@ -613,6 +649,7 @@ GRAMMAR = {
     "isoptic": (
         ("--A", PAIR), ("--B", PAIR), ("--u", PAIR), ("--v", PAIR), ("--theta", numbers(1)),
         ("--samples", optional(st.sampled_from(("-1", "0", "1", "2", "3", "5", "x", "65537")))),
+        ("--output", optional(st.sampled_from(("json", "svg")))),
     ),
     "power": (("--kappa", numbers(1)), ("--center", PAIR), ("--P", PAIR), *FRAME),
     "radical-center": (("--h1", numbers(3)), ("--h2", numbers(3)), ("--h3", numbers(3)), *FRAME),
@@ -655,12 +692,29 @@ def workloads():
     return workloads
 
 
+def svg_shape(stdout: str) -> tuple[int, int]:
+    """Polyline points and endpoint markers of an SVG document."""
+    root = ET.fromstring(stdout.encode("utf-8"))
+    ns = "{http://www.w3.org/2000/svg}"
+    points = sum(len(line.get("points").split()) for line in root.iter(ns + "polyline"))
+    return points, len(list(root.iter(ns + "circle")))
+
+
 @settings(derandomize=True, max_examples=400, deadline=None)
 @example(argv=list(ISOPTIC_S_UNDERFLOWS))
 @example(argv=list(ISOPTIC_FRAME_OVERFLOWS))
 @example(argv=list(ALPHA_UNDERFLOWS))
 @example(argv=list(T_SQUARED_UNDERFLOWS))
+@example(argv=list(RATIO_OVERFLOWS))
+@example(argv=list(RATIO_UNDERFLOWS))
+@example(argv=[*ISOPTIC, "--theta", "1", "--samples", "5", "--output", "svg"])
+@example(argv=[*ISOPTIC_FRAME_OVERFLOWS, "--output", "svg"])
 @given(argv=cli_argv())
 def test_every_command_ends_in_json_or_one_error_line(workloads, argv):
     code, stdout, stderr = workloads.run_in_process(argv)
-    assert workloads.contract_violation(code, stdout, stderr) is None, (argv, code, stderr)
+    if code == 0 and "svg" in argv:
+        # An SVG run ends in a document that draws every sample and both endpoints.
+        samples = int(argv[argv.index("--samples") + 1]) if "--samples" in argv else 32
+        assert (svg_shape(stdout), stderr) == ((samples, 2), ""), argv
+    else:
+        assert workloads.contract_violation(code, stdout, stderr) is None, (argv, code, stderr)
