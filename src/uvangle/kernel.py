@@ -8,11 +8,11 @@ caller computes the cross product twice.  It compares products of the
 coordinates, so it is scale invariant while those products stay
 representable (not for directions scaled by 2^1000 or 2^-1000).  The query
 paths of the package compute on floats and build no intermediate values;
-where such a value's constructor would have raised, they raise its error.
-The (u, v) frame of the reference directions (``basis_map``,
-kept by ``DirectionPair``) and the slope form of the angle in it live
-here.  All operations are pure, so everything here is safe to share freely
-between threads.
+where such a value's constructor would have raised on a state that valid
+inputs can reach, they raise its error.  The (u, v) frame of the reference
+directions (``basis_map``, kept by ``DirectionPair``) and the slope form of
+the angle in it live here.  All operations are pure, so everything here is
+safe to share freely between threads.
 
 The value types of the package (here and in the other modules) are
 immutable ``__slots__`` classes built on ``_Frozen``: assigning or deleting

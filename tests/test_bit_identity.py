@@ -509,7 +509,6 @@ def _digest(samples) -> str:
 
 def _edge_locus(lines: list[str]) -> None:
     from uvangle import (
-        AffineMap,
         DirectionPair,
         DirectionVector,
         IsopticSpec,
@@ -518,7 +517,6 @@ def _edge_locus(lines: list[str]) -> None:
         sample_locus,
     )
     from uvangle.isoptic import THETA_MAX, THETA_MIN
-    from uvangle.kernel import _set
 
     dirs = DirectionPair(DirectionVector(2.0, 0.5), DirectionVector(-0.6, 1.5))
     a, b = Point(0.3, -0.7), Point(2.1, 0.4)
@@ -570,30 +568,6 @@ def _edge_locus(lines: list[str]) -> None:
         spec = spec_or_error(f"directions 2^{k}", lambda: IsopticSpec(a, b, scaled, 2.5))
         if spec is not None:
             locus(f"directions 2^{k}", spec, (3, 4, 257))
-
-    # Maps no IsopticSpec builds (its canonical map is invertible, so samples and their
-    # canonical images stay far below the float range), set around the constructor to pin
-    # the order of the per-sample errors: the sample's own, then its canonical image's.
-    def forged(to_canonical, frame):
-        spec = object.__new__(IsopticSpec)
-        for name, value in (("a", a), ("b", b), ("dirs", dirs), ("theta", 1.3),
-                            ("_to_canonical", to_canonical), ("_frame", frame)):
-            _set(spec, name, value)
-        return spec
-
-    identity, huge = AffineMap.identity(), AffineMap(1e308, 0.0, 0.0, 1e308)
-    maps = [
-        ("sample overflows", identity, huge),
-        ("sample and image overflow", huge, huge),
-        ("image overflows", huge, identity),
-        ("image y overflows", AffineMap(1.0, 0.0, 0.0, 1e308), identity),
-        ("image y overflows, (qx + 1)**2 too", AffineMap(1e200, 0.0, 0.0, 1e308), identity),
-        ("image is nan", AffineMap(1e308, 1e308, 0.0, 1.0), AffineMap(1.0, 0.0, -1.0, 1.0)),
-        ("(qx + 1)**2 overflows", AffineMap(1e200, 0.0, 0.0, 1.0), identity),
-        ("qy*qy overflows", AffineMap(1.0, 0.0, 0.0, 1e200), identity),
-    ]
-    for name, to_canonical, frame in maps:
-        locus(f"forged {name}", forged(to_canonical, frame), (2, 3, 4))
 
 
 def edges() -> list[str]:
