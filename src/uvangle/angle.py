@@ -88,7 +88,8 @@ def _slope(dx: float, dy: float, dirs: DirectionPair, name: str) -> float:
 
     Raises SingularRay when the direction is parallel to u or v, ValueError
     when its (u, v) coordinates overflow or both underflow to 0, and
-    SingularRay when alpha alone underflows to 0, in that order.
+    SingularRay when alpha alone underflows to 0 or when the slope overflows
+    or underflows to 0, in that order; a returned slope is finite and nonzero.
     """
     u, v = dirs.u, dirs.v
     if (
@@ -104,13 +105,18 @@ def _slope(dx: float, dy: float, dirs: DirectionPair, name: str) -> float:
         if beta == 0.0:
             raise ValueError("direction vector must be nonzero")
         raise SingularRay(f"ray {name}'s (u, v) coordinate alpha underflows to 0")
-    return beta / alpha
+    m = beta / alpha
+    if m == 0.0 or math.isinf(m):
+        what = "overflows" if m else "underflows to 0"
+        raise SingularRay(f"ray {name}'s slope beta/alpha {what}")
+    return m
 
 
 def ray_slope(d: DirectionVector, dirs: DirectionPair, name: str) -> float:
     """Slope m = beta/alpha of d = alpha*u + beta*v.
 
-    Raises SingularRay when d is parallel to u or v, or when alpha underflows to 0.
+    Raises SingularRay when d is parallel to u or v, when alpha underflows to
+    0, or when m overflows or underflows to 0.
     """
     return _slope(d.dx, d.dy, dirs, name)
 

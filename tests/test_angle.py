@@ -33,6 +33,7 @@ from uvangle import (
     signed_area,
     vec,
 )
+from uvangle.angle import ray_slope
 from uvangle.errors import (
     CoincidentIntersection,
     ComponentMismatch,
@@ -316,6 +317,21 @@ def test_midpoint_component_mismatch():
         midpoint_ray(
             ORIGIN, Ray(ORIGIN, DirectionVector(1, 1)), Ray(ORIGIN, DirectionVector(1, -1)), AXES
         )
+
+
+@pytest.mark.parametrize(
+    "dirs, message",
+    [
+        (DirectionPair(DirectionVector(1e-200, 0.0), DirectionVector(0.0, 1e200)),
+         "ray d's slope beta/alpha underflows to 0"),
+        (DirectionPair(DirectionVector(1e200, 0.0), DirectionVector(0.0, 1e-200)),
+         "ray d's slope beta/alpha overflows"),
+    ],
+)
+def test_slope_out_of_range_is_a_singular_ray(dirs, message):
+    with pytest.raises(SingularRay) as exc:
+        ray_slope(DirectionVector(1.0, 1.0), dirs, "d")
+    assert str(exc.value) == message
 
 
 def test_midpoint_bisects():

@@ -580,6 +580,11 @@ POWER_OVERFLOWS = (
     "power", "--kappa", "3", "--center", "0.98,1.8e33", "--P=-0.0,-1e308",
     "--u", "0.707,-2.89", "--v", "1e-300,-1",
 )
+# OA's slope overflows, and the angle was inf/inf: the error named the output nan.
+SLOPE_OVERFLOWS = (
+    "angle", "--O=-1.77,5.299485577577254e-05", "--A=-2.11,3.0", "--B=-4.4,1.3951",
+    "--u=1022.3585670132161,0.6721", "--v=5e-324,2.2250738585072014e-308",
+)
 
 
 @pytest.mark.parametrize(
@@ -588,6 +593,7 @@ POWER_OVERFLOWS = (
         (RATIO_OVERFLOWS, "m1/m2 overflows"),
         (RATIO_UNDERFLOWS, "m1/m2 underflows to 0"),
         (POWER_OVERFLOWS, "output power overflows to inf"),
+        (SLOPE_OVERFLOWS, "ray OA's slope beta/alpha overflows"),
     ],
 )
 def test_out_of_range_result_is_a_named_domain_error(argv, message):
