@@ -25,6 +25,7 @@ from .kernel import (
     _check_finite,
     _cross_if_independent,
     _Frozen,
+    _same_sign,
     _set,
     distance,
     dot,
@@ -130,7 +131,7 @@ def _slope_pair(o: Point, a: Point, b: Point, dirs: DirectionPair) -> tuple[floa
 def affine_angle(o: Point, a: Point, b: Point, dirs: DirectionPair) -> AngleResult:
     """Half the log of the area-ratio quotient for rays OA, OB; NonReal across components."""
     m_a, m_b = _slope_pair(o, a, b, dirs)
-    if m_a * m_b <= 0.0:
+    if not _same_sign(m_a, m_b):
         # Signs of sigma on the auxiliary line through O + u + v, where sigma = -m.
         sign_a = "-" if m_a > 0 else "+"
         sign_b = "-" if m_b > 0 else "+"
@@ -143,22 +144,29 @@ def affine_angle(o: Point, a: Point, b: Point, dirs: DirectionPair) -> AngleResu
 def is_same_component(o: Point, a: Point, b: Point, dirs: DirectionPair) -> bool:
     """True iff the two area ratios (equivalently, the two slopes) have the same sign."""
     m_a, m_b = _slope_pair(o, a, b, dirs)
-    return m_a * m_b > 0.0
+    return _same_sign(m_a, m_b)
 
 
 def midpoint_ray(o: Point, r: Ray, s: Ray, dirs: DirectionPair) -> Ray:
     """The unique ray bisecting the angle between r and s inside their component.
 
     In basis coordinates the area ratio is proportional to the slope, so the
-    bisector carries the geometric mean of the two slopes.
+    bisector carries the geometric mean of the two slopes.  Raises
+    ComponentMismatch across components, and OverflowError or ValueError when
+    the product of the slopes overflows or underflows to 0.
     """
     _require_vertex(r, o)
     _require_vertex(s, o)
     m_r = _slope(r.dir.dx, r.dir.dy, dirs, "r")
     m_s = _slope(s.dir.dx, s.dir.dy, dirs, "s")
-    if m_r * m_s <= 0.0:
+    if not _same_sign(m_r, m_s):
         raise ComponentMismatch("rays lie in different components")
-    m_t = math.copysign(math.sqrt(m_r * m_s), m_r)
+    product = m_r * m_s
+    if math.isinf(product):
+        raise OverflowError("slope product m_r*m_s overflows")
+    if product == 0.0:
+        raise ValueError("slope product m_r*m_s underflows to 0")
+    m_t = math.copysign(math.sqrt(product), m_r)
     d_t = DirectionVector(dirs.u.dx + m_t * dirs.v.dx, dirs.u.dy + m_t * dirs.v.dy)
     if dot(d_t, r.dir) < 0.0:
         d_t = d_t.scaled(-1.0)

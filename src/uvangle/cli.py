@@ -294,13 +294,13 @@ def _cmd_chords(args) -> tuple[dict, list[str]]:
 
 def _cmd_degenerate(args) -> tuple[dict, list[str]]:
     from .degeneration import SlopePair, first_order_limit
-    from .kernel import slope_cross_ratio_angle
+    from .kernel import _same_sign, slope_cross_ratio_angle
 
     pair = SlopePair(args.m1, args.m2)
     report = first_order_limit(pair, args.t_sequence)
     args.t_sequence = [t for t, _ in report.samples]  # inputs echoes the sequence used
     half_log = None
-    if args.m1 * args.m2 > 0.0:
+    if _same_sign(args.m1, args.m2):
         ratio = args.m1 / args.m2  # a subnormal slope sends it out of range
         if math.isinf(ratio):
             raise OverflowError("m1/m2 overflows")

@@ -346,9 +346,17 @@ def decompose(d: DirectionVector, dirs: DirectionPair) -> tuple[float, float]:
     return c.dx, c.dy
 
 
+def _same_sign(m_a: float, m_b: float) -> bool:
+    """True when both slopes are positive or both negative (rays in one component).
+
+    The signs are compared, not the sign of m_a * m_b, which can underflow to 0.
+    """
+    return (m_a > 0.0 and m_b > 0.0) or (m_a < 0.0 and m_b < 0.0)
+
+
 def slope_cross_ratio_angle(m_a: float, m_b: float) -> float:
     """Half the log of the slope ratio: the angle between rays of (u, v) slopes m_a, m_b."""
-    if m_a * m_b <= 0.0:
+    if not _same_sign(m_a, m_b):
         raise ComponentMismatch("slopes must have the same sign")
     return 0.5 * math.log(m_a / m_b)
 

@@ -319,6 +319,11 @@ def test_midpoint_component_mismatch():
         )
 
 
+# Frames of extreme scale: d = (1, 1) has slope (|u|/|v|) * 1 in each.
+SMALL_SLOPES = DirectionPair(DirectionVector(1e-100, 0.0), DirectionVector(0.0, 1e100))
+LARGE_SLOPES = DirectionPair(DirectionVector(1e100, 0.0), DirectionVector(0.0, 1e-100))
+
+
 @pytest.mark.parametrize(
     "dirs, message",
     [
@@ -331,6 +336,27 @@ def test_midpoint_component_mismatch():
 def test_slope_out_of_range_is_a_singular_ray(dirs, message):
     with pytest.raises(SingularRay) as exc:
         ray_slope(DirectionVector(1.0, 1.0), dirs, "d")
+    assert str(exc.value) == message
+
+
+def test_same_component_survives_an_underflowing_slope_product():
+    # Both slopes are about 1e-200, so their product underflows to 0.
+    a, b = Point(1.0, 1.0), Point(1.0, 2.0)
+    assert is_same_component(ORIGIN, a, b, SMALL_SLOPES)
+    assert affine_angle(ORIGIN, a, b, SMALL_SLOPES).theta == affine_angle(ORIGIN, a, b, AXES).theta
+
+
+@pytest.mark.parametrize(
+    "dirs, error, message",
+    [
+        (SMALL_SLOPES, ValueError, "slope product m_r*m_s underflows to 0"),
+        (LARGE_SLOPES, OverflowError, "slope product m_r*m_s overflows"),
+    ],
+)
+def test_midpoint_names_an_out_of_range_slope_product(dirs, error, message):
+    ray = Ray(ORIGIN, DirectionVector(1.0, 1.0))
+    with pytest.raises(error) as exc:
+        midpoint_ray(ORIGIN, ray, ray, dirs)
     assert str(exc.value) == message
 
 

@@ -601,6 +601,19 @@ def test_out_of_range_result_is_a_named_domain_error(argv, message):
     assert line == f"uvangle {argv[0]}: domain error: {message}"
 
 
+def test_same_component_is_a_sign_test():
+    # The slopes 1e-170 and 2e-170 have a product that underflows to 0.
+    rays = ("angle", "--O", "0,0", "--A", "1,1", "--B", "1,2", "--v", "0,1")
+    tiny = run_json(*rays, "--u", "1e-170,0")["outputs"]
+    unit = run_json(*rays, "--u", "1,0")["outputs"]
+    assert tiny == unit == {"real": True, "angle": -0.34657359027997264, "reason": None}
+
+
+def test_half_log_angle_of_slopes_whose_product_underflows():
+    doc = run_json("degenerate", "--m1", "1e-320", "--m2", "1e-5")
+    assert doc["outputs"]["half_log_angle"] == -362.6571577130018
+
+
 @pytest.mark.parametrize(
     "outputs, message",
     [
