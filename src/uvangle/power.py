@@ -196,7 +196,11 @@ def chord_line(t1: float, t2: float, kappa: float) -> Line:
 
 
 def chord_intersection_x(t1: float, t2: float, t3: float, t4: float) -> float:
-    """x-coordinate of the intersection of the chords (t1, t2) and (t3, t4) of x*y = 1."""
+    """x-coordinate of the intersection of the chords (t1, t2) and (t3, t4) of x*y = kappa.
+
+    The chord through abscissae t1, t2 is y = kappa*(t1 + t2 - x)/(t1*t2), so
+    kappa cancels and the abscissa is the same for every nonzero kappa.
+    """
     p12, p34 = t1 * t2, t3 * t4
     if abs(p12 - p34) <= REL_EPS * max(abs(p12), abs(p34)) + ABS_EPS:
         raise ParallelChords("chords with equal parameter products are parallel")

@@ -1,5 +1,7 @@
+import importlib
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -281,6 +283,21 @@ def test_chord_intersection_matches_line_machinery():
         done += 1
 
 
+@pytest.mark.parametrize("kappa", [2.0, -0.5, 1e3])
+def test_chord_intersection_abscissa_does_not_depend_on_kappa(kappa):
+    # The chord through abscissae t1, t2 of x*y = kappa is y = kappa*(t1 + t2 - x)/(t1*t2).
+    rng = random.Random(37)
+    for _ in range(50):
+        ts = [rng.choice((-1.0, 1.0)) * log_uniform(rng, 0.2, 5.0) for _ in range(4)]
+        p12, p34 = ts[0] * ts[1], ts[2] * ts[3]
+        if abs(p12 - p34) < 1e-3 * max(abs(p12), abs(p34)):
+            continue
+        if abs(ts[0] - ts[1]) < 1e-6 or abs(ts[2] - ts[3]) < 1e-6:
+            continue
+        meet = intersect_lines(chord_line(ts[0], ts[1], kappa), chord_line(ts[2], ts[3], kappa))
+        assert abs(chord_intersection_x(*ts) - meet.x) <= 1e-10 * max(1.0, abs(meet.x))
+
+
 def test_radical_axis_worked_example():
     h2 = AxisHyperbola.axis_aligned(Point(-1, -0.5), 3.0)  # (x+1)(y+1/2) = 3
     axis = radical_axis(UNIT, h2)
@@ -403,6 +420,41 @@ def test_radical_structure_ignores_the_order_of_the_directions():
             continue
         assert_point_close(radical_center(uv[0], vu[1], vu[2]), center, 1e-8)
         assert_point_close(radical_center(vu[0], uv[1], vu[2]), center, 1e-8)
+
+
+def _axis_aligned_pair(offset: float) -> tuple[AxisHyperbola, AxisHyperbola]:
+    return (AxisHyperbola.axis_aligned(Point(0.0, offset), 1.0),
+            AxisHyperbola.axis_aligned(Point(0.0, -offset), 1.0))
+
+
+@pytest.mark.parametrize(
+    "guard, call, bad",
+    [
+        # The frame scales by 1e100, so the secant direction's image is (1e350, 1e100).
+        ("secant_intersections", lambda: secant_intersections(
+            Point(0.0, 0.0), DirectionVector(1e250, 1.0),
+            AxisHyperbola.from_directions(Point(0.0, 0.0), 1.0, DirectionVector(1e-100, 0.0),
+                                          DirectionVector(0.0, 1e-100))), "inf"),
+        # The second frame, composed with the first's inverse, scales by ~1.9e308.
+        ("_monic_in_frame", lambda: radical_axis(
+            AxisHyperbola(Point(0.0, 0.0), 1.0, AffineMap(7e-155, 0.0, 0.0, 7e-155)),
+            AxisHyperbola(Point(0.0, 0.0), 2.0, AffineMap(1.34e154, 0.0, 0.0, 1.34e154))), "inf"),
+        # Centers at +-1e308: the linear coefficient ex = -1e308 - 1e308 overflows.
+        ("radical_axis", lambda: radical_axis(*_axis_aligned_pair(1e308)), "-inf"),
+    ],
+)
+def test_power_finiteness_guards_name_the_overflow(monkeypatch, guard, call, bad):
+    power_module = importlib.import_module("uvangle.power")  # the package exports power()
+    check, callers = power_module._check_finite, []
+
+    def spy(*values):
+        callers.append(sys._getframe(1).f_code.co_name)
+        check(*values)
+
+    monkeypatch.setattr(power_module, "_check_finite", spy)
+    with pytest.raises(ValueError, match=f"^coordinates must be finite, got {bad}$"):
+        call()
+    assert callers == [guard]
 
 
 def test_radical_center_identical_pair_raises():
