@@ -259,8 +259,13 @@ def sample_locus(spec: IsopticSpec, n: int) -> list[tuple[Point, bool]]:
     sinh and cosh are evaluated once and its canonical point is reflected.
     Admissibility is decided in the canonical frame, by the rule
     is_admissible uses, after the point is mapped back through the spec's
-    canonical map; a sample on the singular line pair is tagged False.
-    Raises ValueError when |theta| exceeds THETA_MAX.
+    canonical map; a sample on the singular line pair is tagged False.  In
+    exact arithmetic every locus point other than A and B sees AB at the
+    real angle theta, so a False flag marks a sample within BOUNDARY_EPS of
+    that line pair, up to the roundoff of the map round trip.  The hyperbola
+    closes onto two of its lines like exp(-2|theta|), so once |theta|
+    exceeds about 20 to 50 every sample is tagged False.  Raises ValueError
+    when |theta| exceeds THETA_MAX.
     """
     if n < 2:
         raise ValueError("need at least two samples")
