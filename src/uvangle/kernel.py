@@ -347,10 +347,7 @@ def decompose(d: DirectionVector, dirs: DirectionPair) -> tuple[float, float]:
 
 
 def _same_sign(m_a: float, m_b: float) -> bool:
-    """True when both slopes are positive or both negative (rays in one component).
-
-    The signs are compared, not the sign of m_a * m_b, which can underflow to 0.
-    """
+    """Both slopes positive or both negative: a sign test, since m_a * m_b can underflow to 0."""
     return (m_a > 0.0 and m_b > 0.0) or (m_a < 0.0 and m_b < 0.0)
 
 

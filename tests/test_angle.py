@@ -46,6 +46,9 @@ ORIGIN = Point(0, 0)
 X_AXIS = Line(ORIGIN, DirectionVector(1, 0))
 Y_AXIS = Line(ORIGIN, DirectionVector(0, 1))
 AXES = DirectionPair(DirectionVector(1, 0), DirectionVector(0, 1))
+# Frames of extreme scale: d = (1, 1) has the slope |u|/|v| in each.
+SMALL_SLOPES = DirectionPair(DirectionVector(1e-100, 0.0), DirectionVector(0.0, 1e100))
+LARGE_SLOPES = DirectionPair(DirectionVector(1e100, 0.0), DirectionVector(0.0, 1e-100))
 
 
 def _aux_line(a: float, b: float) -> Line:
@@ -295,6 +298,8 @@ def test_sigma_monotone_in_slope_within_component():
 def test_is_same_component():
     assert is_same_component(ORIGIN, Point(1, 1), Point(1, 2), AXES)
     assert not is_same_component(ORIGIN, Point(1, 1), Point(1, -1), AXES)
+    # Slopes of about 1e-200 and 2e-200, whose product underflows to 0.
+    assert is_same_component(ORIGIN, Point(1, 1), Point(1, 2), SMALL_SLOPES)
     with pytest.raises(SingularRay):
         is_same_component(ORIGIN, Point(1, 0), Point(1, 1), AXES)
 
@@ -319,11 +324,6 @@ def test_midpoint_component_mismatch():
         )
 
 
-# Frames of extreme scale: d = (1, 1) has slope (|u|/|v|) * 1 in each.
-SMALL_SLOPES = DirectionPair(DirectionVector(1e-100, 0.0), DirectionVector(0.0, 1e100))
-LARGE_SLOPES = DirectionPair(DirectionVector(1e100, 0.0), DirectionVector(0.0, 1e-100))
-
-
 @pytest.mark.parametrize(
     "dirs, message",
     [
@@ -337,13 +337,6 @@ def test_slope_out_of_range_is_a_singular_ray(dirs, message):
     with pytest.raises(SingularRay) as exc:
         ray_slope(DirectionVector(1.0, 1.0), dirs, "d")
     assert str(exc.value) == message
-
-
-def test_same_component_survives_an_underflowing_slope_product():
-    # Both slopes are about 1e-200, so their product underflows to 0.
-    a, b = Point(1.0, 1.0), Point(1.0, 2.0)
-    assert is_same_component(ORIGIN, a, b, SMALL_SLOPES)
-    assert affine_angle(ORIGIN, a, b, SMALL_SLOPES).theta == affine_angle(ORIGIN, a, b, AXES).theta
 
 
 @pytest.mark.parametrize(
