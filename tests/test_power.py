@@ -422,11 +422,6 @@ def test_radical_structure_ignores_the_order_of_the_directions():
         assert_point_close(radical_center(vu[0], uv[1], vu[2]), center, 1e-8)
 
 
-def _axis_aligned_pair(offset: float) -> tuple[AxisHyperbola, AxisHyperbola]:
-    return (AxisHyperbola.axis_aligned(Point(0.0, offset), 1.0),
-            AxisHyperbola.axis_aligned(Point(0.0, -offset), 1.0))
-
-
 @pytest.mark.parametrize(
     "guard, call, bad",
     [
@@ -440,7 +435,9 @@ def _axis_aligned_pair(offset: float) -> tuple[AxisHyperbola, AxisHyperbola]:
             AxisHyperbola(Point(0.0, 0.0), 1.0, AffineMap(7e-155, 0.0, 0.0, 7e-155)),
             AxisHyperbola(Point(0.0, 0.0), 2.0, AffineMap(1.34e154, 0.0, 0.0, 1.34e154))), "inf"),
         # Centers at +-1e308: the linear coefficient ex = -1e308 - 1e308 overflows.
-        ("radical_axis", lambda: radical_axis(*_axis_aligned_pair(1e308)), "-inf"),
+        ("radical_axis", lambda: radical_axis(
+            AxisHyperbola.axis_aligned(Point(0.0, 1e308), 1.0),
+            AxisHyperbola.axis_aligned(Point(0.0, -1e308), 1.0)), "-inf"),
     ],
 )
 def test_power_finiteness_guards_name_the_overflow(monkeypatch, guard, call, bad):
