@@ -34,7 +34,8 @@ from uvangle.errors import (
     SingularPosition,
     ThetaTooSmall,
 )
-from uvangle.isoptic import THETA_MAX
+from uvangle.isoptic import THETA_MAX, _classify
+from uvangle.kernel import apply_map
 
 CANONICAL_DIRS = DirectionPair(DirectionVector(1, 1), DirectionVector(1, -1))
 AXES = DirectionPair(DirectionVector(1, 0), DirectionVector(0, 1))
@@ -380,6 +381,56 @@ def test_sample_locus_flags_match_is_admissible(spec, n):
         except SingularPosition:
             expected = False
         assert ok == expected, (p, spec, n)
+
+
+def _reference_locus(theta: float, n: int) -> list[Point]:
+    """sample_locus's canonical points, built from isoptic_point and reflect_branch."""
+    span = abs(theta) + 2.0
+
+    def grid(count: int) -> list[float]:
+        if count == 1:
+            return [0.0]
+        step = 2.0 * span / (count - 1)
+        return [-span + i * step for i in range(count)]
+
+    n_primary = (n + 1) // 2
+    return [isoptic_point(theta, t) for t in grid(n_primary)] + [
+        reflect_branch(isoptic_point(theta, t), theta) for t in grid(n - n_primary)
+    ]
+
+
+_EDGE_FRAME = ((0.3, -0.7), (2.1, 0.4), (2.0, 0.5), (-0.6, 1.5))
+
+
+@pytest.mark.parametrize(
+    "frame, theta, n, admissible",
+    [
+        (_EDGE_FRAME, 1.0, 8, 6),
+        (_EDGE_FRAME, -1.3, 33, 33),
+        (_EDGE_FRAME, 20.0, 256, 52),
+        # Frames where mapping a sample to the plane and back moves it across the band.
+        (((-1.1127540929319564, -0.2793661707110817), (2.316937531330388, 0.12978142320726826),
+          (2.6652673764278303, 0.31821649456664114), (-0.5355612804056964, 0.17168464355188248)),
+         -17.67872548753787, 8, 4),
+        (((-0.9627835416448249, 2.5104127978207558), (2.2195688548660257, -0.10294837667550816),
+          (0.0019465444695150513, 0.10111960263101431), (-1.2136167399896878, 0.9979599694379915)),
+         43.71408743888777, 256, 0),
+    ],
+)
+def test_sample_locus_classifies_the_canonical_sample(frame, theta, n, admissible):
+    # Each flag is _classify's verdict on the canonical point itself (a singular point
+    # is False), and the sample is that point mapped out through the frame once.
+    a, b, u, v = frame
+    dirs = DirectionPair(DirectionVector(*u), DirectionVector(*v))
+    spec = IsopticSpec(Point(*a), Point(*b), dirs, theta)
+    samples = sample_locus(spec, n)
+    assert sum(ok for _, ok in samples) == admissible
+    for (p, ok), q in zip(samples, _reference_locus(theta, n), strict=True):
+        try:
+            expected = _classify(q.x, q.y)
+        except SingularPosition:
+            expected = False
+        assert (p, ok) == (apply_map(spec._frame, q), expected), (q, theta, n)
 
 
 @pytest.mark.parametrize(
