@@ -31,7 +31,7 @@ import re
 import sys
 from collections.abc import Sequence
 
-from .errors import GeometryError
+from .errors import ComponentMismatch, GeometryError
 from .kernel import DirectionPair, DirectionVector, Line, Point, basis_map
 
 SCHEMA_VERSION = "1"
@@ -294,19 +294,15 @@ def _cmd_chords(args) -> tuple[dict, list[str]]:
 
 def _cmd_degenerate(args) -> tuple[dict, list[str]]:
     from .degeneration import SlopePair, first_order_limit
-    from .kernel import _same_sign, slope_cross_ratio_angle
+    from .kernel import slope_cross_ratio_angle
 
     pair = SlopePair(args.m1, args.m2)
     report = first_order_limit(pair, args.t_sequence)
     args.t_sequence = [t for t, _ in report.samples]  # inputs echoes the sequence used
-    half_log = None
-    if _same_sign(args.m1, args.m2):
-        ratio = args.m1 / args.m2  # a subnormal slope sends it out of range
-        if math.isinf(ratio):
-            raise OverflowError("m1/m2 overflows")
-        if ratio == 0.0:
-            raise ValueError("m1/m2 underflows to 0")
+    try:
         half_log = slope_cross_ratio_angle(args.m1, args.m2)
+    except ComponentMismatch:  # slopes in different components have no real angle
+        half_log = None
     return {
         "values": [[t, v] for t, v in report.samples],
         "extrapolated_limit": report.extrapolated_limit,

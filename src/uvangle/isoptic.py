@@ -256,13 +256,23 @@ def sample_locus(spec: IsopticSpec, n: int) -> list[tuple[Point, bool]]:
     branch for the rest; each point is tagged with its admissibility.  When
     n is even the two branches share the t grid, so each grid point's
     sinh and cosh are evaluated once and its canonical point is reflected.
-    Admissibility is decided on the computed canonical sample, by the rule
-    is_admissible uses; a sample on the singular line pair is tagged False.
-    In exact arithmetic every locus point other than A and B sees AB at the
-    real angle theta, so a False flag marks a sample within BOUNDARY_EPS of
-    that line pair.  The hyperbola closes onto two of its lines like
-    exp(-2|theta|), so once |theta| exceeds about 20 to 50 every sample is
-    tagged False.  Raises ValueError when |theta| exceeds THETA_MAX.
+    The flag is is_admissible's boundary test alone, decided on the computed
+    canonical sample: False marks a sample within BOUNDARY_EPS of the
+    singular line pair.  Its sign test cannot fail on the locus.  With
+    sh = sinh(theta), the boundary factors f1 = (p + 1)^2 - q^2 and
+    f2 = (p - 1)^2 - q^2 are
+
+        f1 = 4 sinh^2((t + theta)/2) / sh^2,   f2 = 4 sinh^2((t - theta)/2) / sh^2
+
+    on the parametrized branch and
+
+        f1 = -4 cosh^2((t + theta)/2) / sh^2,  f2 = -4 cosh^2((t - theta)/2) / sh^2
+
+    on the reflected one, so every locus point other than A and B sees AB
+    at the real angle theta.  The hyperbola closes onto two of the singular
+    lines like exp(-2|theta|), so once |theta| exceeds about 20 to 50 every
+    sample is tagged False.  Raises ValueError when |theta| exceeds
+    THETA_MAX.
     """
     if n < 2:
         raise ValueError("need at least two samples")
@@ -294,17 +304,15 @@ def sample_locus(spec: IsopticSpec, n: int) -> list[tuple[Point, bool]]:
         for cx, cy in points:
             if branch:  # reflect_branch
                 cx, cy = -cx, -cy - two_beta
-            # _classify's rule, a singular sample tagged False.  Inline, because
-            # calling _classify here cost 13% of locus-sweep throughput (620k ->
-            # 538k samples/s on a 2-vCPU host) and a bool-returning helper 3%.
+            # _classify's boundary test alone: on the locus f1 and f2 share one
+            # sign (see the docstring).  Inline, because calling _classify here
+            # cost 13% of locus-sweep throughput (620k -> 538k samples/s on a
+            # 2-vCPU host) and a bool-returning helper 3%.
             f1 = (cx + 1.0) ** 2 - cy * cy
             f2 = (cx - 1.0) ** 2 - cy * cy
             r2 = cx * cx + cy * cy
             tol = BOUNDARY_EPS * (r2 if r2 > 1.0 else 1.0)
-            if abs(f1) <= tol or abs(f2) <= tol:
-                ok = False
-            else:
-                ok = f1 * f2 > 0.0
+            ok = abs(f1) > tol and abs(f2) > tol
             # The float expressions of apply_map.
             append((Point(fxx * cx + fxy * cy + ftx, fyx * cx + fyy * cy + fty), ok))
     return samples

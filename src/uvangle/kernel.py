@@ -1,18 +1,21 @@
 """Planar primitives: points, directions, lines, rays, affine maps, and slopes.
 
 Coordinates are IEEE-754 doubles.  Scalar comparisons use a relative
-tolerance with a small absolute floor.  Every direction test goes through
-one float predicate, ``_cross_if_independent``, which takes coordinates and
-returns the cross product, or 0.0 when the sine is at most PAR_EPS, so no
-caller computes the cross product twice.  It compares products of the
-coordinates, so it is scale invariant while those products stay
-representable (not for directions scaled by 2^1000 or 2^-1000).  The query
-paths of the package compute on floats and build no intermediate values;
-where such a value's constructor would have raised on a state that valid
-inputs can reach, they raise its error.  The (u, v) frame of the reference
-directions (``basis_map``, kept by ``DirectionPair``) and the slope form of
-the angle in it live here.  All operations are pure, so everything here is
-safe to share freely between threads.
+tolerance with a small absolute floor.  Every direction test but one goes
+through one float predicate, ``_cross_if_independent``, which takes
+coordinates and returns the cross product, or 0.0 when the sine is at most
+PAR_EPS, so no caller computes the cross product twice.  It compares
+products of the coordinates, so it is scale invariant while those products
+stay representable (not for directions scaled by 2^1000 or 2^-1000).  The
+exception is ``power.secant_intersections``: its asymptotes are the frame
+axes, so it tests a secant for parallelism with |dx*dy| <= PAR_EPS*|d|^2 on
+the secant's frame coordinates (dx, dy).  The query paths of the package
+compute on floats and build no intermediate values; where such a value's
+constructor would have raised on a state that valid inputs can reach, they
+raise its error.  The (u, v) frame of the reference directions
+(``basis_map``, kept by ``DirectionPair``) and the slope form of the angle
+in it live here.  All operations are pure, so everything here is safe to
+share freely between threads.
 
 The value types of the package (here and in the other modules) are
 immutable ``__slots__`` classes built on ``_Frozen``: assigning or deleting
@@ -278,22 +281,16 @@ def apply_map(t: AffineMap, g):
     raise TypeError(f"cannot apply an affine map to {type(g).__name__}")
 
 
-def _invertible_det(t: AffineMap) -> float:
-    """The determinant of t; raises SingularMap when |det| <= ABS_EPS * (largest |entry|)^2."""
-    det = t.det
-    scale = max(abs(t.xx), abs(t.xy), abs(t.yx), abs(t.yy))
-    if abs(det) <= ABS_EPS * scale * scale:
-        raise SingularMap(f"linear part is singular (det = {det!r})")
-    return det
-
-
 def invert_map(t: AffineMap) -> AffineMap:
     """Inverse map; raises SingularMap when |det| <= ABS_EPS * (largest |entry|)^2.
 
     The threshold is relative to the entries, so a well-conditioned map of any
     scale inverts.
     """
-    det = _invertible_det(t)
+    det = t.det
+    scale = max(abs(t.xx), abs(t.xy), abs(t.yx), abs(t.yy))
+    if abs(det) <= ABS_EPS * scale * scale:
+        raise SingularMap(f"linear part is singular (det = {det!r})")
     xx, xy, yx, yy = t.yy / det, -t.xy / det, -t.yx / det, t.xx / det
     tx = -(xx * t.tx + xy * t.ty)
     ty = -(yx * t.tx + yy * t.ty)
@@ -321,7 +318,7 @@ def basis_map(u: DirectionVector, v: DirectionVector) -> AffineMap:
     """
     den = _cross_if_independent(u.dx, u.dy, v.dx, v.dy)
     if den == 0.0:
-        raise DegenerateConfiguration("reference directions are linearly dependent")
+        raise DegenerateConfiguration("reference directions must be independent")
     if not math.isfinite(den):  # nan only as inf - inf
         raise OverflowError(f"reference directions' cross product overflows: cross(u, v) = {den!r}")
     return AffineMap(v.dy / den, -v.dx / den, -u.dy / den, u.dx / den)
@@ -331,10 +328,7 @@ class DirectionPair(_Frozen):
     __slots__ = ("u", "v", "_basis")
 
     def __init__(self, u: DirectionVector, v: DirectionVector) -> None:
-        try:
-            basis = basis_map(u, v)  # the one parallelism test of u and v
-        except DegenerateConfiguration:
-            raise DegenerateConfiguration("reference directions must be independent") from None
+        basis = basis_map(u, v)  # the one parallelism test of u and v
         _set(self, "u", u)
         _set(self, "v", v)
         _set(self, "_basis", basis)
@@ -351,11 +345,20 @@ def _same_sign(m_a: float, m_b: float) -> bool:
     return (m_a > 0.0 and m_b > 0.0) or (m_a < 0.0 and m_b < 0.0)
 
 
-def slope_cross_ratio_angle(m_a: float, m_b: float) -> float:
-    """Half the log of the slope ratio: the angle between rays of (u, v) slopes m_a, m_b."""
-    if not _same_sign(m_a, m_b):
+def slope_cross_ratio_angle(m1: float, m2: float) -> float:
+    """Half the log of the slope ratio: the angle between rays of (u, v) slopes m1, m2.
+
+    Raises ComponentMismatch when the slopes differ in sign, and OverflowError
+    or ValueError when m1/m2 overflows or underflows to 0.
+    """
+    if not _same_sign(m1, m2):
         raise ComponentMismatch("slopes must have the same sign")
-    return 0.5 * math.log(m_a / m_b)
+    ratio = m1 / m2
+    if math.isinf(ratio):
+        raise OverflowError("m1/m2 overflows")
+    if ratio == 0.0:
+        raise ValueError("m1/m2 underflows to 0")
+    return 0.5 * math.log(ratio)
 
 
 def normalize_configuration(a: Point, b: Point, dirs: DirectionPair) -> AffineMap:

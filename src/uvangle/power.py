@@ -41,7 +41,6 @@ from .kernel import (
     Point,
     _check_finite,
     _Frozen,
-    _invertible_det,
     _set,
     basis_map,
     compose_maps,
@@ -66,11 +65,8 @@ class AxisHyperbola(_Frozen):
         if not math.isfinite(kappa) or kappa == 0.0:
             raise ValueError("kappa must be finite and nonzero")
         if kappa < 0.0:
-            # The given frame decides singularity, so a SingularMap prints its
-            # determinant; only the reflected frame is inverted.  Its inverse is
-            # the given frame's with the first column negated, but inverting it
-            # directly keeps the zero signs that negation would flip.
-            _invertible_det(frame)
+            # The reflection keeps |det| and the largest |entry|, so invert_map
+            # decides singularity as it would for the given frame.
             frame, kappa = compose_maps(_REFLECT_X, frame), -kappa
         inverse = invert_map(frame)  # raises SingularMap for a degenerate frame
         c = frame.apply_point(center)
