@@ -37,6 +37,7 @@ from uvangle.angle import ray_slope
 from uvangle.errors import (
     CoincidentIntersection,
     ComponentMismatch,
+    DegenerateConfiguration,
     LambdaParallel,
     SingularRay,
     UndefinedCrossRatio,
@@ -98,6 +99,21 @@ def test_sigma_auxiliary_through_vertex_raises():
     aux = Line(ORIGIN, DirectionVector(1, -1))
     with pytest.raises(CoincidentIntersection):
         sigma_lambda(ORIGIN, Ray(ORIGIN, DirectionVector(1, 3)), X_AXIS, Y_AXIS, aux)
+
+
+@pytest.mark.parametrize(
+    "u_line, v_line, error, message",
+    [
+        (Line(Point(0, 1), DirectionVector(1, 0)), Y_AXIS, ValueError,
+         "line U must pass through the vertex"),
+        (X_AXIS, Line(ORIGIN, DirectionVector(2, 0)), DegenerateConfiguration,
+         "reference lines must have independent directions"),
+    ],
+)
+def test_sigma_rejects_invalid_reference_lines(u_line, v_line, error, message):
+    ray = Ray(ORIGIN, DirectionVector(1, 3))
+    with pytest.raises(error, match=f"^{message}$"):
+        sigma_lambda(ORIGIN, ray, u_line, v_line, _aux_line(1.0, 2.0))
 
 
 def test_sigma_sign_cases():

@@ -601,6 +601,29 @@ def test_out_of_range_result_is_a_named_domain_error(argv, message):
     assert line == f"uvangle {argv[0]}: domain error: {message}"
 
 
+DEPENDENT = ("--u", "1,0", "--v", "2,0")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("angle", "--O", "0,0", "--A", "1,1", "--B", "1,2", *DEPENDENT),
+         "reference directions must be independent"),
+        ((*ISOPTIC[:5], *DEPENDENT, "--theta", "1"), "reference directions must be independent"),
+        (("power", "--kappa", "1", "--center", "0,0", "--P", "2,2", *DEPENDENT),
+         "reference directions must be independent"),
+        (("radical-center", "--h1", "0,0,1", "--h2", "-1,-0.5,3", "--h3", "1,2,2", *DEPENDENT),
+         "reference directions must be independent"),
+        # Unchecked, a negative ratio printed the area 3.375 with exit 0.
+        (("chords", "--progression", "1,-2,5"), "a, r, p, kappa must be positive"),
+        (("chords", "--progression", "1,1,5"), "r must differ from 1"),
+    ],
+)
+def test_invalid_input_is_a_named_domain_error(argv, message):
+    line = assert_one_line_error(run_cli(*argv), 2)
+    assert line == f"uvangle {argv[0]}: domain error: {message}"
+
+
 def test_same_component_is_a_sign_test():
     # The slopes 1e-170 and 2e-170 have a product that underflows to 0.
     rays = ("angle", "--O", "0,0", "--A", "1,1", "--B", "1,2", "--v", "0,1")

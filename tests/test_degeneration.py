@@ -23,6 +23,10 @@ def test_slope_angle_examples():
     assert slope_cross_ratio_angle(2.0 * math.e**2, 2.0) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ComponentMismatch):
         slope_cross_ratio_angle(1.0, -1.0)
+    with pytest.raises(OverflowError, match="^m1/m2 overflows$"):
+        slope_cross_ratio_angle(1e300, 1e-300)
+    with pytest.raises(ValueError, match="^m1/m2 underflows to 0$"):
+        slope_cross_ratio_angle(1e-300, 1e300)
 
 
 def test_slope_angle_matches_area_machinery():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_point_close, direction_pair, random_vertex
+from helpers import assert_point_close, direction_pair, log_uniform, random_vertex
 from uvangle import (
     ConicCoefficients,
     DirectionPair,
@@ -123,8 +123,13 @@ def test_conic_center_pivots_and_rejects_non_central_conics():
     # (x - 2)(y + 1) = 3: the quadratic part has c_xx = c_yy = 0, so the solve must pivot
     hyperbola = ConicCoefficients(0.0, 1.0, 0.0, 1.0, -2.0, -5.0)
     assert_point_close(conic_center(hyperbola), Point(2.0, -1.0), tol=1e-15)
-    with pytest.raises(ValueError):
-        conic_center(ConicCoefficients(1.0, 0.0, 0.0, 0.0, 1.0, 0.0))  # parabola x^2 + y = 0
+    for conic in (
+        ConicCoefficients(1.0, 0.0, 0.0, 0.0, 1.0, 0.0),  # parabola x^2 + y = 0
+        ConicCoefficients(0.0, 0.0, 1.0, 0.0, 0.0, -1.0),  # lines y^2 = 1: first pivot 0
+        ConicCoefficients(1.0, 2.0, 1.0, 1.0, 0.0, 0.0),  # parabola (x + y)^2 + x = 0: second 0
+    ):
+        with pytest.raises(ValueError, match="^conic has no unique center$"):
+            conic_center(conic)
 
 
 def test_theta_too_small():
@@ -283,6 +288,8 @@ def test_asymptote_directions_of_axis_conics():
     spec = IsopticSpec(Point(0, 0), Point(2, 1), AXES, 0.8)
     d1, d2 = asymptote_directions(isoptic_curve(spec).original_conic)
     assert {_axis_parallel(d1), _axis_parallel(d2)} == {"x", "y"}
+    with pytest.raises(ValueError, match="^quadratic part has no two real null directions$"):
+        asymptote_directions(ConicCoefficients(1, 0, 4, 0, 0, -1))  # an ellipse
 
 
 def test_sector_area_worked_example():
@@ -402,6 +409,28 @@ def _reference_locus(theta: float, n: int) -> list[Point]:
 _EDGE_FRAME = ((0.3, -0.7), (2.1, 0.4), (2.0, 0.5), (-0.6, 1.5))
 
 
+def _random_sheared_batch(seed: int, count: int) -> tuple[list, list[float]]:
+    """count random sheared frames and angles with |theta| log-uniform in [0.05, 60]."""
+    rng = random.Random(seed)
+    frames, thetas = [], []
+    while len(frames) < count:
+        u, v = ((rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)) for _ in range(2))
+        if min(math.hypot(*u), math.hypot(*v)) < 0.1:
+            continue
+        if abs(u[0] * v[1] - u[1] * v[0]) < 0.05 * math.hypot(*u) * math.hypot(*v):
+            continue
+        a, b = ((rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)) for _ in range(2))
+        theta = rng.choice((-1.0, 1.0)) * log_uniform(rng, 0.05, 60.0)
+        try:
+            IsopticSpec(Point(*a), Point(*b), DirectionPair(DirectionVector(*u),
+                                                             DirectionVector(*v)), theta)
+        except DegenerateConfiguration:
+            continue
+        frames.append((a, b, u, v))
+        thetas.append(theta)
+    return frames, thetas
+
+
 @pytest.mark.parametrize(
     "frame, theta, n, admissible",
     [
@@ -415,22 +444,28 @@ _EDGE_FRAME = ((0.3, -0.7), (2.1, 0.4), (2.0, 0.5), (-0.6, 1.5))
         (((-0.9627835416448249, 2.5104127978207558), (2.2195688548660257, -0.10294837667550816),
           (0.0019465444695150513, 0.10111960263101431), (-1.2136167399896878, 0.9979599694379915)),
          43.71408743888777, 256, 0),
+        # The flag is the boundary test alone; _classify also tests the sign.
+        pytest.param(*_random_sheared_batch(1601, 200), 64, 10214, id="random-sheared-batch"),
     ],
 )
 def test_sample_locus_classifies_the_canonical_sample(frame, theta, n, admissible):
     # Each flag is _classify's verdict on the canonical point itself (a singular point
-    # is False), and the sample is that point mapped out through the frame once.
-    a, b, u, v = frame
-    dirs = DirectionPair(DirectionVector(*u), DirectionVector(*v))
-    spec = IsopticSpec(Point(*a), Point(*b), dirs, theta)
-    samples = sample_locus(spec, n)
-    assert sum(ok for _, ok in samples) == admissible
-    for (p, ok), q in zip(samples, _reference_locus(theta, n), strict=True):
-        try:
-            expected = _classify(q.x, q.y)
-        except SingularPosition:
-            expected = False
-        assert (p, ok) == (apply_map(spec._frame, q), expected), (q, theta, n)
+    # is False), and the sample is that point mapped out through the frame once.  The
+    # batch entry passes lists of frames and angles.
+    cases = zip(frame, theta, strict=True) if isinstance(theta, list) else [(frame, theta)]
+    total = 0
+    for (a, b, u, v), angle in cases:
+        dirs = DirectionPair(DirectionVector(*u), DirectionVector(*v))
+        spec = IsopticSpec(Point(*a), Point(*b), dirs, angle)
+        samples = sample_locus(spec, n)
+        total += sum(ok for _, ok in samples)
+        for (p, ok), q in zip(samples, _reference_locus(angle, n), strict=True):
+            try:
+                expected = _classify(q.x, q.y)
+            except SingularPosition:
+                expected = False
+            assert (p, ok) == (apply_map(spec._frame, q), expected), (q, angle, n)
+    assert total == admissible
 
 
 @pytest.mark.parametrize(

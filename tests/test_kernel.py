@@ -12,6 +12,7 @@ from uvangle import (
     DirectionVector,
     Line,
     Point,
+    Ray,
     AxisHyperbola,
     apply_map,
     basis_map,
@@ -98,6 +99,11 @@ def test_apply_identity_and_translation():
     tri = [Point(0, 0), Point(1, 0), Point(0, 1)]
     moved = [apply_map(tr, q) for q in tri]
     assert signed_area(*moved) == signed_area(*tri)
+    d = DirectionVector(1, 2)
+    assert apply_map(tr, Line(p, d)) == Line(Point(8, 3), d)
+    assert apply_map(tr, Ray(p, d)) == Ray(Point(8, 3), d)
+    with pytest.raises(TypeError, match="^cannot apply an affine map to int$"):
+        apply_map(tr, 3)
 
 
 def test_apply_scaling_area():

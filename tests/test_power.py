@@ -131,6 +131,8 @@ def test_projected_area_worked_examples():
     assert projected_area(a, a, 1, UNIT) == 0.0
     assert symmetric_area(p, a, UNIT) == pytest.approx(1.0, rel=1e-12)
     assert symmetric_area(a, a, UNIT) == 0.0
+    with pytest.raises(ValueError, match="^which must be 1 or 2$"):
+        projected_area(p, a, 3, UNIT)
 
 
 def test_symmetric_area_square_identity():
@@ -475,6 +477,10 @@ def test_progression_worked_examples():
     assert far == pytest.approx(0.375, rel=1e-9)
     with pytest.raises(InvalidPosition):
         progression_quadrilateral_area(1.0, 2.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="^a, r, p, kappa must be positive$"):
+        progression_quadrilateral_area(1.0, -2.0, 5.0, 1.0)  # unchecked, the area is 3.375
+    with pytest.raises(ValueError, match="^r must differ from 1$"):
+        progression_quadrilateral_area(1.0, 1.0, 5.0, 1.0)
 
 
 def test_progression_matches_closed_form():
@@ -504,3 +510,5 @@ def test_hyperbola_general_frame_roundtrip():
         axis_v = Line(h.center, inverse.apply_linear(DirectionVector(0, 1)))
         assert axis_u.contains(a1, tol=1e-9)
         assert axis_v.contains(a2, tol=1e-9)
+    with pytest.raises(ValueError, match="^abscissa on the asymptote$"):
+        h.point_at(0.0)
