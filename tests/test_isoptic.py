@@ -420,14 +420,8 @@ def _random_sheared_batch(seed: int, count: int) -> tuple[list, list[float]]:
         if abs(u[0] * v[1] - u[1] * v[0]) < 0.05 * math.hypot(*u) * math.hypot(*v):
             continue
         a, b = ((rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)) for _ in range(2))
-        theta = rng.choice((-1.0, 1.0)) * log_uniform(rng, 0.05, 60.0)
-        try:
-            IsopticSpec(Point(*a), Point(*b), DirectionPair(DirectionVector(*u),
-                                                             DirectionVector(*v)), theta)
-        except DegenerateConfiguration:
-            continue
         frames.append((a, b, u, v))
-        thetas.append(theta)
+        thetas.append(rng.choice((-1.0, 1.0)) * log_uniform(rng, 0.05, 60.0))
     return frames, thetas
 
 
