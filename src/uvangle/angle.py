@@ -26,7 +26,7 @@ from .kernel import (
     _cross_if_independent,
     _Frozen,
     _same_sign,
-    _set,
+    _slot_setters,
     distance,
     dot,
     is_parallel,
@@ -52,8 +52,8 @@ class AngleResult(_Frozen):
     __slots__ = ("theta", "reason")
 
     def __init__(self, theta: float | None, reason: str | None = None) -> None:
-        _set(self, "theta", theta)
-        _set(self, "reason", reason)
+        _set_result_theta(self, theta)
+        _set_result_reason(self, reason)
 
     @classmethod
     def real(cls, theta: float) -> "AngleResult":
@@ -66,6 +66,9 @@ class AngleResult(_Frozen):
     @property
     def is_real(self) -> bool:
         return self.theta is not None
+
+
+_set_result_theta, _set_result_reason = _slot_setters(AngleResult)
 
 
 def _require_vertex(ray: Ray, o: Point) -> None:

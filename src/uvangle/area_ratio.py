@@ -39,7 +39,7 @@ from .kernel import (
     Point,
     Ray,
     _Frozen,
-    _set,
+    _slot_setters,
     distance,
     intersect_lines,
     is_parallel,
@@ -53,8 +53,8 @@ class SigmaValue(_Frozen):
     __slots__ = ("value", "infinite")
 
     def __init__(self, value: float, infinite: bool = False) -> None:
-        _set(self, "value", value)
-        _set(self, "infinite", infinite)
+        _set_sigma_value(self, value)
+        _set_sigma_infinite(self, infinite)
 
     @classmethod
     def finite(cls, value: float) -> "SigmaValue":
@@ -67,6 +67,9 @@ class SigmaValue(_Frozen):
     @property
     def is_finite(self) -> bool:
         return not self.infinite
+
+
+_set_sigma_value, _set_sigma_infinite = _slot_setters(SigmaValue)
 
 
 class ComponentLabel(enum.Enum):

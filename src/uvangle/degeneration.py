@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .errors import PoleAtT
-from .kernel import ABS_EPS, RESIDUAL_FLOOR, _Frozen, _set
+from .kernel import ABS_EPS, RESIDUAL_FLOOR, _Frozen, _slot_setters
 
 _DEFAULT_T_SEQUENCE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
@@ -22,8 +22,11 @@ class SlopePair(_Frozen):
     def __init__(self, m1: float, m2: float) -> None:
         if m1 == 0.0 or m2 == 0.0:
             raise ValueError("slopes must be nonzero")
-        _set(self, "m1", m1)
-        _set(self, "m2", m2)
+        _set_slopes_m1(self, m1)
+        _set_slopes_m2(self, m2)
+
+
+_set_slopes_m1, _set_slopes_m2 = _slot_setters(SlopePair)
 
 
 class LimitReport(_Frozen):
@@ -35,9 +38,14 @@ class LimitReport(_Frozen):
         extrapolated_limit: float,
         residual_order: float,
     ) -> None:
-        _set(self, "samples", samples)
-        _set(self, "extrapolated_limit", extrapolated_limit)
-        _set(self, "residual_order", residual_order)
+        _set_report_samples(self, samples)
+        _set_report_extrapolated_limit(self, extrapolated_limit)
+        _set_report_residual_order(self, residual_order)
+
+
+_set_report_samples, _set_report_extrapolated_limit, _set_report_residual_order = (
+    _slot_setters(LimitReport)
+)
 
 
 def degenerate_cross_ratio(m: SlopePair, t: float) -> float:

@@ -28,7 +28,7 @@ from .kernel import (
     DirectionVector,
     Point,
     _Frozen,
-    _set,
+    _slot_setters,
     apply_map,
     invert_map,
     normalize_configuration,
@@ -58,12 +58,18 @@ class IsopticSpec(_Frozen):
         if not math.isfinite(theta) or theta == 0.0:
             raise ValueError("theta must be finite and nonzero")
         to_canonical = normalize_configuration(a, b, dirs)
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "dirs", dirs)
-        _set(self, "theta", theta)
-        _set(self, "_to_canonical", to_canonical)
-        _set(self, "_frame", invert_map(to_canonical))
+        _set_spec_a(self, a)
+        _set_spec_b(self, b)
+        _set_spec_dirs(self, dirs)
+        _set_spec_theta(self, theta)
+        _set_spec_to_canonical(self, to_canonical)
+        _set_spec_frame(self, invert_map(to_canonical))
+
+
+(
+    _set_spec_a, _set_spec_b, _set_spec_dirs, _set_spec_theta, _set_spec_to_canonical,
+    _set_spec_frame,
+) = _slot_setters(IsopticSpec)
 
 
 class ConicCoefficients(_Frozen):
@@ -89,8 +95,8 @@ class ConicCoefficients(_Frozen):
                 if c < 0.0:
                     coeffs = [-x for x in coeffs]
                 break
-        for name, value in zip(self.__slots__, coeffs):
-            _set(self, name, float(value))
+        for store, value in zip(_CONIC_SETTERS, coeffs):
+            store(self, float(value))
 
     def as_tuple(self) -> tuple[float, float, float, float, float, float]:
         return (self.c_xx, self.c_xy, self.c_yy, self.c_x, self.c_y, self.c_0)
@@ -117,6 +123,9 @@ class ConicCoefficients(_Frozen):
         )
 
 
+_CONIC_SETTERS = _slot_setters(ConicCoefficients)
+
+
 class IsopticCurve(_Frozen):
     __slots__ = ("normalized_conic", "beta", "frame", "original_conic")
 
@@ -127,10 +136,15 @@ class IsopticCurve(_Frozen):
         frame: AffineMap,  # canonical frame -> original plane
         original_conic: ConicCoefficients,
     ) -> None:
-        _set(self, "normalized_conic", normalized_conic)
-        _set(self, "beta", beta)
-        _set(self, "frame", frame)
-        _set(self, "original_conic", original_conic)
+        _set_curve_normalized_conic(self, normalized_conic)
+        _set_curve_beta(self, beta)
+        _set_curve_frame(self, frame)
+        _set_curve_original_conic(self, original_conic)
+
+
+_set_curve_normalized_conic, _set_curve_beta, _set_curve_frame, _set_curve_original_conic = (
+    _slot_setters(IsopticCurve)
+)
 
 
 def _pullback_conic(conic: ConicCoefficients, t: AffineMap) -> ConicCoefficients:

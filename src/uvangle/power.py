@@ -41,7 +41,7 @@ from .kernel import (
     Point,
     _check_finite,
     _Frozen,
-    _set,
+    _slot_setters,
     basis_map,
     compose_maps,
     intersect_lines,
@@ -69,12 +69,16 @@ class AxisHyperbola(_Frozen):
             # decides singularity as it would for the given frame.
             frame, kappa = compose_maps(_REFLECT_X, frame), -kappa
         inverse = invert_map(frame)  # raises SingularMap for a degenerate frame
-        c = frame.apply_point(center)
-        _set(self, "center", center)
-        _set(self, "kappa", kappa)
-        _set(self, "frame", frame)
-        _set(self, "_inverse", inverse)
-        _set(self, "_frame_center", (c.x, c.y))
+        # The frame's apply_point, with its ValueError for non-finite values.
+        x = frame.xx * center.x + frame.xy * center.y + frame.tx
+        y = frame.yx * center.x + frame.yy * center.y + frame.ty
+        if not (math.isfinite(x) and math.isfinite(y)):
+            _check_finite(x, y)
+        _set_hyperbola_center(self, center)
+        _set_hyperbola_kappa(self, kappa)
+        _set_hyperbola_frame(self, frame)
+        _set_hyperbola_inverse(self, inverse)
+        _set_hyperbola_frame_center(self, (x, y))
 
     @classmethod
     def axis_aligned(cls, center: Point, kappa: float) -> "AxisHyperbola":
@@ -108,17 +112,28 @@ class AxisHyperbola(_Frozen):
         return self._inverse.apply_point(Point(c + alpha, d + self.kappa / alpha))
 
 
+(
+    _set_hyperbola_center, _set_hyperbola_kappa, _set_hyperbola_frame, _set_hyperbola_inverse,
+    _set_hyperbola_frame_center,
+) = _slot_setters(AxisHyperbola)
+
+
 class SecantResult(_Frozen):
     __slots__ = ("a", "b", "alpha", "beta", "tangent")
 
     def __init__(
         self, a: Point, b: Point, alpha: float, beta: float, tangent: bool = False
     ) -> None:
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "alpha", alpha)
-        _set(self, "beta", beta)
-        _set(self, "tangent", tangent)
+        _set_secant_a(self, a)
+        _set_secant_b(self, b)
+        _set_secant_alpha(self, alpha)
+        _set_secant_beta(self, beta)
+        _set_secant_tangent(self, tangent)
+
+
+_set_secant_a, _set_secant_b, _set_secant_alpha, _set_secant_beta, _set_secant_tangent = (
+    _slot_setters(SecantResult)
+)
 
 
 def core_quantity(p: Point, h: AxisHyperbola) -> float:

@@ -169,6 +169,13 @@ def test_queries_build_no_directions_or_maps(constructed, query):
     assert constructed == {}
 
 
+def test_axis_hyperbola_builds_no_point(monkeypatch):
+    center = Point(0.5, -1.0)
+    constructed = count_constructions(monkeypatch, (Point,))
+    AxisHyperbola.from_directions(center, -1.5, DIRS.u, DIRS.v)
+    assert constructed == {}
+
+
 @pytest.mark.parametrize("n", [2, 3, 8, 33, 256])
 def test_sample_locus_builds_one_point_per_sample(monkeypatch, n):
     spec = IsopticSpec(Point(0.3, -0.7), Point(2.1, 0.4), DIRS, -1.3)

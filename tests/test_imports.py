@@ -38,28 +38,34 @@ def test_no_unused_imports(path):
     assert sorted(_imported(tree) - _used(tree)) == []
 
 
-def _setattr_spellings(tree: ast.Module) -> list[ast.Attribute]:
+def _attributes(tree: ast.AST, attr: str) -> list[ast.Attribute]:
     return [
-        node for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
-        and isinstance(node.value, ast.Name) and node.value.id == "object"
+        node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == attr
     ]
 
 
-def test_object_setattr_has_one_home():
-    # Value types set their fields through kernel._set, the one alias.
+def test_field_stores_have_one_home():
+    # Value types store their fields through the slot setters that
+    # kernel._slot_setters binds: no module spells object.__setattr__, and
+    # only that helper reads a slot descriptor's __set__.
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        found = _setattr_spellings(tree)
+        for node in _attributes(tree, "__setattr__"):
+            assert not (isinstance(node.value, ast.Name) and node.value.id == "object"), (
+                f"{path.name}:{node.lineno} spells object.__setattr__"
+            )
+        found = _attributes(tree, "__set__")
         if path.name != "kernel.py":
-            assert found == [], f"{path.name}:{found[0].lineno} spells object.__setattr__"
+            assert found == [], f"{path.name}:{found[0].lineno} reads __set__"
             continue
-        assert len(found) == 1, [node.lineno for node in found]
-        alias = [
+        helper = [
             node for node in tree.body
-            if isinstance(node, ast.Assign) and node.value is found[0]
+            if isinstance(node, ast.FunctionDef) and node.name == "_slot_setters"
         ]
-        assert [target.id for node in alias for target in node.targets] == ["_set"]
+        assert len(helper) == 1
+        assert len(found) == 1 and found[0] in set(ast.walk(helper[0])), [
+            node.lineno for node in found
+        ]
 
 
 # ``__init__.py`` resolves its exports lazily from one name -> submodule table.

@@ -260,6 +260,17 @@ def test_basis_map_rejects_dependent_directions():
             AxisHyperbola.from_directions(Point(0, 0), 1.0, u, v)
 
 
+def test_decompose_raises_for_coefficients_out_of_range():
+    # Both coefficients of a nonzero subnormal direction underflow to 0.
+    tiny = DirectionPair(DirectionVector(1e10, 0.0), DirectionVector(0.0, 1e10))
+    with pytest.raises(ValueError, match=r"^direction's \(u, v\) coefficients both underflow"):
+        decompose(DirectionVector(5e-324, 0.0), tiny)
+    assert decompose(DirectionVector(1e-300, 0.0), tiny) == (1e-310, 0.0)
+    huge = DirectionPair(DirectionVector(1e-10, 0.0), DirectionVector(0.0, 1e-10))
+    with pytest.raises(ValueError, match=r"^coordinates must be finite, got inf$"):
+        decompose(DirectionVector(1e300, 1.0), huge)
+
+
 def _reference_is_parallel(d1: DirectionVector, d2: DirectionVector) -> bool:
     return abs(cross(d1, d2)) <= PAR_EPS * d1.norm * d2.norm
 

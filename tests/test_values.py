@@ -2,11 +2,14 @@
 keyword construction and defaults, pickling and copying, and field validation."""
 
 import copy
+import importlib
 import math
 import pickle
+import pkgutil
 
 import pytest
 
+import uvangle
 from uvangle import (
     AffineMap,
     AngleResult,
@@ -25,6 +28,7 @@ from uvangle import (
     SlopePair,
 )
 from uvangle.errors import DegenerateConfiguration, SingularMap
+from uvangle.kernel import _Frozen
 
 U = DirectionVector(1.0, 1.0)
 V = DirectionVector(1.0, -1.0)
@@ -113,6 +117,43 @@ def test_immutable(cls, names, values):
         assert getattr(obj, name) == values[names.index(name)]
     with pytest.raises(AttributeError):
         obj.extra = 1.0
+
+
+def _subclasses(cls: type):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_value_type_is_a_case():
+    # A value type added later cannot skip the tests parametrized over CASES.
+    for module in pkgutil.iter_modules(uvangle.__path__):
+        importlib.import_module(f"uvangle.{module.name}")
+    cases = {cls for cls, _, _ in CASES}
+    assert sorted(cls.__qualname__ for cls in set(_subclasses(_Frozen)) - cases) == []
+
+
+# Constructors store derived slots through the slot setters, past
+# _Frozen.__setattr__ and __delattr__; nothing else may.
+DERIVED = [
+    (cls, values, name)
+    for cls, _, values in CASES
+    for name in cls.__slots__
+    if name.startswith("_")
+]
+
+
+@pytest.mark.parametrize(
+    "cls, values, name", DERIVED, ids=[f"{cls.__name__}.{name}" for cls, _, name in DERIVED]
+)
+def test_derived_slots_are_immutable(cls, values, name):
+    obj = cls(*values)
+    kept = getattr(obj, name)
+    with pytest.raises(AttributeError):
+        setattr(obj, name, None)
+    with pytest.raises(AttributeError):
+        delattr(obj, name)
+    assert getattr(obj, name) is kept
 
 
 def test_defaults():
