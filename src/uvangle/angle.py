@@ -25,6 +25,7 @@ from .kernel import (
     _check_finite,
     _cross_if_independent,
     _Frozen,
+    _map_direction,
     _same_sign,
     _slot_setters,
     distance,
@@ -101,13 +102,8 @@ def _slope(dx: float, dy: float, dirs: DirectionPair, name: str) -> float:
         or _cross_if_independent(dx, dy, v.dx, v.dy) == 0.0
     ):
         raise SingularRay(f"ray {name} is parallel to a reference direction")
-    f = dirs._basis
-    alpha, beta = f.xx * dx + f.xy * dy, f.yx * dx + f.yy * dy  # the frame's apply_linear
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
-        _check_finite(alpha, beta)
+    alpha, beta = _map_direction(dirs._basis, dx, dy)
     if alpha == 0.0:
-        if beta == 0.0:
-            raise ValueError("direction vector must be nonzero")
         raise SingularRay(f"ray {name}'s (u, v) coordinate alpha underflows to 0")
     m = beta / alpha
     if m == 0.0 or math.isinf(m):

@@ -12,10 +12,14 @@ axes, so it tests a secant for parallelism with |dx*dy| <= PAR_EPS*|d|^2 on
 the secant's frame coordinates (dx, dy).  The query paths of the package
 compute on floats and build no intermediate values; where such a value's
 constructor would have raised on a state that valid inputs can reach, they
-raise its error.  The (u, v) frame of the reference directions
-(``basis_map``, kept by ``DirectionPair``) and the slope form of the angle
-in it live here.  All operations are pure, so everything here is safe to
-share freely between threads.
+raise its error.  They apply a map through ``_map_point`` and
+``_map_direction``, which raise the finiteness and underflow errors; only
+``sample_locus``'s per-sample loop, ``normalize_configuration``,
+``compose_maps``, ``power._monic_in_frame``, ``AffineMap.apply_linear`` and
+``radical_axis``'s direction multiply a map out inline.  The (u, v) frame
+of the reference directions (``basis_map``, kept by ``DirectionPair``) and
+the slope form of the angle in it live here.  All operations are pure, so
+everything here is safe to share freely between threads.
 
 The value types of the package (here and in the other modules) are
 immutable ``__slots__`` classes built on ``_Frozen``: assigning or deleting
@@ -269,12 +273,34 @@ class AffineMap(_Frozen):
         return DirectionVector(self.xx * d.dx + self.xy * d.dy, self.yx * d.dx + self.yy * d.dy)
 
     def apply_point(self, p: Point) -> Point:
-        return Point(self.xx * p.x + self.xy * p.y + self.tx, self.yx * p.x + self.yy * p.y + self.ty)
+        return Point(*_map_point(self, p.x, p.y))
 
 
 _set_map_xx, _set_map_xy, _set_map_yx, _set_map_yy, _set_map_tx, _set_map_ty = (
     _slot_setters(AffineMap)
 )
+
+
+def _map_point(f: AffineMap, x: float, y: float) -> tuple[float, float]:
+    """f's image of the point (x, y); ValueError naming a non-finite image coordinate."""
+    ix, iy = f.xx * x + f.xy * y + f.tx, f.yx * x + f.yy * y + f.ty
+    if not (math.isfinite(ix) and math.isfinite(iy)):
+        _check_finite(ix, iy)
+    return ix, iy
+
+
+def _map_direction(f: AffineMap, dx: float, dy: float) -> tuple[float, float]:
+    """The linear image under the invertible f of the nonzero direction (dx, dy).
+
+    Raises ValueError when an image coordinate is not finite, or when both
+    underflow to 0, which only underflow can do.
+    """
+    ix, iy = f.xx * dx + f.xy * dy, f.yx * dx + f.yy * dy
+    if not (math.isfinite(ix) and math.isfinite(iy)):
+        _check_finite(ix, iy)
+    if ix == 0.0 and iy == 0.0:
+        raise ValueError("direction's (u, v) coefficients both underflow to 0")
+    return ix, iy
 
 
 def signed_area(x: Point, y: Point, z: Point) -> float:
@@ -308,12 +334,14 @@ def invert_map(t: AffineMap) -> AffineMap:
     """Inverse map; raises SingularMap when |det| <= ABS_EPS * (largest |entry|)^2.
 
     The threshold is relative to the entries, so a well-conditioned map of any
-    scale inverts.
+    scale inverts, unless det itself overflows: that raises OverflowError.
     """
     det = t.det
     scale = max(abs(t.xx), abs(t.xy), abs(t.yx), abs(t.yy))
     if abs(det) <= ABS_EPS * scale * scale:
         raise SingularMap(f"linear part is singular (det = {det!r})")
+    if math.isinf(det):  # every entry of the inverse would divide down to 0
+        raise OverflowError(f"linear part's determinant overflows: det = {det!r}")
     xx, xy, yx, yy = t.yy / det, -t.xy / det, -t.yx / det, t.xx / det
     tx = -(xx * t.tx + xy * t.ty)
     ty = -(yx * t.tx + yy * t.ty)
@@ -366,13 +394,7 @@ def decompose(d: DirectionVector, dirs: DirectionPair) -> tuple[float, float]:
     Raises ValueError when a coefficient overflows, or when both underflow
     to 0, which only underflow can do for a nonzero d.
     """
-    f = dirs._basis
-    a, b = f.xx * d.dx + f.xy * d.dy, f.yx * d.dx + f.yy * d.dy  # the frame's apply_linear
-    if not (math.isfinite(a) and math.isfinite(b)):
-        _check_finite(a, b)
-    if a == 0.0 and b == 0.0:
-        raise ValueError("direction's (u, v) coefficients both underflow to 0")
-    return a, b
+    return _map_direction(dirs._basis, d.dx, d.dy)
 
 
 def _same_sign(m_a: float, m_b: float) -> bool:

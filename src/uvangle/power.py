@@ -41,6 +41,8 @@ from .kernel import (
     Point,
     _check_finite,
     _Frozen,
+    _map_direction,
+    _map_point,
     _slot_setters,
     basis_map,
     compose_maps,
@@ -69,16 +71,12 @@ class AxisHyperbola(_Frozen):
             # decides singularity as it would for the given frame.
             frame, kappa = compose_maps(_REFLECT_X, frame), -kappa
         inverse = invert_map(frame)  # raises SingularMap for a degenerate frame
-        # The frame's apply_point, with its ValueError for non-finite values.
-        x = frame.xx * center.x + frame.xy * center.y + frame.tx
-        y = frame.yx * center.x + frame.yy * center.y + frame.ty
-        if not (math.isfinite(x) and math.isfinite(y)):
-            _check_finite(x, y)
+        frame_center = _map_point(frame, center.x, center.y)
         _set_hyperbola_center(self, center)
         _set_hyperbola_kappa(self, kappa)
         _set_hyperbola_frame(self, frame)
         _set_hyperbola_inverse(self, inverse)
-        _set_hyperbola_frame_center(self, (x, y))
+        _set_hyperbola_frame_center(self, frame_center)
 
     @classmethod
     def axis_aligned(cls, center: Point, kappa: float) -> "AxisHyperbola":
@@ -97,10 +95,7 @@ class AxisHyperbola(_Frozen):
 
     def relative_coords(self, p: Point) -> tuple[float, float]:
         """Frame coordinates of p relative to the center."""
-        f = self.frame  # the frame's apply_point, with its ValueError for non-finite values
-        x, y = f.xx * p.x + f.xy * p.y + f.tx, f.yx * p.x + f.yy * p.y + f.ty
-        if not (math.isfinite(x) and math.isfinite(y)):
-            _check_finite(x, y)
+        x, y = _map_point(self.frame, p.x, p.y)
         c, d = self._frame_center
         return x - c, y - d
 
@@ -150,13 +145,7 @@ def secant_intersections(p: Point, direction: DirectionVector, h: AxisHyperbola)
     directions meet the curve at most once and raise NoRealIntersection.
     """
     px, py = h.relative_coords(p)
-    f = h.frame  # the frame's apply_linear, with the checks of its DirectionVector
-    dx = f.xx * direction.dx + f.xy * direction.dy
-    dy = f.yx * direction.dx + f.yy * direction.dy
-    if not (math.isfinite(dx) and math.isfinite(dy)):
-        _check_finite(dx, dy)
-    if dx == 0.0 and dy == 0.0:
-        raise ValueError("direction vector must be nonzero")
+    dx, dy = _map_direction(h.frame, direction.dx, direction.dy)
     a2 = dx * dy
     norm = math.hypot(dx, dy)
     if abs(a2) <= PAR_EPS * norm * norm:
@@ -184,7 +173,7 @@ def secant_intersections(p: Point, direction: DirectionVector, h: AxisHyperbola)
         x, y = c + alpha, dcenter + (py + t * dy)  # the frame point, mapped back by g
         if not (math.isfinite(x) and math.isfinite(y)):
             _check_finite(x, y)
-        return Point(g.xx * x + g.xy * y + g.tx, g.yx * x + g.yy * y + g.ty), alpha
+        return Point(*_map_point(g, x, y)), alpha
 
     point_a, alpha = original(t1)
     point_b, beta = original(t2)
@@ -273,7 +262,7 @@ def radical_axis(h1: AxisHyperbola, h2: AxisHyperbola) -> Line:
         _check_finite(bx, by, dx, dy)
     g = h1._inverse
     return Line(
-        Point(g.xx * bx + g.xy * by + g.tx, g.yx * bx + g.yy * by + g.ty),
+        Point(*_map_point(g, bx, by)),
         DirectionVector(g.xx * dx + g.xy * dy, g.yx * dx + g.yy * dy),
     )
 

@@ -518,6 +518,11 @@ T_SQUARED_UNDERFLOWS = (
         ),
         (ALPHA_UNDERFLOWS, "ray OA's (u, v) coordinate alpha underflows to 0"),
         (T_SQUARED_UNDERFLOWS, "t = 1e-200 is too small to extrapolate from: t**2 underflows"),
+        (  # OA is nonzero, but the message said "direction vector must be nonzero"
+            ("angle", "--O", "0,0", "--A", "5e-324,0", "--B", "1,2", "--u", "1e10,1e10",
+             "--v", "1e10,-1e10"),
+            "direction's (u, v) coefficients both underflow to 0",
+        ),
     ],
 )
 def test_underflow_is_a_named_domain_error(argv, message):
@@ -585,6 +590,12 @@ SLOPE_OVERFLOWS = (
     "angle", "--O=-1.77,5.299485577577254e-05", "--A=-2.11,3.0", "--B=-4.4,1.3951",
     "--u=1022.3585670132161,0.6721", "--v=5e-324,2.2250738585072014e-308",
 )
+# The frame scales by ~1e160, so its determinant overflows: the inverse divided down to the
+# zero map, and _monic_in_frame divided by 0 in a ZeroDivisionError traceback.
+DET_OVERFLOWS = (
+    "radical-center", "--h1", "0,0,1", "--h2", "1e-300,0,1", "--h3", "0,1e-300,2",
+    "--u", "1e-160,0", "--v", "0,1e-160",
+)
 
 
 @pytest.mark.parametrize(
@@ -594,6 +605,7 @@ SLOPE_OVERFLOWS = (
         (RATIO_UNDERFLOWS, "m1/m2 underflows to 0"),
         (POWER_OVERFLOWS, "output power overflows to inf"),
         (SLOPE_OVERFLOWS, "ray OA's slope beta/alpha overflows"),
+        (DET_OVERFLOWS, "linear part's determinant overflows: det = inf"),
     ],
 )
 def test_out_of_range_result_is_a_named_domain_error(argv, message):
@@ -666,15 +678,17 @@ def test_counts_are_capped_when_parsed(capsys, argv, cap):
 
 # The contract fuzzer's grammar: extreme, non-finite and malformed number spellings,
 # small counts and each count cap + 1 (a count just below a cap would run for seconds).
+# 1e160 and -1e-160 lie in the band where a product of two entries leaves the float range
+# but ABS_EPS times it does not.
 NUMBERS = (
     "0", "-0.0", "1", "-1", "5e-324", "-5e-324", "2.2250738585072014e-308",
-    "-2.2250738585072014e-308", "1e200", "-1e200", "1e-200", "-1e-200", "1e300", "-1e300",
-    "1e-300", "-1e-300", "1e308", "-1e308", "1.7976931348623157e308",
+    "-2.2250738585072014e-308", "1e160", "-1e-160", "1e200", "-1e200", "1e-200", "-1e-200",
+    "1e300", "-1e300", "1e-300", "-1e-300", "1e308", "-1e308", "1.7976931348623157e308",
     "-1.7976931348623157e308", "nan", "inf", "-inf", "1e999", "-1e999", "x", "",
 )
-# The first 20 spellings are finite; drawing from them half the time gets more runs
+# The first 22 spellings are finite; drawing from them half the time gets more runs
 # past the parser.
-NUMBER = st.sampled_from(NUMBERS[:20]) | st.sampled_from(NUMBERS)
+NUMBER = st.sampled_from(NUMBERS[:22]) | st.sampled_from(NUMBERS)
 
 
 def numbers(k: int):
@@ -749,6 +763,7 @@ def svg_shape(stdout: str) -> tuple[int, int]:
 @example(argv=list(T_SQUARED_UNDERFLOWS))
 @example(argv=list(RATIO_OVERFLOWS))
 @example(argv=list(RATIO_UNDERFLOWS))
+@example(argv=list(DET_OVERFLOWS))
 @example(argv=[*ISOPTIC, "--theta", "1", "--samples", "5", "--output", "svg"])
 @example(argv=[*ISOPTIC_FRAME_OVERFLOWS, "--output", "svg"])
 @given(argv=cli_argv())

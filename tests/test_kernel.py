@@ -14,6 +14,7 @@ from uvangle import (
     Point,
     Ray,
     AxisHyperbola,
+    affine_angle,
     apply_map,
     basis_map,
     compose_maps,
@@ -22,7 +23,10 @@ from uvangle import (
     intersect_lines,
     invert_map,
     is_parallel,
+    is_same_component,
+    midpoint_ray,
     normalize_configuration,
+    secant_intersections,
     signed_area,
     vec,
 )
@@ -122,6 +126,9 @@ def test_invert_identity_and_diagonal():
 def test_invert_singular_raises():
     with pytest.raises(SingularMap):
         invert_map(AffineMap(1.0, 2.0, 0.5, 1.0))
+    # det = 1e310 overflows, though ABS_EPS * 1e155**2 does not: the inverse divided down to 0.
+    with pytest.raises(OverflowError, match=r"^linear part's determinant overflows: det = inf$"):
+        invert_map(AffineMap(1e155, 0.0, 0.0, 1e155))
 
 
 def test_invert_small_well_conditioned_map():
@@ -258,6 +265,30 @@ def test_basis_map_rejects_dependent_directions():
             decompose(DirectionVector(1, 2), DirectionPair(u, v))
         with pytest.raises(DegenerateConfiguration):
             AxisHyperbola.from_directions(Point(0, 0), 1.0, u, v)
+
+
+# A nonzero subnormal direction, off both reference directions, whose (u, v) coordinates
+# both underflow to 0 in this frame.
+_DIRS = DirectionPair(DirectionVector(1e10, 1e10), DirectionVector(1e10, -1e10))
+_O, _A, _B = Point(0.0, 0.0), Point(5e-324, 0.0), Point(1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: decompose(vec(_O, _A), _DIRS),
+        lambda: affine_angle(_O, _A, _B, _DIRS),
+        lambda: is_same_component(_O, _A, _B, _DIRS),
+        lambda: midpoint_ray(_O, Ray(_O, vec(_O, _A)), Ray(_O, vec(_O, _B)), _DIRS),
+        lambda: secant_intersections(
+            _B, vec(_O, _A), AxisHyperbola.from_directions(_O, 1.0, _DIRS.u, _DIRS.v)
+        ),
+    ],
+    ids=["decompose", "affine_angle", "is_same_component", "midpoint_ray", "secant_intersections"],
+)
+def test_underflowing_direction_raises_one_message(call):
+    with pytest.raises(ValueError, match=r"^direction's \(u, v\) coefficients both underflow to 0$"):
+        call()
 
 
 def test_decompose_raises_for_coefficients_out_of_range():

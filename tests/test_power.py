@@ -428,7 +428,7 @@ def test_radical_structure_ignores_the_order_of_the_directions():
     "guard, call, bad",
     [
         # The frame scales by 1e100, so the secant direction's image is (1e350, 1e100).
-        ("secant_intersections", lambda: secant_intersections(
+        ("_map_direction", lambda: secant_intersections(
             Point(0.0, 0.0), DirectionVector(1e250, 1.0),
             AxisHyperbola.from_directions(Point(0.0, 0.0), 1.0, DirectionVector(1e-100, 0.0),
                                           DirectionVector(0.0, 1e-100))), "inf"),
@@ -443,14 +443,16 @@ def test_radical_structure_ignores_the_order_of_the_directions():
     ],
 )
 def test_power_finiteness_guards_name_the_overflow(monkeypatch, guard, call, bad):
-    power_module = importlib.import_module("uvangle.power")  # the package exports power()
-    check, callers = power_module._check_finite, []
+    # power's guards call its own binding of _check_finite; the frame helpers call kernel's.
+    callers = []
+    for name in ("uvangle.power", "uvangle.kernel"):  # the package exports power()
+        module = importlib.import_module(name)
 
-    def spy(*values):
-        callers.append(sys._getframe(1).f_code.co_name)
-        check(*values)
+        def spy(*values, check=module._check_finite):
+            callers.append(sys._getframe(1).f_code.co_name)
+            check(*values)
 
-    monkeypatch.setattr(power_module, "_check_finite", spy)
+        monkeypatch.setattr(module, "_check_finite", spy)
     with pytest.raises(ValueError, match=f"^coordinates must be finite, got {bad}$"):
         call()
     assert callers == [guard]
