@@ -34,7 +34,10 @@ each slot through its descriptor's bound setter, which ``_slot_setters``
 binds once per class at import.  ``Point``, ``DirectionVector`` and
 ``AffineMap`` test their fields with ``math.isfinite`` inline and call
 ``_check_finite`` only when a test fails, for the ValueError that names the
-first non-finite value.
+first non-finite value.  ``sample_locus`` is the one place that builds
+``Point``s past the constructor, with ``object.__new__`` and the slot
+setters; ``IsopticSpec``'s documented bound keeps every sample finite, so
+the skipped tests could never fail there.
 """
 
 from __future__ import annotations
@@ -340,7 +343,7 @@ def invert_map(t: AffineMap) -> AffineMap:
     scale = max(abs(t.xx), abs(t.xy), abs(t.yx), abs(t.yy))
     if abs(det) <= ABS_EPS * scale * scale:
         raise SingularMap(f"linear part is singular (det = {det!r})")
-    if math.isinf(det):  # every entry of the inverse would divide down to 0
+    if not math.isfinite(det):  # the inverse's entries would divide down to 0, or to nan
         raise OverflowError(f"linear part's determinant overflows: det = {det!r}")
     xx, xy, yx, yy = t.yy / det, -t.xy / det, -t.yx / det, t.xx / det
     tx = -(xx * t.tx + xy * t.ty)

@@ -7,7 +7,8 @@ way perfbench's tracer rebinds functions, so a consumer that builds one of
 those maps again shows up as an extra call.  The kernel entry points that
 take a ``DirectionPair`` read its basis and build none, and the query paths
 build no ``DirectionVector`` or ``AffineMap`` on the way to their result.
-``sample_locus`` builds one ``Point`` per sample and evaluates each t grid
+``sample_locus`` builds each sample's ``Point`` past its constructor, as
+an equal, hashable, picklable and frozen value, and evaluates each t grid
 point's sinh once, and ``radical-center`` computes each radical axis once.
 """
 
@@ -177,11 +178,19 @@ def test_axis_hyperbola_builds_no_point(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 33, 256])
-def test_sample_locus_builds_one_point_per_sample(monkeypatch, n):
+def test_sample_locus_builds_points_past_init(monkeypatch, n):
     spec = IsopticSpec(Point(0.3, -0.7), Point(2.1, 0.4), DIRS, -1.3)
     constructed = count_constructions(monkeypatch, (DirectionVector, AffineMap, Point))
-    sample_locus(spec, n)
-    assert constructed == {"Point": n}
+    samples = sample_locus(spec, n)
+    assert constructed == {}
+    assert len(samples) == n
+    for p, _ in samples:
+        assert type(p) is Point
+        twin = Point(p.x, p.y)
+        assert p == twin and hash(p) == hash(twin)
+        assert pickle.loads(pickle.dumps(p)) == p
+        with pytest.raises(AttributeError):
+            p.x = 0.0
 
 
 @pytest.mark.parametrize("n, sinh_calls", [(2, 2), (8, 5), (256, 129), (3, 4), (33, 34)])

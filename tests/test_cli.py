@@ -596,6 +596,12 @@ DET_OVERFLOWS = (
     "radical-center", "--h1", "0,0,1", "--h2", "1e-300,0,1", "--h3", "0,1e-300,2",
     "--u", "1e-160,0", "--v", "0,1e-160",
 )
+# Both products of the frame's determinant overflow, so it is nan: the error named the nan
+# entries of the inverse, "coordinates must be finite, got nan".
+DET_IS_NAN = (
+    "power", "--kappa", "1", "--center", "0,0", "--P", "2,2",
+    "--u", "3e-160,1e-160", "--v", "1e-160,2e-160",
+)
 
 
 @pytest.mark.parametrize(
@@ -606,6 +612,7 @@ DET_OVERFLOWS = (
         (POWER_OVERFLOWS, "output power overflows to inf"),
         (SLOPE_OVERFLOWS, "ray OA's slope beta/alpha overflows"),
         (DET_OVERFLOWS, "linear part's determinant overflows: det = inf"),
+        (DET_IS_NAN, "linear part's determinant overflows: det = nan"),
     ],
 )
 def test_out_of_range_result_is_a_named_domain_error(argv, message):

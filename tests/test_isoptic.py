@@ -34,7 +34,7 @@ from uvangle.errors import (
     SingularPosition,
     ThetaTooSmall,
 )
-from uvangle.isoptic import THETA_MAX, _classify
+from uvangle.isoptic import THETA_MAX, THETA_MIN, _classify
 from uvangle.kernel import apply_map
 
 CANONICAL_DIRS = DirectionPair(DirectionVector(1, 1), DirectionVector(1, -1))
@@ -167,6 +167,22 @@ def test_sample_locus_reports_an_underflowing_canonical_map():
     # never see it and both report the one singular inverse.
     with pytest.raises(SingularMap, match=r"^linear part is singular \(det = 0\.0\)$"):
         IsopticSpec(Point(-1e170, 0), Point(1e170, 0), CANONICAL_DIRS, 1.0)
+
+
+def test_the_largest_accepted_segment_samples_below_the_documented_bound():
+    # sample_locus builds its points with no finiteness test: IsopticSpec's bound is
+    # the check.  Its largest accepted segment keeps every sample below 1e178.
+    dirs = DirectionPair(DirectionVector(2.0, 0.5), DirectionVector(-0.6, 1.5))
+    a, b = (-3e161, 9e160), (3e161, -6e160)
+    for theta in (THETA_MIN, -THETA_MIN, THETA_MAX, -THETA_MAX):
+        spec = IsopticSpec(Point(*a), Point(*b), dirs, theta)
+        samples = sample_locus(spec, 257)
+        assert len(samples) == 257
+        for p, _ in samples:
+            assert abs(p.x) < 1e178 and abs(p.y) < 1e178
+    big = 1e162 / 3e161
+    with pytest.raises(SingularMap):
+        IsopticSpec(Point(a[0] * big, a[1] * big), Point(b[0] * big, b[1] * big), dirs, 1.0)
 
 
 def test_parametrization_at_zero():

@@ -129,6 +129,13 @@ def test_invert_singular_raises():
     # det = 1e310 overflows, though ABS_EPS * 1e155**2 does not: the inverse divided down to 0.
     with pytest.raises(OverflowError, match=r"^linear part's determinant overflows: det = inf$"):
         invert_map(AffineMap(1e155, 0.0, 0.0, 1e155))
+    # Both products overflow, so det = inf - inf is nan, for a singular and a nonsingular map
+    # (det 1e310); the entries divided to nan.
+    for m in (AffineMap(1e155, 1e155, 1e155, 1e155), AffineMap(1e155, 1e155, 1e155, 2e155)):
+        with pytest.raises(
+            OverflowError, match=r"^linear part's determinant overflows: det = nan$"
+        ):
+            invert_map(m)
 
 
 def test_invert_small_well_conditioned_map():
