@@ -180,9 +180,8 @@ def test_the_largest_accepted_segment_samples_below_the_documented_bound():
         assert len(samples) == 257
         for p, _ in samples:
             assert abs(p.x) < 1e178 and abs(p.y) < 1e178
-    big = 1e162 / 3e161
-    with pytest.raises(SingularMap):
-        IsopticSpec(Point(a[0] * big, a[1] * big), Point(b[0] * big, b[1] * big), dirs, 1.0)
+    with pytest.raises(SingularMap):  # the same segment scaled to 1e162
+        IsopticSpec(Point(-1e162, 3e161), Point(1e162, -2e161), dirs, 1.0)
 
 
 def test_parametrization_at_zero():
