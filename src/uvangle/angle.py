@@ -57,10 +57,6 @@ class AngleResult(_Frozen):
         _set_result_reason(self, reason)
 
     @classmethod
-    def real(cls, theta: float) -> "AngleResult":
-        return cls(theta, None)
-
-    @classmethod
     def non_real(cls, reason: str) -> "AngleResult":
         return cls(None, reason)
 
@@ -110,15 +106,6 @@ def _slope(dx: float, dy: float, dirs: DirectionPair, name: str) -> float:
         what = "overflows" if m else "underflows to 0"
         raise SingularRay(f"ray {name}'s slope beta/alpha {what}")
     return m
-
-
-def ray_slope(d: DirectionVector, dirs: DirectionPair, name: str) -> float:
-    """Slope m = beta/alpha of d = alpha*u + beta*v.
-
-    Raises SingularRay when d is parallel to u or v, when alpha underflows to
-    0, or when m overflows or underflows to 0.
-    """
-    return _slope(d.dx, d.dy, dirs, name)
 
 
 def _slope_pair(o: Point, a: Point, b: Point, dirs: DirectionPair) -> tuple[float, float]:
@@ -183,4 +170,4 @@ def preserves_affine_angle(t: AffineMap, dirs: DirectionPair) -> bool:
         return False
     eig_u = dot(image_u, dirs.u) / dot(dirs.u, dirs.u)
     eig_v = dot(image_v, dirs.v) / dot(dirs.v, dirs.v)
-    return eig_u * eig_v > 0.0
+    return _same_sign(eig_u, eig_v)

@@ -64,10 +64,6 @@ class SigmaValue(_Frozen):
     def infinity(cls) -> "SigmaValue":
         return cls(math.inf, True)
 
-    @property
-    def is_finite(self) -> bool:
-        return not self.infinite
-
 
 _set_sigma_value, _set_sigma_infinite = _slot_setters(SigmaValue)
 

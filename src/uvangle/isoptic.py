@@ -103,27 +103,6 @@ class ConicCoefficients(_Frozen):
     def as_tuple(self) -> tuple[float, float, float, float, float, float]:
         return (self.c_xx, self.c_xy, self.c_yy, self.c_x, self.c_y, self.c_0)
 
-    def evaluate(self, x: float, y: float) -> float:
-        return (
-            self.c_xx * x * x
-            + self.c_xy * x * y
-            + self.c_yy * y * y
-            + self.c_x * x
-            + self.c_y * y
-            + self.c_0
-        )
-
-    def evaluation_scale(self, x: float, y: float) -> float:
-        """Sum of term magnitudes; a robust denominator for residual checks."""
-        return (
-            abs(self.c_xx * x * x)
-            + abs(self.c_xy * x * y)
-            + abs(self.c_yy * y * y)
-            + abs(self.c_x * x)
-            + abs(self.c_y * y)
-            + abs(self.c_0)
-        )
-
 
 _CONIC_SETTERS = _slot_setters(ConicCoefficients)
 

@@ -257,10 +257,6 @@ class AffineMap(_Frozen):
         _set_map_ty(self, ty)
 
     @classmethod
-    def identity(cls) -> "AffineMap":
-        return cls(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
-
-    @classmethod
     def translation(cls, dx: float, dy: float) -> "AffineMap":
         return cls(1.0, 0.0, 0.0, 1.0, dx, dy)
 

@@ -56,9 +56,10 @@ _REFLECT_X = AffineMap(-1.0, 0.0, 0.0, 1.0)
 class AxisHyperbola(_Frozen):
     """Hyperbola (x - c)(y - d) = kappa in the coordinates of ``frame``.
 
-    ``center`` lives in the original plane; (c, d) is its frame image.
-    ``frame`` maps the original plane to the frame where the asymptote
-    directions become the coordinate axes; ``_inverse`` maps back.
+    ``center`` lives in the original plane; its frame image (c, d) is held
+    in ``_frame_center``, the one place to read it.  ``frame`` maps the
+    original plane to the frame where the asymptote directions become the
+    coordinate axes; ``_inverse`` maps back.
     """
 
     __slots__ = ("center", "kappa", "frame", "_inverse", "_frame_center")
@@ -79,19 +80,11 @@ class AxisHyperbola(_Frozen):
         _set_hyperbola_frame_center(self, frame_center)
 
     @classmethod
-    def axis_aligned(cls, center: Point, kappa: float) -> "AxisHyperbola":
-        """Curve (x - cx)(y - cy) = kappa with asymptotes parallel to the axes."""
-        return cls(center, kappa, AffineMap.identity())
-
-    @classmethod
     def from_directions(
         cls, center: Point, kappa: float, u: DirectionVector, v: DirectionVector
     ) -> "AxisHyperbola":
         """Curve with asymptote directions u, v; the frame sends u, v to the axes."""
         return cls(center, kappa, basis_map(u, v))
-
-    def frame_center(self) -> tuple[float, float]:
-        return self._frame_center
 
     def relative_coords(self, p: Point) -> tuple[float, float]:
         """Frame coordinates of p relative to the center."""
@@ -103,7 +96,7 @@ class AxisHyperbola(_Frozen):
         """The curve point with center-relative frame abscissa alpha."""
         if alpha == 0.0:
             raise ValueError("abscissa on the asymptote")
-        c, d = self.frame_center()
+        c, d = self._frame_center
         return self._inverse.apply_point(Point(c + alpha, d + self.kappa / alpha))
 
 

@@ -8,12 +8,34 @@ import random
 from uvangle import (
     AffineMap,
     AxisHyperbola,
+    ConicCoefficients,
     DirectionPair,
     DirectionVector,
     Point,
     Ray,
     cross,
 )
+
+
+IDENTITY = AffineMap(1.0, 0.0, 0.0, 1.0)
+
+
+def axis_aligned(center: Point, kappa: float) -> AxisHyperbola:
+    """Curve (x - cx)(y - cy) = kappa with asymptotes parallel to the axes."""
+    return AxisHyperbola(center, kappa, IDENTITY)
+
+
+def conic_value(conic: ConicCoefficients, x: float, y: float) -> float:
+    """The conic's left-hand side at (x, y), summed in coefficient order."""
+    c_xx, c_xy, c_yy, c_x, c_y, c_0 = conic.as_tuple()
+    return c_xx * x * x + c_xy * x * y + c_yy * y * y + c_x * x + c_y * y + c_0
+
+
+def conic_scale(conic: ConicCoefficients, x: float, y: float) -> float:
+    """Sum of term magnitudes; a robust denominator for residual checks."""
+    c_xx, c_xy, c_yy, c_x, c_y, c_0 = conic.as_tuple()
+    return (abs(c_xx * x * x) + abs(c_xy * x * y) + abs(c_yy * y * y)
+            + abs(c_x * x) + abs(c_y * y) + abs(c_0))
 
 
 def rel_diff(a: float, b: float) -> float:

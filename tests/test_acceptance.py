@@ -11,7 +11,10 @@ from pathlib import Path
 import mpmath
 
 from helpers import (
+    axis_aligned,
     basis_point,
+    conic_scale,
+    conic_value,
     direction_pair,
     log_uniform,
     random_hyperbola,
@@ -227,8 +230,8 @@ def test_criterion_04_isoptic_round_trip(acceptance):
         spec = _random_isoptic_spec(rng)
         curve = isoptic_curve(spec)
         for endpoint in (spec.a, spec.b):
-            residual = abs(curve.original_conic.evaluate(endpoint.x, endpoint.y))
-            scale = max(1.0, curve.original_conic.evaluation_scale(endpoint.x, endpoint.y))
+            residual = abs(conic_value(curve.original_conic, endpoint.x, endpoint.y))
+            scale = max(1.0, conic_scale(curve.original_conic, endpoint.x, endpoint.y))
             worst_incidence = max(worst_incidence, residual / scale)
         d1, d2 = asymptote_directions(curve.original_conic)
         for d in (d1, d2):
@@ -300,7 +303,7 @@ def test_criterion_06_power_theorem(acceptance):
         worst_formula = max(
             worst_formula, max(abs(v - expected) for v in products) / expected
         )
-    unit = AxisHyperbola.axis_aligned(Point(0, 0), 1.0)
+    unit = axis_aligned(Point(0, 0), 1.0)
     worked = power(Point(2, 2), unit)
     ok = worst_spread <= 1e-9 and worst_formula <= 1e-9 and abs(worked - 3.0) <= 1e-12
     acceptance(

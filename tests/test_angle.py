@@ -33,7 +33,7 @@ from uvangle import (
     signed_area,
     vec,
 )
-from uvangle.angle import ray_slope
+from uvangle.angle import _slope
 from uvangle.errors import (
     CoincidentIntersection,
     ComponentMismatch,
@@ -64,7 +64,7 @@ def _aux_line(a: float, b: float) -> Line:
 def test_sigma_worked_example_matches_raw_area_quotient():
     aux = _aux_line(1.0, 2.0)
     value = sigma_lambda(ORIGIN, Ray(ORIGIN, DirectionVector(1, 3)), X_AXIS, Y_AXIS, aux)
-    assert value.is_finite
+    assert not value.infinite
     # independent oracle: intersection points and the literal area quotient
     p_u, p_v, p_l = Point(1, 0), Point(0, 0.5), Point(1 / 7, 3 / 7)
     oracle = signed_area(ORIGIN, p_l, p_u) / signed_area(ORIGIN, p_l, p_v)
@@ -80,13 +80,13 @@ def test_sigma_worked_example_matches_raw_area_quotient():
 def test_sigma_boundary_parallel_u_is_zero():
     aux = _aux_line(1.0, 2.0)
     value = sigma_lambda(ORIGIN, Ray(ORIGIN, DirectionVector(1, 0)), X_AXIS, Y_AXIS, aux)
-    assert value.is_finite and value.value == 0.0
+    assert not value.infinite and value.value == 0.0
 
 
 def test_sigma_boundary_parallel_v_is_infinite():
     aux = _aux_line(1.0, 2.0)
     value = sigma_lambda(ORIGIN, Ray(ORIGIN, DirectionVector(0, 1)), X_AXIS, Y_AXIS, aux)
-    assert not value.is_finite
+    assert value.infinite
 
 
 def test_sigma_auxiliary_parallel_to_ray_raises():
@@ -351,7 +351,7 @@ def test_midpoint_component_mismatch():
 )
 def test_slope_out_of_range_is_a_singular_ray(dirs, message):
     with pytest.raises(SingularRay) as exc:
-        ray_slope(DirectionVector(1.0, 1.0), dirs, "d")
+        _slope(1.0, 1.0, dirs, "d")
     assert str(exc.value) == message
 
 
@@ -414,6 +414,13 @@ def test_preserves_translation_and_diagonal():
     assert preserves_affine_angle(AffineMap.scaling(2, 3), AXES)
     assert not preserves_affine_angle(AffineMap.scaling(1, -1), AXES)
     assert not preserves_affine_angle(AffineMap(1.0, 0.5, 0.0, 1.0), AXES)
+    # Eigenvalues whose product underflows to 0 keep their signs.
+    assert preserves_affine_angle(AffineMap.scaling(1e-200, 1e-200), AXES)
+    assert not preserves_affine_angle(AffineMap.scaling(1e-200, -1e-200), AXES)
+    sheared = DirectionPair(DirectionVector(3, 1), DirectionVector(1, 2))
+    basis = AffineMap(3.0, 1.0, 1.0, 2.0)
+    tiny = compose_maps(compose_maps(basis, AffineMap.scaling(1e-170, 3e-170)), invert_map(basis))
+    assert preserves_affine_angle(tiny, sheared)
 
 
 def test_preserves_conjugated_diagonal():

@@ -220,7 +220,7 @@ def _edge_angles(lines: list[str]) -> None:
         preserves_affine_angle,
         sector_area_equivalence,
     )
-    from uvangle.angle import ray_slope
+    from uvangle.angle import _slope
 
     u, v = DirectionVector(2.0, 0.5), DirectionVector(-0.6, 1.5)
     dirs = DirectionPair(u, v)
@@ -239,7 +239,7 @@ def _edge_angles(lines: list[str]) -> None:
             _record(lines, f"affine_angle near-{name} {e!r} as B",
                     lambda: affine_angle(o, b, a, dirs))
             _record(lines, f"ray_slope near-{name} {e!r}",
-                    lambda: ray_slope(DirectionVector(a.x - o.x, a.y - o.y), dirs, "d"))
+                    lambda: _slope(a.x - o.x, a.y - o.y, dirs, "d"))
     on_u, on_v = off(2.0, 0.5), off(-0.6, 1.5)
     overflow = [Point(-1e308, 1.0), Point(1e308, 1.0)]  # vertex, point: the offset is inf
     cases = [
@@ -370,6 +370,7 @@ def _edge_kernel(lines: list[str]) -> None:
 
 
 def _edge_power(lines: list[str]) -> None:
+    from helpers import axis_aligned
     from uvangle import (
         AffineMap,
         AxisHyperbola,
@@ -399,7 +400,7 @@ def _edge_power(lines: list[str]) -> None:
     for kappa in (1.5, -1.5):
         build(f"sheared {kappa!r}", lambda: AxisHyperbola.from_directions(center, kappa, u, v))
         build(f"swapped {kappa!r}", lambda: AxisHyperbola.from_directions(center, kappa, v, u))
-        build(f"axis-aligned {kappa!r}", lambda: AxisHyperbola.axis_aligned(center, kappa))
+        build(f"axis-aligned {kappa!r}", lambda: axis_aligned(center, kappa))
         build(f"general {kappa!r}", lambda: AxisHyperbola(center, kappa, general))
         build(f"zero entries {kappa!r}", lambda: AxisHyperbola(Point(0.0, -0.0), kappa, zeros))
         for name, frame in [
@@ -411,7 +412,7 @@ def _edge_power(lines: list[str]) -> None:
         ]:
             build(f"{name} {kappa!r}", lambda: AxisHyperbola(Point(1e10, 1.0), kappa, frame))
     for kappa in (0.0, math.nan, math.inf):
-        build(f"kappa {kappa!r}", lambda: AxisHyperbola.axis_aligned(center, kappa))
+        build(f"kappa {kappa!r}", lambda: axis_aligned(center, kappa))
 
     p = Point(2.0, 3.0)
     for name in ("sheared 1.5", "sheared -1.5", "general -1.5", "zero entries -1.5"):

@@ -1,11 +1,12 @@
-"""Every name a package module imports is used in that module, and the
-package's lazy exports resolve.
+"""Every name a package module imports is used in that module, every public
+member has a caller in the package, and the package's lazy exports resolve.
 
 ``__init__.py`` is exempt from the unused-import check; its exports are
 checked through the name -> submodule table instead.
 """
 
 import ast
+import builtins
 import importlib
 import os
 import subprocess
@@ -66,6 +67,50 @@ def test_field_stores_have_one_home():
         assert len(found) == 1 and found[0] in set(ast.walk(helper[0])), [
             node.lineno for node in found
         ]
+
+
+def _overrides_stdlib(cls: ast.ClassDef, name: str) -> bool:
+    """The class has a stdlib or builtin base that defines ``name``."""
+    for base in cls.bases:
+        if isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name):
+            owner = getattr(importlib.import_module(base.value.id), base.attr)
+        elif isinstance(base, ast.Name) and hasattr(builtins, base.id):
+            owner = getattr(builtins, base.id)
+        else:
+            continue
+        if hasattr(owner, name):
+            return True
+    return False
+
+
+def test_every_public_member_has_a_caller_in_src():
+    # A value type's public members are the ones the library itself uses:
+    # every public method, property or classmethod, and every public
+    # module-level function the package does not export, is read somewhere
+    # in src.  Members only tests need live in tests/helpers.py.
+    import uvangle
+
+    read: set[str] = set()
+    public: list[str] = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                if not node.name.startswith("_") and node.name not in uvangle._EXPORTS:
+                    public.append(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                public.extend(
+                    f"{path.stem}.{node.name}.{item.name}" for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                    and not _overrides_stdlib(node, item.name)
+                )
+    assert public
+    assert [name for name in public if name.rsplit(".", 1)[1] not in read] == []
 
 
 # ``__init__.py`` resolves its exports lazily from one name -> submodule table.

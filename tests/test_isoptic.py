@@ -5,7 +5,14 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_point_close, direction_pair, log_uniform, random_vertex
+from helpers import (
+    assert_point_close,
+    conic_scale,
+    conic_value,
+    direction_pair,
+    log_uniform,
+    random_vertex,
+)
 from uvangle import (
     ConicCoefficients,
     DirectionPair,
@@ -86,7 +93,7 @@ def test_curve_worked_example_ratio_three():
 def test_curve_passes_through_endpoints():
     curve = isoptic_curve(canonical_spec(1.0))
     for x in (-1.0, 1.0):
-        assert abs(curve.normalized_conic.evaluate(x, 0.0)) <= 1e-9
+        assert abs(conic_value(curve.normalized_conic, x, 0.0)) <= 1e-9
 
 
 def test_curve_center_formula():
@@ -110,13 +117,13 @@ def test_original_conic_is_the_pullback_and_keeps_the_center():
         assert_point_close(center, curve.frame.apply_point(Point(0.0, -curve.beta)), tol=1e-9)
         # original(frame(p)) = k * normalized(p) for one constant k
         origin = curve.frame.apply_point(Point(0.0, 0.0))
-        k = curve.original_conic.evaluate(origin.x, origin.y) / curve.normalized_conic.c_0
+        k = conic_value(curve.original_conic, origin.x, origin.y) / curve.normalized_conic.c_0
         for _ in range(5):
             x, y = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
             q = curve.frame.apply_point(Point(x, y))
-            got = curve.original_conic.evaluate(q.x, q.y)
-            want = k * curve.normalized_conic.evaluate(x, y)
-            assert abs(got - want) <= 1e-9 * curve.original_conic.evaluation_scale(q.x, q.y)
+            got = conic_value(curve.original_conic, q.x, q.y)
+            want = k * conic_value(curve.normalized_conic, x, y)
+            assert abs(got - want) <= 1e-9 * conic_scale(curve.original_conic, q.x, q.y)
 
 
 def test_conic_center_pivots_and_rejects_non_central_conics():
@@ -200,16 +207,16 @@ def test_parametrization_residual_and_symmetry():
         t = rng.uniform(-4.0, 4.0)
         curve = isoptic_curve(canonical_spec(theta))
         p = isoptic_point(theta, t)
-        residual = curve.normalized_conic.evaluate(p.x, p.y)
-        scale = curve.normalized_conic.evaluation_scale(p.x, p.y)
+        residual = conic_value(curve.normalized_conic, p.x, p.y)
+        scale = conic_scale(curve.normalized_conic, p.x, p.y)
         assert abs(residual) <= 1e-9 * max(1.0, scale)
         mirrored = isoptic_point(theta, -t)
         assert mirrored.x == pytest.approx(-p.x, rel=1e-12, abs=1e-15)
         assert mirrored.y == pytest.approx(p.y, rel=1e-12)
         # the reflected branch satisfies the same equation
         q = reflect_branch(p, theta)
-        residual2 = curve.normalized_conic.evaluate(q.x, q.y)
-        assert abs(residual2) <= 1e-9 * max(1.0, curve.normalized_conic.evaluation_scale(q.x, q.y))
+        residual2 = conic_value(curve.normalized_conic, q.x, q.y)
+        assert abs(residual2) <= 1e-9 * max(1.0, conic_scale(curve.normalized_conic, q.x, q.y))
 
 
 def test_admissibility_worked_examples():
@@ -238,7 +245,7 @@ def test_admissibility_matches_sigma_sign_oracle():
             s_b = sigma_lambda(p, Ray(p, vec(p, spec.b)), u_line, v_line, aux)
         except Exception:
             continue
-        if not (s_a.is_finite and s_b.is_finite):
+        if s_a.infinite or s_b.infinite:
             continue
         assert fast == (s_a.value * s_b.value > 0.0), p
         checked += 1
@@ -252,8 +259,8 @@ def test_sample_locus_counts_and_residuals():
     hundred = sample_locus(spec, 100)
     assert len(hundred) == 100
     for p, _ in hundred:
-        residual = curve.original_conic.evaluate(p.x, p.y)
-        scale = curve.original_conic.evaluation_scale(p.x, p.y)
+        residual = conic_value(curve.original_conic, p.x, p.y)
+        scale = conic_scale(curve.original_conic, p.x, p.y)
         assert abs(residual) <= 1e-9 * max(1.0, scale)
     with pytest.raises(ValueError):
         sample_locus(spec, 1)
@@ -276,8 +283,8 @@ def test_original_frame_incidence_and_asymptotes():
         spec = random_spec(rng)
         curve = isoptic_curve(spec)
         for endpoint in (spec.a, spec.b):
-            residual = curve.original_conic.evaluate(endpoint.x, endpoint.y)
-            scale = curve.original_conic.evaluation_scale(endpoint.x, endpoint.y)
+            residual = conic_value(curve.original_conic, endpoint.x, endpoint.y)
+            scale = conic_scale(curve.original_conic, endpoint.x, endpoint.y)
             assert abs(residual) <= 1e-8 * max(1.0, scale)
         d1, d2 = asymptote_directions(curve.original_conic)
         refs = (spec.dirs.u, spec.dirs.v)

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_point_close, direction_pair, random_invertible_map, random_vertex
+from helpers import (
+    IDENTITY,
+    assert_point_close,
+    direction_pair,
+    random_invertible_map,
+    random_vertex,
+)
 from uvangle import (
     AffineMap,
     DirectionPair,
@@ -98,7 +104,7 @@ def test_intersection_lies_on_both_lines():
 
 def test_apply_identity_and_translation():
     p = Point(3, -2)
-    assert apply_map(AffineMap.identity(), p) == p
+    assert apply_map(IDENTITY, p) == p
     tr = AffineMap.translation(5, 5)
     tri = [Point(0, 0), Point(1, 0), Point(0, 1)]
     moved = [apply_map(tr, q) for q in tri]
@@ -118,7 +124,7 @@ def test_apply_scaling_area():
 
 
 def test_invert_identity_and_diagonal():
-    assert invert_map(AffineMap.identity()) == AffineMap.identity()
+    assert invert_map(IDENTITY) == IDENTITY
     inv = invert_map(AffineMap.scaling(2, 4))
     assert inv.xx == 0.5 and inv.yy == 0.25
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     assert_point_close,
+    axis_aligned,
     direction_pair,
     log_uniform,
     random_hyperbola,
@@ -50,7 +51,7 @@ from uvangle.power_theorem import (
     symmetric_area,
 )
 
-UNIT = AxisHyperbola.axis_aligned(Point(0, 0), 1.0)
+UNIT = axis_aligned(Point(0, 0), 1.0)
 
 
 def test_core_quantity_examples():
@@ -60,7 +61,7 @@ def test_core_quantity_examples():
 
 
 def test_negative_kappa_is_normalized():
-    h = AxisHyperbola.axis_aligned(Point(0, 0), -1.0)  # the curve x*y = -1
+    h = axis_aligned(Point(0, 0), -1.0)  # the curve x*y = -1
     assert h.kappa == 1.0
     assert core_quantity(Point(1, -1), h) == 0.0       # on the curve
     assert core_quantity(Point(0, 0), h) == -1.0       # center side
@@ -115,7 +116,7 @@ def test_projections_worked_examples():
     a1, a2 = asymptotic_projections(Point(1, 1), UNIT)
     assert_point_close(a1, Point(1, 0), tol=1e-12)
     assert_point_close(a2, Point(0, 1), tol=1e-12)
-    four = AxisHyperbola.axis_aligned(Point(0, 0), 4.0)
+    four = axis_aligned(Point(0, 0), 4.0)
     b1, b2 = asymptotic_projections(Point(2, 2), four)
     assert_point_close(b1, Point(2, 0), tol=1e-12)
     assert_point_close(b2, Point(0, 2), tol=1e-12)
@@ -301,7 +302,7 @@ def test_chord_intersection_abscissa_does_not_depend_on_kappa(kappa):
 
 
 def test_radical_axis_worked_example():
-    h2 = AxisHyperbola.axis_aligned(Point(-1, -0.5), 3.0)  # (x+1)(y+1/2) = 3
+    h2 = axis_aligned(Point(-1, -0.5), 3.0)  # (x+1)(y+1/2) = 3
     axis = radical_axis(UNIT, h2)
     # the common chord x + 2y = 3 through (1, 1) and (2, 1/2)
     assert axis.contains(Point(1, 1), tol=1e-12)
@@ -313,12 +314,12 @@ def test_radical_axis_worked_example():
 
 def test_radical_axis_identical_curves():
     with pytest.raises(IdenticalCurves):
-        radical_axis(UNIT, AxisHyperbola.axis_aligned(Point(0, 0), 1.0))
+        radical_axis(UNIT, axis_aligned(Point(0, 0), 1.0))
 
 
 def test_radical_axis_tangent_curves_gives_common_tangent():
     # q2 = q1 + (x + y - 2) touches x*y = 1 exactly at (1, 1)
-    h2 = AxisHyperbola.axis_aligned(Point(-1, -1), 4.0)
+    h2 = axis_aligned(Point(-1, -1), 4.0)
     axis = radical_axis(UNIT, h2)
     assert axis.contains(Point(1, 1), tol=1e-12)
     a, b, c = axis.implicit()
@@ -438,8 +439,8 @@ def test_radical_structure_ignores_the_order_of_the_directions():
             AxisHyperbola(Point(0.0, 0.0), 2.0, AffineMap(1.34e154, 0.0, 0.0, 1.34e154))), "inf"),
         # Centers at +-1e308: the linear coefficient ex = -1e308 - 1e308 overflows.
         ("radical_axis", lambda: radical_axis(
-            AxisHyperbola.axis_aligned(Point(0.0, 1e308), 1.0),
-            AxisHyperbola.axis_aligned(Point(0.0, -1e308), 1.0)), "-inf"),
+            axis_aligned(Point(0.0, 1e308), 1.0),
+            axis_aligned(Point(0.0, -1e308), 1.0)), "-inf"),
     ],
 )
 def test_power_finiteness_guards_name_the_overflow(monkeypatch, guard, call, bad):
@@ -459,15 +460,15 @@ def test_power_finiteness_guards_name_the_overflow(monkeypatch, guard, call, bad
 
 
 def test_radical_center_identical_pair_raises():
-    h2 = AxisHyperbola.axis_aligned(Point(1, 1), 2.0)
+    h2 = axis_aligned(Point(1, 1), 2.0)
     with pytest.raises(IdenticalCurves):
-        radical_center(UNIT, AxisHyperbola.axis_aligned(Point(0, 0), 1.0), h2)
+        radical_center(UNIT, axis_aligned(Point(0, 0), 1.0), h2)
 
 
 def test_radical_center_equal_centers_distinct_kappa():
-    h1 = AxisHyperbola.axis_aligned(Point(0, 0), 1.0)
-    h2 = AxisHyperbola.axis_aligned(Point(0, 0), 2.0)
-    h3 = AxisHyperbola.axis_aligned(Point(0, 0), 3.0)
+    h1 = axis_aligned(Point(0, 0), 1.0)
+    h2 = axis_aligned(Point(0, 0), 2.0)
+    h3 = axis_aligned(Point(0, 0), 3.0)
     with pytest.raises(ParallelAxes):
         radical_center(h1, h2, h3)
 

@@ -80,7 +80,7 @@ def test_repr_literals():
         "Line(base=Point(x=0.0, y=0.0), dir=DirectionVector(dx=1.0, dy=0.0))"
     )
     assert repr(SigmaValue.infinity()) == "SigmaValue(value=inf, infinite=True)"
-    assert repr(AngleResult.real(0.5)) == "AngleResult(theta=0.5, reason=None)"
+    assert repr(AngleResult(0.5)) == "AngleResult(theta=0.5, reason=None)"
 
 
 @pytest.mark.parametrize("cls, names, values", CASES, ids=IDS)
@@ -161,7 +161,7 @@ def test_defaults():
     m = AffineMap(xx=1.0, xy=2.0, yx=3.0, yy=4.0, ty=5.0)
     assert (m.tx, m.ty) == (0.0, 5.0)
     assert SigmaValue(2.0).infinite is False
-    assert SigmaValue(value=2.0).is_finite
+    assert not SigmaValue(value=2.0).infinite
     assert AngleResult(0.25).reason is None
     assert AngleResult(theta=None, reason="x").is_real is False
     s = SecantResult(Point(1, 1), Point(1, 1), 1.0, 1.0)
