@@ -159,6 +159,17 @@ def midpoint_ray(o: Point, r: Ray, s: Ray, dirs: DirectionPair) -> Ray:
     return Ray(o, d_t)
 
 
+def _positive_eigenvalue(image: DirectionVector, d: DirectionVector) -> bool:
+    """Whether the eigenvalue of d is positive, given d's image parallel to d.
+
+    The sign is read off d's dominant coordinate and the same coordinate of
+    the image, so no |d|^2 is formed; that square overflows past |d| ~ 1e154
+    and underflows to 0 below |d| ~ 1e-162.
+    """
+    i, c = (image.dx, d.dx) if abs(d.dx) >= abs(d.dy) else (image.dy, d.dy)
+    return (i > 0.0) == (c > 0.0)
+
+
 def preserves_affine_angle(t: AffineMap, dirs: DirectionPair) -> bool:
     """True iff u and v are eigendirections of the linear part with same-sign eigenvalues."""
     try:
@@ -168,6 +179,4 @@ def preserves_affine_angle(t: AffineMap, dirs: DirectionPair) -> bool:
         return False
     if not is_parallel(image_u, dirs.u) or not is_parallel(image_v, dirs.v):
         return False
-    eig_u = dot(image_u, dirs.u) / dot(dirs.u, dirs.u)
-    eig_v = dot(image_v, dirs.v) / dot(dirs.v, dirs.v)
-    return _same_sign(eig_u, eig_v)
+    return _positive_eigenvalue(image_u, dirs.u) == _positive_eigenvalue(image_v, dirs.v)

@@ -285,14 +285,18 @@ def sample_locus(spec: IsopticSpec, n: int) -> list[tuple[Point, bool]]:
     sh, beta = sinh(theta), 1.0 / math.tanh(theta)
     span = abs(theta) + 2.0
 
-    def canonical(count: int) -> list[tuple[float, float]]:
-        """The points of one branch's t grid: isoptic_point's float expressions."""
+    def canonical(count: int) -> tuple[list[float], list[float]]:
+        """The x and y columns of one branch's t grid: isoptic_point's float expressions.
+
+        Two float lists, not a list of (x, y) tuples: each tuple would be one
+        more GC-tracked object per sample, so the collector would run more often.
+        """
         if count == 1:
             ts = [0.0]
         else:
             step = 2.0 * span / (count - 1)
             ts = [-span + i * step for i in range(count)]
-        return [(sinh(t) / sh, cosh(t) / sh - beta) for t in ts]
+        return [sinh(t) / sh for t in ts], [cosh(t) / sh - beta for t in ts]
 
     n_primary = (n + 1) // 2
     primary = canonical(n_primary)
@@ -300,27 +304,26 @@ def sample_locus(spec: IsopticSpec, n: int) -> list[tuple[Point, bool]]:
     two_beta = 2.0 * beta
     samples: list[tuple[Point, bool]] = []
     append = samples.append
-    for branch, points in ((0, primary), (1, reflected)):
-        for cx, cy in points:
+    for branch, (xs, ys) in ((0, primary), (1, reflected)):
+        for cx, cy in zip(xs, ys):
             if branch:  # reflect_branch
                 cx, cy = -cx, -cy - two_beta
             # _classify's boundary test alone: on the locus f1 and f2 share one
-            # sign (see the docstring).  Inline, because calling _classify here
-            # cost 13% of locus-sweep throughput (620k -> 538k samples/s on a
-            # 2-vCPU host) and a bool-returning helper 3%.  The squares are
-            # products, spelled as in _classify: float ** 2 calls libm pow,
-            # and the products alone took sample_locus from 555k to 615k
-            # samples/s (1.11x, same host).
+            # sign (see the docstring).  Inline, because this loop is nearly all
+            # of the call, and a function call per sample costs more than the
+            # test itself.  The squares are products, spelled as in _classify,
+            # because float ** 2 calls libm pow.  |f| > tol is spelled as two
+            # comparisons, which give abs()'s verdict for every float, nan and
+            # +-inf included, without a builtin call.
             a, b, cy2 = cx + 1.0, cx - 1.0, cy * cy
             f1 = a * a - cy2
             f2 = b * b - cy2
             r2 = cx * cx + cy2
             tol = BOUNDARY_EPS * (r2 if r2 > 1.0 else 1.0)
-            ok = abs(f1) > tol and abs(f2) > tol
+            ok = (f1 > tol or f1 < -tol) and (f2 > tol or f2 < -tol)
             # The float expressions of apply_map, stored past Point.__init__:
-            # IsopticSpec's bound keeps every sample finite.  Skipping the
-            # constructor's frame and isfinite tests alone took sample_locus
-            # from 555k to 597k samples/s (1.08x); with the products, 682k.
+            # IsopticSpec's bound keeps every sample finite, so the
+            # constructor's frame and isfinite tests would only cost time.
             p = new(Point)
             _set_point_x(p, fxx * cx + fxy * cy + ftx)
             _set_point_y(p, fyx * cx + fyy * cy + fty)

@@ -421,6 +421,18 @@ def test_preserves_translation_and_diagonal():
     basis = AffineMap(3.0, 1.0, 1.0, 2.0)
     tiny = compose_maps(compose_maps(basis, AffineMap.scaling(1e-170, 3e-170)), invert_map(basis))
     assert preserves_affine_angle(tiny, sheared)
+    # Directions whose |d|^2 underflows or overflows: the eigenvalue signs come
+    # from a sign test, so no dot(u, u) divides or goes to inf.
+    for u in ((1e-200, 0.0), (1e155, 0.0)):
+        dirs = DirectionPair(DirectionVector(*u), DirectionVector(0.0, 1.0))
+        assert preserves_affine_angle(AffineMap.scaling(2, 3), dirs)
+        assert preserves_affine_angle(AffineMap.scaling(-2, -3), dirs)
+        assert not preserves_affine_angle(AffineMap.scaling(2, -3), dirs)
+    slanted = DirectionPair(DirectionVector(3e-170, 1e-170), DirectionVector(0.0, 1.0))
+    basis = AffineMap(3.0, 0.0, 1.0, 1.0)
+    for (su, sv), kept in (((2, 3), True), ((-2, -3), True), ((2, -3), False)):
+        t = compose_maps(compose_maps(basis, AffineMap.scaling(su, sv)), invert_map(basis))
+        assert preserves_affine_angle(t, slanted) == kept, (su, sv)
 
 
 def test_preserves_conjugated_diagonal():

@@ -37,6 +37,7 @@ from uvangle import (
 from uvangle.errors import (
     ComponentMismatch,
     DegenerateConfiguration,
+    GeometryError,
     SingularMap,
     SingularPosition,
     ThetaTooSmall,
@@ -384,6 +385,12 @@ def sheared_specs(draw) -> IsopticSpec:
     assume(abs(cross(u, v)) >= 0.05 * u.norm * v.norm)
     a = Point(draw(_COORD), draw(_COORD))
     b = Point(draw(_COORD), draw(_COORD))
+    # AB as far from u and from v as u is from v: a segment nearly parallel to a
+    # reference direction lets is_admissible disagree with the flag (see
+    # test_a_segment_nearly_parallel_to_u_or_v_can_flip_is_admissible).
+    abx, aby = b.x - a.x, b.y - a.y
+    for d in (u, v):
+        assume(abs(abx * d.dy - aby * d.dx) >= 0.05 * math.hypot(abx, aby) * d.norm)
     theta = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(1e-3, 8.0))
     try:
         return IsopticSpec(a, b, DirectionPair(u, v), theta)
@@ -431,8 +438,12 @@ def _reference_locus(theta: float, n: int) -> list[Point]:
 _EDGE_FRAME = ((0.3, -0.7), (2.1, 0.4), (2.0, 0.5), (-0.6, 1.5))
 
 
-def _random_sheared_batch(seed: int, count: int) -> tuple[list, list[float]]:
-    """count random sheared frames and angles with |theta| log-uniform in [0.05, 60]."""
+def _random_sheared_batch(seed: int, count: int, k: int = 0) -> tuple[list, list[float]]:
+    """count random sheared frames and angles with |theta| log-uniform in [0.05, 60].
+
+    The endpoints are scaled by 2^k, which is exact; the directions and angles
+    do not depend on k.
+    """
     rng = random.Random(seed)
     frames, thetas = [], []
     while len(frames) < count:
@@ -441,7 +452,8 @@ def _random_sheared_batch(seed: int, count: int) -> tuple[list, list[float]]:
             continue
         if abs(u[0] * v[1] - u[1] * v[0]) < 0.05 * math.hypot(*u) * math.hypot(*v):
             continue
-        a, b = ((rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)) for _ in range(2))
+        a, b = ((math.ldexp(rng.uniform(-4.0, 4.0), k), math.ldexp(rng.uniform(-4.0, 4.0), k))
+                for _ in range(2))
         frames.append((a, b, u, v))
         thetas.append(rng.choice((-1.0, 1.0)) * log_uniform(rng, 0.05, 60.0))
     return frames, thetas
@@ -462,17 +474,33 @@ def _random_sheared_batch(seed: int, count: int) -> tuple[list, list[float]]:
          43.71408743888777, 256, 0),
         # The flag is the boundary test alone; _classify also tests the sign.
         pytest.param(*_random_sheared_batch(1601, 200), 64, 10214, id="random-sheared-batch"),
+        # Odd n: the branches have their own t grids.
+        pytest.param(*_random_sheared_batch(1601, 200), 3, 472, id="random-sheared-batch-n3"),
+        pytest.param(*_random_sheared_batch(1601, 200), 33, 5262, id="random-sheared-batch-n33"),
+        # Endpoints scaled by 2^k.  Scaling up keeps every flag.  IsopticSpec rejects
+        # all 200 specs at 2^-100 and 2^-300 as coincident endpoints, because
+        # normalize_configuration's coincidence test has an absolute floor.
+        *(pytest.param(*_random_sheared_batch(1601, 200, k), 64, count,
+                       id=f"random-sheared-batch-2^{k}")
+          for k, count in ((-300, 0), (-100, 0), (100, 10214), (300, 10214))),
     ],
 )
 def test_sample_locus_classifies_the_canonical_sample(frame, theta, n, admissible):
     # Each flag is _classify's verdict on the canonical point itself (a singular point
     # is False), and the sample is that point mapped out through the frame once.  The
-    # batch entry passes lists of frames and angles.
-    cases = zip(frame, theta, strict=True) if isinstance(theta, list) else [(frame, theta)]
+    # batch entries pass lists of frames and angles and skip the specs IsopticSpec
+    # rejects.  Coordinates compare by float.hex, which tells -0.0 from 0.0.
+    batch = isinstance(theta, list)
+    cases = zip(frame, theta, strict=True) if batch else [(frame, theta)]
     total = 0
     for (a, b, u, v), angle in cases:
         dirs = DirectionPair(DirectionVector(*u), DirectionVector(*v))
-        spec = IsopticSpec(Point(*a), Point(*b), dirs, angle)
+        try:
+            spec = IsopticSpec(Point(*a), Point(*b), dirs, angle)
+        except (ValueError, GeometryError):
+            if batch:
+                continue
+            raise
         samples = sample_locus(spec, n)
         total += sum(ok for _, ok in samples)
         for (p, ok), q in zip(samples, _reference_locus(angle, n), strict=True):
@@ -480,8 +508,35 @@ def test_sample_locus_classifies_the_canonical_sample(frame, theta, n, admissibl
                 expected = _classify(q.x, q.y)
             except SingularPosition:
                 expected = False
-            assert (p, ok) == (apply_map(spec._frame, q), expected), (q, angle, n)
+            r = apply_map(spec._frame, q)
+            assert (p.x.hex(), p.y.hex(), ok) == (r.x.hex(), r.y.hex(), expected), (q, angle, n)
     assert total == admissible
+
+
+@pytest.mark.parametrize(
+    "a, b, u, v, theta, flipped",
+    [
+        ((1.0, 1.192092896e-07), (1.0, 0.0), (1.0, 0.0), (1.192092896e-07, 1.0), -3.0, 0),
+        ((1.0, 0.0), (1.0, 1.0), (1e-9, 1.0), (1.0, 0.0), -8.0, 1),
+    ],
+)
+def test_a_segment_nearly_parallel_to_u_or_v_can_flip_is_admissible(a, b, u, v, theta, flipped):
+    # AB nearly parallel to a reference direction makes the canonical map
+    # ill-conditioned.  The flag is still _classify's verdict on the canonical
+    # sample, but is_admissible maps the printed sample back, lands inside the
+    # band and calls it singular: the documented disagreement, at a small |theta|.
+    dirs = DirectionPair(DirectionVector(*u), DirectionVector(*v))
+    spec = IsopticSpec(Point(*a), Point(*b), dirs, theta)
+    samples = sample_locus(spec, 3)
+    for (p, ok), q in zip(samples, _reference_locus(theta, 3), strict=True):
+        assert ok == _classify(q.x, q.y)
+    assert [ok for _, ok in samples] == [True, True, True]
+    for i, (p, _) in enumerate(samples):
+        if i == flipped:
+            with pytest.raises(SingularPosition):
+                is_admissible(p, spec)
+        else:
+            assert is_admissible(p, spec)
 
 
 @pytest.mark.parametrize(
