@@ -35,10 +35,10 @@ _EXPORTS_BY_MODULE = {
         "sample_locus", "sector_area_equivalence",
     ),
     "kernel": (
-        "AffineMap", "DirectionPair", "DirectionVector", "Line", "Point", "Ray", "apply_map",
-        "basis_map", "compose_maps", "cross", "decompose", "distance", "dot",
-        "intersect_lines", "invert_map", "is_parallel", "normalize_configuration",
-        "signed_area", "slope_cross_ratio_angle", "vec",
+        "AffineMap", "DirectionPair", "DirectionVector", "Line", "Point", "Ray", "basis_map",
+        "compose_maps", "cross", "decompose", "distance", "dot", "intersect_lines",
+        "invert_map", "is_parallel", "normalize_configuration", "signed_area",
+        "slope_cross_ratio_angle", "vec",
     ),
     "power": (
         "AxisHyperbola", "SecantResult", "chord_intersection_x", "chord_line",

@@ -18,8 +18,8 @@ from .kernel import (
     Line,
     Point,
     Ray,
-    apply_map,
     compose_maps,
+    cross,
     invert_map,
 )
 
@@ -52,12 +52,7 @@ def _random_auxiliary(rng: random.Random, o: Point, dirs: DirectionPair, rays) -
         line = Line(base, d)
         if line.distance_to(o) < 0.05:
             continue
-        blocked = False
-        for other in (dirs.u, dirs.v, *rays):
-            if abs(d.dx * other.dy - d.dy * other.dx) < 0.05 * other.norm:
-                blocked = True
-                break
-        if not blocked:
+        if not any(abs(cross(d, other)) < 0.05 * other.norm for other in (dirs.u, dirs.v, *rays)):
             return line
 
 
@@ -97,16 +92,14 @@ def invariance_deviations(trials: int, seed: int) -> dict:
         diag = compose_maps(compose_maps(from_basis, AffineMap.scaling(sx, sy)), to_basis)
         shift = AffineMap.translation(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
         good = compose_maps(shift, diag)
-        after = affine_angle(
-            apply_map(good, o), apply_map(good, a), apply_map(good, b), dirs
-        )
+        after = affine_angle(good.apply_point(o), good.apply_point(a), good.apply_point(b), dirs)
         group_dev = max(group_dev, abs(after.theta - before.theta))
 
         shear = compose_maps(
             compose_maps(from_basis, AffineMap(1.0, 0.7, 0.0, 1.0)), to_basis
         )
         sheared = affine_angle(
-            apply_map(shear, o), apply_map(shear, a), apply_map(shear, b), dirs
+            shear.apply_point(o), shear.apply_point(a), shear.apply_point(b), dirs
         )
         if sheared.is_real:
             shear_dev = max(shear_dev, abs(sheared.theta - before.theta))

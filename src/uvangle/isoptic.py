@@ -28,10 +28,10 @@ from .kernel import (
     DirectionVector,
     Point,
     _Frozen,
+    _map_point,
     _set_point_x,
     _set_point_y,
     _slot_setters,
-    apply_map,
     invert_map,
     normalize_configuration,
     slope_cross_ratio_angle,
@@ -244,8 +244,7 @@ def is_admissible(p: Point, spec: IsopticSpec) -> bool:
     Points on (or numerically at) the singular line pair raise
     SingularPosition.
     """
-    q = apply_map(spec._to_canonical, p)
-    return _classify(q.x, q.y)
+    return _classify(*_map_point(spec._to_canonical, p.x, p.y))
 
 
 def sample_locus(spec: IsopticSpec, n: int) -> list[tuple[Point, bool]]:
@@ -321,7 +320,7 @@ def sample_locus(spec: IsopticSpec, n: int) -> list[tuple[Point, bool]]:
             r2 = cx * cx + cy2
             tol = BOUNDARY_EPS * (r2 if r2 > 1.0 else 1.0)
             ok = (f1 > tol or f1 < -tol) and (f2 > tol or f2 < -tol)
-            # The float expressions of apply_map, stored past Point.__init__:
+            # The float expressions of _map_point, stored past Point.__init__:
             # IsopticSpec's bound keeps every sample finite, so the
             # constructor's frame and isfinite tests would only cost time.
             p = new(Point)

@@ -49,7 +49,7 @@ from .errors import ComponentMismatch, DegenerateConfiguration, ParallelLines, S
 # Relative tolerance of scalar comparisons and of point-on-line/vertex tests.
 REL_EPS = 1e-9
 # Absolute floor under REL_EPS, the threshold for vanishing lengths, and the
-# singularity threshold of a determinant relative to its entries squared.
+# singularity threshold of a determinant relative to the product of its row norms.
 ABS_EPS = 1e-12
 # Largest |sine| between two directions that still counts as parallel.
 PAR_EPS = 1e-10
@@ -226,9 +226,6 @@ class Ray(_Frozen):
         _set_ray_origin(self, origin)
         _set_ray_dir(self, dir)
 
-    def line(self) -> Line:
-        return Line(self.origin, self.dir)
-
     def point_at(self, t: float) -> Point:
         return translate(self.origin, self.dir, t)
 
@@ -316,28 +313,16 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
     return l1.point_at(t)
 
 
-def apply_map(t: AffineMap, g):
-    """Apply an affine map to a Point, DirectionVector, Line, or Ray."""
-    if isinstance(g, Point):
-        return t.apply_point(g)
-    if isinstance(g, DirectionVector):
-        return t.apply_linear(g)
-    if isinstance(g, Line):
-        return Line(t.apply_point(g.base), t.apply_linear(g.dir))
-    if isinstance(g, Ray):
-        return Ray(t.apply_point(g.origin), t.apply_linear(g.dir))
-    raise TypeError(f"cannot apply an affine map to {type(g).__name__}")
-
-
 def invert_map(t: AffineMap) -> AffineMap:
-    """Inverse map; raises SingularMap when |det| <= ABS_EPS * (largest |entry|)^2.
+    """Inverse map; raises SingularMap when |det| <= ABS_EPS * |row 1| * |row 2|.
 
-    The threshold is relative to the entries, so a well-conditioned map of any
-    scale inverts, unless det itself overflows: that raises OverflowError.
+    |det| / (|row 1| * |row 2|) is the |sine| between the rows of the linear
+    part, so rescaling either row leaves the verdict alone, and a
+    well-conditioned map of any scale inverts, unless det itself overflows:
+    that raises OverflowError.
     """
     det = t.det
-    scale = max(abs(t.xx), abs(t.xy), abs(t.yx), abs(t.yy))
-    if abs(det) <= ABS_EPS * scale * scale:
+    if abs(det) <= ABS_EPS * math.hypot(t.xx, t.xy) * math.hypot(t.yx, t.yy):
         raise SingularMap(f"linear part is singular (det = {det!r})")
     if not math.isfinite(det):  # the inverse's entries would divide down to 0, or to nan
         raise OverflowError(f"linear part's determinant overflows: det = {det!r}")

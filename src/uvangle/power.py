@@ -68,7 +68,7 @@ class AxisHyperbola(_Frozen):
         if not math.isfinite(kappa) or kappa == 0.0:
             raise ValueError("kappa must be finite and nonzero")
         if kappa < 0.0:
-            # The reflection keeps |det| and the largest |entry|, so invert_map
+            # The reflection keeps |det| and both row norms, so invert_map
             # decides singularity as it would for the given frame.
             frame, kappa = compose_maps(_REFLECT_X, frame), -kappa
         inverse = invert_map(frame)  # raises SingularMap for a degenerate frame

@@ -21,7 +21,6 @@ from uvangle import (
     Point,
     Ray,
     affine_angle,
-    apply_map,
     area_cross_ratio,
     compose_maps,
     invert_map,
@@ -96,9 +95,19 @@ def test_sigma_auxiliary_parallel_to_ray_raises():
 
 
 def test_sigma_auxiliary_through_vertex_raises():
-    aux = Line(ORIGIN, DirectionVector(1, -1))
-    with pytest.raises(CoincidentIntersection):
-        sigma_lambda(ORIGIN, Ray(ORIGIN, DirectionVector(1, 3)), X_AXIS, Y_AXIS, aux)
+    # aux through (c, 0): at c = 0 all three points on it coincide with the vertex; at
+    # c = 1e-7 they are apart, but the denominator area ~c^2 is below the absolute floor
+    # (scale >= 1) of its test, which a scale-free rule may move.  c = 1e-5 gives -3.0.
+    ray = Ray(ORIGIN, DirectionVector(1, 3))
+    for c, message in (
+        (0.0, "intersection points on the auxiliary line coincide"),
+        (1e-7, "degenerate area in the ratio denominator"),
+    ):
+        aux = Line(Point(c, 0), DirectionVector(1, -1))
+        with pytest.raises(CoincidentIntersection, match=f"^{message}$"):
+            sigma_lambda(ORIGIN, ray, X_AXIS, Y_AXIS, aux)
+    aux = Line(Point(1e-5, 0), DirectionVector(1, -1))
+    assert sigma_lambda(ORIGIN, ray, X_AXIS, Y_AXIS, aux).value == -3.0
 
 
 @pytest.mark.parametrize(
@@ -464,6 +473,6 @@ def test_angle_invariant_under_direction_preserving_maps():
             compose_maps(compose_maps(basis, AffineMap.scaling(sx, sy)), invert_map(basis)),
         )
         before = affine_angle(o, a, b, dirs)
-        after = affine_angle(apply_map(t, o), apply_map(t, a), apply_map(t, b), dirs)
+        after = affine_angle(t.apply_point(o), t.apply_point(a), t.apply_point(b), dirs)
         assert before.is_real and after.is_real
         assert abs(before.theta - after.theta) <= 1e-9

@@ -136,6 +136,9 @@ def test_isoptic_document_round_trips():
             "isoptic", "--A", "-1,0", "--B", "1,0", "--u", "1,1", "--v", "1,-1",
             "--theta", "0.7", "--samples", "9", "--output", "svg",
         ),
+        # u and v of very different lengths: the frame's rows are far apart in scale.
+        ("power", "--kappa", "1", "--center", "0,0", "--P", "2,2", "--u", "1e-6,0",
+         "--v", "1,1e-7"),
     ],
 )
 def test_byte_identical_reruns(argv):

@@ -43,7 +43,6 @@ from uvangle.errors import (
     ThetaTooSmall,
 )
 from uvangle.isoptic import THETA_MAX, THETA_MIN, _classify
-from uvangle.kernel import apply_map
 
 CANONICAL_DIRS = DirectionPair(DirectionVector(1, 1), DirectionVector(1, -1))
 AXES = DirectionPair(DirectionVector(1, 0), DirectionVector(0, 1))
@@ -508,7 +507,7 @@ def test_sample_locus_classifies_the_canonical_sample(frame, theta, n, admissibl
                 expected = _classify(q.x, q.y)
             except SingularPosition:
                 expected = False
-            r = apply_map(spec._frame, q)
+            r = spec._frame.apply_point(q)
             assert (p.x.hex(), p.y.hex(), ok) == (r.x.hex(), r.y.hex(), expected), (q, angle, n)
     assert total == admissible
 

@@ -21,7 +21,6 @@ from uvangle import (
     Ray,
     AxisHyperbola,
     affine_angle,
-    apply_map,
     basis_map,
     compose_maps,
     cross,
@@ -66,7 +65,7 @@ def test_signed_area_affine_scaling():
         t = random_invertible_map(rng)
         x, y, z = (random_vertex(rng, -3, 3) for _ in range(3))
         before = signed_area(x, y, z)
-        after = signed_area(apply_map(t, x), apply_map(t, y), apply_map(t, z))
+        after = signed_area(t.apply_point(x), t.apply_point(y), t.apply_point(z))
         assert abs(after - t.det * before) <= 1e-10 * max(1.0, abs(after), abs(t.det * before))
 
 
@@ -104,22 +103,19 @@ def test_intersection_lies_on_both_lines():
 
 def test_apply_identity_and_translation():
     p = Point(3, -2)
-    assert apply_map(IDENTITY, p) == p
+    assert IDENTITY.apply_point(p) == p
     tr = AffineMap.translation(5, 5)
     tri = [Point(0, 0), Point(1, 0), Point(0, 1)]
-    moved = [apply_map(tr, q) for q in tri]
+    moved = [tr.apply_point(q) for q in tri]
     assert signed_area(*moved) == signed_area(*tri)
     d = DirectionVector(1, 2)
-    assert apply_map(tr, Line(p, d)) == Line(Point(8, 3), d)
-    assert apply_map(tr, Ray(p, d)) == Ray(Point(8, 3), d)
-    with pytest.raises(TypeError, match="^cannot apply an affine map to int$"):
-        apply_map(tr, 3)
+    assert (tr.apply_point(p), tr.apply_linear(d)) == (Point(8, 3), d)
 
 
 def test_apply_scaling_area():
     t = AffineMap.scaling(2, 3)
     tri = [Point(0, 0), Point(1, 0), Point(0, 1)]
-    scaled = [apply_map(t, q) for q in tri]
+    scaled = [t.apply_point(q) for q in tri]
     assert signed_area(*scaled) == pytest.approx(3.0, rel=1e-12)
 
 
@@ -127,6 +123,10 @@ def test_invert_identity_and_diagonal():
     assert invert_map(IDENTITY) == IDENTITY
     inv = invert_map(AffineMap.scaling(2, 4))
     assert inv.xx == 0.5 and inv.yy == 0.25
+    # Rows of unequal length: the rows are orthogonal, whatever their lengths.
+    for sx, sy in ((1.0, 1e13), (1e-3, 1e9)):
+        inv = invert_map(AffineMap.scaling(sx, sy))
+        assert (inv.xx, inv.xy, inv.yx, inv.yy) == pytest.approx((1 / sx, 0, 0, 1 / sy), rel=1e-15)
 
 
 def test_invert_singular_raises():
@@ -159,7 +159,7 @@ def test_invert_small_well_conditioned_map():
         (1.0, 0.0, 0.0, 1.0), abs=1e-15
     )
     for p in (Point(0.0, 0.0), Point(1e6, -2e6), Point(-3.5, 7.25)):
-        assert_point_close(apply_map(inv, apply_map(t, p)), p, tol=1e-14)
+        assert_point_close(inv.apply_point(t.apply_point(p)), p, tol=1e-14)
     with pytest.raises(SingularMap):
         invert_map(AffineMap(s, 2.0 * s, 0.5 * s, s))
 
@@ -171,15 +171,15 @@ def test_compose_inverse_roundtrip():
         round_trip = compose_maps(t, invert_map(t))
         for _ in range(5):
             p = random_vertex(rng, -5, 5)
-            assert_point_close(apply_map(round_trip, p), p, tol=1e-9)
+            assert_point_close(round_trip.apply_point(p), p, tol=1e-9)
 
 
 def test_normalize_canonical_is_identity():
     t = normalize_configuration(
         Point(-1, 0), Point(1, 0), DirectionPair(DirectionVector(1, 1), DirectionVector(1, -1))
     )
-    assert_point_close(apply_map(t, Point(-1, 0)), Point(-1, 0), tol=1e-12)
-    assert_point_close(apply_map(t, Point(1, 0)), Point(1, 0), tol=1e-12)
+    assert_point_close(t.apply_point(Point(-1, 0)), Point(-1, 0), tol=1e-12)
+    assert_point_close(t.apply_point(Point(1, 0)), Point(1, 0), tol=1e-12)
     assert t.xx == pytest.approx(1.0, abs=1e-12)
     assert t.xy == pytest.approx(0.0, abs=1e-12)
     assert t.yx == pytest.approx(0.0, abs=1e-12)
@@ -188,10 +188,10 @@ def test_normalize_canonical_is_identity():
 
 def _check_normalization_postconditions(a, b, dirs, tol=1e-9):
     t = normalize_configuration(a, b, dirs)
-    assert_point_close(apply_map(t, a), Point(-1, 0), tol=tol)
-    assert_point_close(apply_map(t, b), Point(1, 0), tol=tol)
-    iu = apply_map(t, dirs.u)
-    iv = apply_map(t, dirs.v)
+    assert_point_close(t.apply_point(a), Point(-1, 0), tol=tol)
+    assert_point_close(t.apply_point(b), Point(1, 0), tol=tol)
+    iu = t.apply_linear(dirs.u)
+    iv = t.apply_linear(dirs.v)
     assert abs(iu.dx * 1 - iu.dy * 1) <= tol * iu.norm * math.sqrt(2)  # parallel (1, 1)
     assert abs(iv.dx * -1 - iv.dy * 1) <= tol * iv.norm * math.sqrt(2)  # parallel (1, -1)
 

@@ -425,6 +425,23 @@ def test_radical_structure_ignores_the_order_of_the_directions():
         assert_point_close(radical_center(vu[0], uv[1], vu[2]), center, 1e-8)
 
 
+def test_rescaling_u_or_v_keeps_the_frame_invertible():
+    # Scaling u and v by independent powers of two keeps the curve's asymptote
+    # directions, so a frame that inverts for unit u and v must still invert.
+    rng = random.Random(5)
+    center = Point(0.5, -1.0)
+    for i in range(20_000):
+        phi_u, phi_v = rng.uniform(0.0, math.pi), rng.uniform(0.0, math.pi)
+        ju, jv = rng.randint(-40, 40), rng.randint(-40, 40)
+        u = DirectionVector(math.cos(phi_u), math.sin(phi_u))
+        v = DirectionVector(math.cos(phi_v), math.sin(phi_v))
+        kappa = 1.5 if i % 2 else -1.5
+        AxisHyperbola.from_directions(center, kappa, u, v)  # accepted as unit vectors
+        AxisHyperbola.from_directions(
+            center, kappa, u.scaled(math.ldexp(1.0, ju)), v.scaled(math.ldexp(1.0, jv))
+        )
+
+
 @pytest.mark.parametrize(
     "guard, call, bad",
     [
