@@ -639,6 +639,18 @@ DEPENDENT = ("--u", "1,0", "--v", "2,0")
         # Unchecked, a negative ratio printed the area 3.375 with exit 0.
         (("chords", "--progression", "1,-2,5"), "a, r, p, kappa must be positive"),
         (("chords", "--progression", "1,1,5"), "r must differ from 1"),
+        # radical-center's precedence: the pair (h1, h2) first, then (h2, h3), then their
+        # meet; every curve's kappa before any axis, and the basis before any kappa.
+        (("radical-center", "--h1", "0,0,1", "--h2", "0,0,1", "--h3", "1,2,2"),
+         "the two hyperbolas coincide"),
+        (("radical-center", "--h1", "0,0,1", "--h2", "0,0,2", "--h3", "1,2,2"),
+         "a pairwise radical axis is empty"),
+        (("radical-center", "--h1", "0,0,1", "--h2", "1,1,1", "--h3", "2,2,1"),
+         "radical axes are parallel"),
+        (("radical-center", "--h1", "0,0,1", "--h2", "1,1,0", "--h3", "2,2,1"),
+         "kappa must be finite and nonzero"),
+        (("radical-center", "--h1", "0,0,0", "--h2", "1,1,1", "--h3", "2,3,1", *DEPENDENT),
+         "reference directions must be independent"),
     ],
 )
 def test_invalid_input_is_a_named_domain_error(argv, message):
