@@ -57,10 +57,6 @@ class SigmaValue(_Frozen):
         _set_sigma_infinite(self, infinite)
 
     @classmethod
-    def finite(cls, value: float) -> "SigmaValue":
-        return cls(value, False)
-
-    @classmethod
     def infinity(cls) -> "SigmaValue":
         return cls(math.inf, True)
 
@@ -103,7 +99,7 @@ def _position(p: Point, aux: Line) -> float:
 def sigma_lambda(o: Point, ray: Ray, u_line: Line, v_line: Line, aux: Line) -> SigmaValue:
     """Area ratio of a ray against the reference lines, cut by an auxiliary line.
 
-    Boundary cases: a ray parallel to U gives Finite(0); a ray parallel to V
+    Boundary cases: a ray parallel to U gives SigmaValue(0.0); a ray parallel to V
     gives the infinite limit value.
     """
     _require_through(u_line, o, "U")
@@ -113,7 +109,7 @@ def sigma_lambda(o: Point, ray: Ray, u_line: Line, v_line: Line, aux: Line) -> S
     _require_vertex(ray, o)
     d = ray.dir
     if is_parallel(d, u_line.dir):
-        return SigmaValue.finite(0.0)
+        return SigmaValue(0.0)
     if is_parallel(d, v_line.dir):
         return SigmaValue.infinity()
     p_u, p_v, p_l = _aux_points(o, d, u_line, v_line, aux)
@@ -128,7 +124,7 @@ def sigma_lambda(o: Point, ray: Ray, u_line: Line, v_line: Line, aux: Line) -> S
     den = signed_area(o, p_l, p_v)
     if abs(den) <= ABS_EPS * scale * scale:
         raise CoincidentIntersection("degenerate area in the ratio denominator")
-    return SigmaValue.finite(num / den)
+    return SigmaValue(num / den)
 
 
 def sigma_sign(o: Point, ray: Ray, u_line: Line, v_line: Line, aux: Line) -> ComponentLabel:

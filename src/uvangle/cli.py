@@ -32,7 +32,7 @@ import sys
 from collections.abc import Sequence
 
 from .errors import ComponentMismatch, GeometryError
-from .kernel import DirectionPair, DirectionVector, Line, Point, basis_map
+from .kernel import DirectionPair, DirectionVector, Line, Point
 
 SCHEMA_VERSION = "1"
 # Caps on the counts, enforced when parsing: 65,536 samples print 8.7 MB of
@@ -258,14 +258,15 @@ def _cmd_power(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_radical_center(args) -> tuple[dict, list[str]]:
-    from .power import AxisHyperbola, _radical_center_on_axes, radical_axis
+    from .power import AxisHyperbola, radical_axis, radical_center
 
-    basis = basis_map(DirectionVector(*args.u), DirectionVector(*args.v))  # one for all three
+    u, v = DirectionVector(*args.u), DirectionVector(*args.v)
     h1, h2, h3 = [
-        AxisHyperbola(Point(cx, cy), kappa, basis) for cx, cy, kappa in (args.h1, args.h2, args.h3)
+        AxisHyperbola.from_directions(Point(cx, cy), kappa, u, v)
+        for cx, cy, kappa in (args.h1, args.h2, args.h3)
     ]
-    center, l12, l23 = _radical_center_on_axes(h1, h2, h3)
-    axes = [l12, l23, radical_axis(h3, h1)]
+    center = radical_center(h1, h2, h3)
+    axes = [radical_axis(h1, h2), radical_axis(h2, h3), radical_axis(h3, h1)]
     return {"center": [center.x, center.y], "axes": [_line_record(axis) for axis in axes]}, []
 
 

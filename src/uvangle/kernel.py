@@ -180,10 +180,6 @@ def is_parallel(d1: DirectionVector, d2: DirectionVector) -> bool:
     return _cross_if_independent(d1.dx, d1.dy, d2.dx, d2.dy) == 0.0
 
 
-def translate(p: Point, d: DirectionVector, t: float = 1.0) -> Point:
-    return Point(p.x + t * d.dx, p.y + t * d.dy)
-
-
 def distance(p: Point, q: Point) -> float:
     return math.hypot(q.x - p.x, q.y - p.y)
 
@@ -196,7 +192,7 @@ class Line(_Frozen):
         _set_line_dir(self, dir)
 
     def point_at(self, t: float) -> Point:
-        return translate(self.base, self.dir, t)
+        return Point(self.base.x + t * self.dir.dx, self.base.y + t * self.dir.dy)
 
     def implicit(self) -> tuple[float, float, float]:
         """Implicit form a*x + b*y = c with unit (a, b), first nonzero of (a, b) positive."""
@@ -211,9 +207,9 @@ class Line(_Frozen):
         a, b, c = self.implicit()
         return abs(a * p.x + b * p.y - c)
 
-    def contains(self, p: Point, tol: float = REL_EPS) -> bool:
+    def contains(self, p: Point) -> bool:
         scale = max(1.0, math.hypot(p.x, p.y), math.hypot(self.base.x, self.base.y))
-        return self.distance_to(p) <= tol * scale
+        return self.distance_to(p) <= REL_EPS * scale
 
 
 _set_line_base, _set_line_dir = _slot_setters(Line)
@@ -225,9 +221,6 @@ class Ray(_Frozen):
     def __init__(self, origin: Point, dir: DirectionVector) -> None:
         _set_ray_origin(self, origin)
         _set_ray_dir(self, dir)
-
-    def point_at(self, t: float) -> Point:
-        return translate(self.origin, self.dir, t)
 
 
 _set_ray_origin, _set_ray_dir = _slot_setters(Ray)

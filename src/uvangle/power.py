@@ -261,21 +261,14 @@ def radical_axis(h1: AxisHyperbola, h2: AxisHyperbola) -> Line:
 
 
 def radical_center(h1: AxisHyperbola, h2: AxisHyperbola, h3: AxisHyperbola) -> Point:
-    """Common point of the three pairwise radical axes."""
-    return _radical_center_on_axes(h1, h2, h3)[0]
-
-
-def _radical_center_on_axes(
-    h1: AxisHyperbola, h2: AxisHyperbola, h3: AxisHyperbola
-) -> tuple[Point, Line, Line]:
-    """The radical center and the axes of (h1, h2) and (h2, h3) it is the meet of."""
+    """Common point of the three pairwise radical axes: the meet of (h1, h2)'s and (h2, h3)'s."""
     try:
         l12 = radical_axis(h1, h2)
         l23 = radical_axis(h2, h3)
     except EmptyRadicalAxis as exc:
         raise ParallelAxes("a pairwise radical axis is empty") from exc
     try:
-        return intersect_lines(l12, l23), l12, l23
+        return intersect_lines(l12, l23)
     except ParallelLines as exc:
         raise ParallelAxes("radical axes are parallel") from exc
 

@@ -11,6 +11,7 @@ from uvangle import (
     ConicCoefficients,
     DirectionPair,
     DirectionVector,
+    Line,
     Point,
     Ray,
     cross,
@@ -46,6 +47,12 @@ def rel_diff(a: float, b: float) -> float:
 def assert_point_close(p: Point, q: Point, tol: float = 1e-9) -> None:
     scale = max(1.0, abs(p.x), abs(p.y), abs(q.x), abs(q.y))
     assert math.hypot(p.x - q.x, p.y - q.y) <= tol * scale, (p, q)
+
+
+def on_line(line: Line, p: Point, tol: float) -> bool:
+    """``line.contains(p)`` at the tolerance tol in place of REL_EPS."""
+    scale = max(1.0, math.hypot(p.x, p.y), math.hypot(line.base.x, line.base.y))
+    return line.distance_to(p) <= tol * scale
 
 
 def same_ray(r: Ray, s: Ray, tol: float = 1e-9) -> bool:

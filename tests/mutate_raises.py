@@ -5,7 +5,10 @@ Each ``raise`` statement of ``src/uvangle/*.py`` in turn is replaced by
 copy under ``-x``: the module's own test file (``tests/test_<module>.py``)
 first when there is one, then the rest.  A mutant survives when the suite
 still passes: no test fails without that guard.  One mutant runs at a time,
-and the line numbers of the other statements do not move.
+and the line numbers of the other statements do not move.  Mutant runs leave
+out the unused-import lint, which fails whenever the mutated raise was its
+module's only use of an exception class, whatever the other tests do; the
+unmutated baseline runs it.
 
     python tests/mutate_raises.py                  # every raise, then the survivors
     python tests/mutate_raises.py kernel.py power.py
@@ -28,6 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "uvangle"
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "out")
+UNUSED_IMPORT_LINT = "--deselect=tests/test_imports.py::test_no_unused_imports"
 # A mutant can loop forever where a raise ended a loop; one suite run takes well under this.
 TIMEOUT_S = 1800
 
@@ -74,18 +78,18 @@ def run_mutant(
     """The suite's run with ``site`` of ``module`` replaced by ``pass``; the module is restored.
 
     The module's own test file runs first, and the rest of the suite only
-    when it passes.
+    when it passes; neither runs the unused-import lint.
     """
     path = tree / PACKAGE / module
     own = f"tests/test_{Path(module).stem.lstrip('_')}.py"
     path.write_text(replace_with_pass(original, site))
     try:
         if (tree / own).exists():
-            proc = run_suite(tree, own)
+            proc = run_suite(tree, own, UNUSED_IMPORT_LINT)
             if proc.returncode != 0:
                 return proc
-            return run_suite(tree, "tests", f"--ignore={own}")
-        return run_suite(tree, "tests")
+            return run_suite(tree, "tests", f"--ignore={own}", UNUSED_IMPORT_LINT)
+        return run_suite(tree, "tests", UNUSED_IMPORT_LINT)
     finally:
         path.write_text(original)
 

@@ -137,7 +137,7 @@ def test_criterion_02_angle_axioms_and_midpoint(acceptance):
         r = Ray(o, vec(o, a))
         s = Ray(o, vec(o, b))
         t = midpoint_ray(o, r, s, dirs)
-        t_point = t.point_at(1.0)
+        t_point = Line(t.origin, t.dir).point_at(1.0)
         first = affine_angle(o, a, t_point, dirs).theta
         second = affine_angle(o, t_point, b, dirs).theta
         worst["midpoint"] = max(

@@ -135,6 +135,11 @@ def test_sigma_sign_cases():
         is ComponentLabel.POSITIVE
     assert sigma_sign(ORIGIN, Ray(ORIGIN, DirectionVector(1, 0)), X_AXIS, Y_AXIS, aux) \
         is ComponentLabel.SINGULAR
+    # The sine of (1, 5e-10) against U is above PAR_EPS, but P_L lies within REL_EPS of P_U.
+    assert sigma_sign(ORIGIN, Ray(ORIGIN, DirectionVector(1, 5e-10)), X_AXIS, Y_AXIS, aux) \
+        is ComponentLabel.SINGULAR
+    assert sigma_sign(ORIGIN, Ray(ORIGIN, DirectionVector(1, 1e-9)), X_AXIS, Y_AXIS, aux) \
+        is ComponentLabel.NEGATIVE
 
 
 def test_cross_ratio_against_reference_pair_is_sigma_quotient():
@@ -161,6 +166,10 @@ def test_cross_ratio_worked_values_two_one_zero_infinity():
     r1 = Ray(ORIGIN, DirectionVector(1, 0))  # sigma 0
     r2 = Ray(ORIGIN, DirectionVector(0, 1))  # sigma infinite
     assert area_cross_ratio(l1, l2, r1, r2, ORIGIN, aux) == pytest.approx(2.0, rel=1e-12)
+    # Only the denominator vanishes when l2 = r1 or l1 = r2: a signed infinity.
+    s1, s2, s3, s5 = (Ray(ORIGIN, DirectionVector(1, m)) for m in (1, 2, 3, 5))
+    assert area_cross_ratio(s1, s2, s2, s5, ORIGIN, aux) == math.inf
+    assert area_cross_ratio(s1, s2, s3, s1, ORIGIN, aux) == -math.inf
 
 
 def test_cross_ratio_equal_first_pair_is_one():
@@ -387,9 +396,9 @@ def test_midpoint_bisects():
         r = Ray(o, DirectionVector(dirs.u.dx + m_r * dirs.v.dx, dirs.u.dy + m_r * dirs.v.dy))
         s = Ray(o, DirectionVector(dirs.u.dx + m_s * dirs.v.dx, dirs.u.dy + m_s * dirs.v.dy))
         t = midpoint_ray(o, r, s, dirs)
-        a_point = r.point_at(1.0)
-        t_point = t.point_at(1.0)
-        s_point = s.point_at(1.0)
+        a_point = Line(r.origin, r.dir).point_at(1.0)
+        t_point = Line(t.origin, t.dir).point_at(1.0)
+        s_point = Line(s.origin, s.dir).point_at(1.0)
         first = affine_angle(o, a_point, t_point, dirs)
         second = affine_angle(o, t_point, s_point, dirs)
         whole = affine_angle(o, a_point, s_point, dirs)

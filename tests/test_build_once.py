@@ -9,7 +9,7 @@ take a ``DirectionPair`` read its basis and build none, and the query paths
 build no ``DirectionVector`` or ``AffineMap`` on the way to their result.
 ``sample_locus`` builds each sample's ``Point`` past its constructor, as
 an equal, hashable, picklable and frozen value, and evaluates each t grid
-point's sinh once, and ``radical-center`` computes each radical axis once.
+point's sinh once.
 """
 
 import copy
@@ -48,7 +48,6 @@ COUNTED = {
     "invert_map": "uvangle.kernel",
     "basis_map": "uvangle.kernel",
     "decompose": "uvangle.kernel",
-    "radical_axis": "uvangle.power",
 }
 
 ISOPTIC = (
@@ -98,18 +97,6 @@ def test_radical_center_inverts_each_frame_once(calls, capsys):
     run_main("radical-center", "--h1", "0,0,1", "--h2", "-1,-0.5,3", "--h3", "1,2,2",
              "--u", "2,0.5", "--v", "-0.6,1.5")
     assert calls["invert_map"] == 3
-
-
-def test_radical_center_builds_the_basis_once(calls, capsys):
-    run_main("radical-center", "--h1", "0,0,1", "--h2", "-1,-0.5,3", "--h3", "1,2,2",
-             "--u", "2,0.5", "--v", "-0.6,1.5")
-    assert calls["basis_map"] == 1
-
-
-def test_radical_center_computes_each_axis_once(calls, capsys):
-    run_main("radical-center", "--h1", "0,0,1", "--h2", "-1,-0.5,3", "--h3", "1,2,2",
-             "--u", "2,0.5", "--v", "-0.6,1.5")
-    assert calls["radical_axis"] == 3
 
 
 def test_reflected_radical_center_inverts_each_frame_once(calls, capsys):

@@ -651,6 +651,8 @@ DEPENDENT = ("--u", "1,0", "--v", "2,0")
          "kappa must be finite and nonzero"),
         (("radical-center", "--h1", "0,0,0", "--h2", "1,1,1", "--h3", "2,3,1", *DEPENDENT),
          "reference directions must be independent"),
+        # The chord parameters a and a*r**2 coincide within REL_EPS.
+        (("chords", "--progression", "1,1.000000000001,5"), "chord intersection is undefined"),
     ],
 )
 def test_invalid_input_is_a_named_domain_error(argv, message):

@@ -87,8 +87,10 @@ def _overrides_stdlib(cls: ast.ClassDef, name: str) -> bool:
 # method name that several src classes define vouches for one of them only.
 # Every other class's member of that name is listed here, with its reason.
 SHARED_NAME_ALLOWED = {
-    "kernel.Ray.point_at": "the ray parametrization the tests and the edge golden are stated in",
-    "power.AxisHyperbola.point_at": "the branch parametrization the tests and the edge golden use",
+    "power.AxisHyperbola.point_at": (
+        "the branch parametrization: 200 sweep-golden and 12 edge-golden lines pin its values,"
+        " and tests/test_power.py its 'abscissa on the asymptote' error"
+    ),
 }
 
 
@@ -126,6 +128,20 @@ def test_every_public_member_has_a_caller_in_src():
     assert set(SHARED_NAME_ALLOWED) <= shared
     for name, members in owners.items():
         assert sum(m not in SHARED_NAME_ALLOWED for m in members) <= 1, (name, members)
+
+
+def test_cli_imports_no_private_name_of_another_module():
+    # The CLI reaches the library through public names only, so what a
+    # command computes stays in the module that owns it.
+    tree = ast.parse((SRC / "cli.py").read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 # ``__init__.py`` resolves its exports lazily from one name -> submodule table.

@@ -97,8 +97,8 @@ def test_intersection_lies_on_both_lines():
         if abs(l1.dir.dx * l2.dir.dy - l1.dir.dy * l2.dir.dx) < 0.05:
             continue
         p = intersect_lines(l1, l2)
-        assert l1.contains(p, tol=1e-9)
-        assert l2.contains(p, tol=1e-9)
+        assert l1.contains(p)
+        assert l2.contains(p)
 
 
 def test_apply_identity_and_translation():

@@ -1,4 +1,5 @@
 import ast
+import subprocess
 
 import mutate_raises as M
 
@@ -17,3 +18,27 @@ def test_a_checked_guard_turned_into_pass_fails_its_tests(tmp_path):
     assert proc.returncode == 1, proc.stdout
     assert "FAILED tests/test_kernel.py::" in proc.stdout
     assert (tmp_path / M.PACKAGE / "kernel.py").read_text() == original
+
+
+def test_mutant_runs_leave_out_only_the_unused_import_lint(tmp_path, monkeypatch):
+    # The lint fails whenever a mutated raise was its module's only use of an
+    # exception class, so it would decide those mutants' verdicts by itself.
+    runs = []
+
+    def run_suite(tree, *args):
+        runs.append(args)
+        return subprocess.CompletedProcess(args, 0)
+
+    monkeypatch.setattr(M, "run_suite", run_suite)
+    (tmp_path / M.PACKAGE).mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_power.py").write_text("")
+    source = "def f():\n    raise ValueError('x')\n"
+    (tmp_path / M.PACKAGE / "power.py").write_text(source)
+    (site,) = M.raise_sites(source)
+    M.run_mutant(tmp_path, "power.py", site, source)
+    lint = "--deselect=tests/test_imports.py::test_no_unused_imports"
+    assert runs == [
+        ("tests/test_power.py", lint),
+        ("tests", "--ignore=tests/test_power.py", lint),
+    ]

@@ -12,6 +12,7 @@ from helpers import (
     axis_aligned,
     direction_pair,
     log_uniform,
+    on_line,
     random_hyperbola,
     random_off_curve_point,
     random_secant_direction,
@@ -36,6 +37,7 @@ from uvangle import (
 )
 from uvangle.errors import (
     CoincidentParameters,
+    DegenerateIntersection,
     IdenticalCurves,
     InvalidPosition,
     NoRealIntersection,
@@ -305,8 +307,8 @@ def test_radical_axis_worked_example():
     h2 = axis_aligned(Point(-1, -0.5), 3.0)  # (x+1)(y+1/2) = 3
     axis = radical_axis(UNIT, h2)
     # the common chord x + 2y = 3 through (1, 1) and (2, 1/2)
-    assert axis.contains(Point(1, 1), tol=1e-12)
-    assert axis.contains(Point(2, 0.5), tol=1e-12)
+    assert on_line(axis, Point(1, 1), 1e-12)
+    assert on_line(axis, Point(2, 0.5), 1e-12)
     a, b, c = axis.implicit()
     norm = math.sqrt(5.0)
     assert (a, b, c) == pytest.approx((1 / norm, 2 / norm, 3 / norm), rel=1e-9)
@@ -321,7 +323,7 @@ def test_radical_axis_tangent_curves_gives_common_tangent():
     # q2 = q1 + (x + y - 2) touches x*y = 1 exactly at (1, 1)
     h2 = axis_aligned(Point(-1, -1), 4.0)
     axis = radical_axis(UNIT, h2)
-    assert axis.contains(Point(1, 1), tol=1e-12)
+    assert on_line(axis, Point(1, 1), 1e-12)
     a, b, c = axis.implicit()
     norm = math.sqrt(2.0)
     assert (a, b, c) == pytest.approx((1 / norm, 1 / norm, 2 / norm), rel=1e-9)
@@ -373,7 +375,7 @@ def test_radical_axis_common_points_lie_on_it():
             continue
         for p in (result.a, result.b):
             assert abs(core_quantity(p, h2)) <= 1e-8 * max(1.0, h2.kappa)
-            assert axis.contains(p, tol=1e-8)
+            assert on_line(axis, p, 1e-8)
         found += 1
 
 
@@ -501,6 +503,10 @@ def test_progression_worked_examples():
         progression_quadrilateral_area(1.0, -2.0, 5.0, 1.0)  # unchecked, the area is 3.375
     with pytest.raises(ValueError, match="^r must differ from 1$"):
         progression_quadrilateral_area(1.0, 1.0, 5.0, 1.0)
+    for r in (1.0000000000000002, 0.9999999999):  # the chord parameters a and a*r**2 coincide
+        with pytest.raises(DegenerateIntersection, match="^chord intersection is undefined$") as exc:
+            progression_quadrilateral_area(1.0, r, 5.0, 1.0)
+        assert isinstance(exc.value.__cause__, CoincidentParameters)
 
 
 def test_progression_matches_closed_form():
@@ -528,7 +534,7 @@ def test_hyperbola_general_frame_roundtrip():
         inverse = invert_map(h.frame)
         axis_u = Line(h.center, inverse.apply_linear(DirectionVector(1, 0)))
         axis_v = Line(h.center, inverse.apply_linear(DirectionVector(0, 1)))
-        assert axis_u.contains(a1, tol=1e-9)
-        assert axis_v.contains(a2, tol=1e-9)
+        assert axis_u.contains(a1)
+        assert axis_v.contains(a2)
     with pytest.raises(ValueError, match="^abscissa on the asymptote$"):
         h.point_at(0.0)
