@@ -46,7 +46,7 @@ _EXPORTS_BY_MODULE = {
         "radical_center", "secant_intersections",
     ),
     "power_theorem": (
-        "asymptotic_projections", "one_sided_identity", "projected_area", "symmetric_area",
+        "asymptotic_projections", "one_sided_identity", "projected_areas", "symmetric_area",
     ),
     "svg": ("render_svg",),
 }

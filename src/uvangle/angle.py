@@ -14,21 +14,19 @@ from __future__ import annotations
 
 import math
 
-from .errors import ComponentMismatch, SingularRay
+from .errors import ComponentMismatch
 from .kernel import (
-    REL_EPS,
     AffineMap,
     DirectionPair,
     DirectionVector,
     Point,
     Ray,
-    _check_finite,
-    _cross_if_independent,
     _Frozen,
-    _map_direction,
+    _require_vertex,
     _same_sign,
+    _slope,
+    _slope_pair,
     _slot_setters,
-    distance,
     dot,
     is_parallel,
     slope_cross_ratio_angle,
@@ -66,52 +64,6 @@ class AngleResult(_Frozen):
 
 
 _set_result_theta, _set_result_reason = _slot_setters(AngleResult)
-
-
-def _require_vertex(ray: Ray, o: Point) -> None:
-    scale = max(1.0, abs(o.x), abs(o.y))
-    if distance(ray.origin, o) > REL_EPS * scale:
-        raise ValueError("ray must emanate from the vertex")
-
-
-def _offset(o: Point, p: Point, name: str) -> tuple[float, float]:
-    """Direction from the vertex o to p; ValueError when they coincide or it overflows."""
-    if p.x == o.x and p.y == o.y:
-        raise ValueError(f"point {name} coincides with the vertex")
-    dx, dy = p.x - o.x, p.y - o.y
-    if not (math.isfinite(dx) and math.isfinite(dy)):
-        _check_finite(dx, dy)
-    return dx, dy
-
-
-def _slope(dx: float, dy: float, dirs: DirectionPair, name: str) -> float:
-    """Slope beta/alpha of the direction (dx, dy) = alpha*u + beta*v.
-
-    Raises SingularRay when the direction is parallel to u or v, ValueError
-    when its (u, v) coordinates overflow or both underflow to 0, and
-    SingularRay when alpha alone underflows to 0 or when the slope overflows
-    or underflows to 0, in that order; a returned slope is finite and nonzero.
-    """
-    u, v = dirs.u, dirs.v
-    if (
-        _cross_if_independent(dx, dy, u.dx, u.dy) == 0.0
-        or _cross_if_independent(dx, dy, v.dx, v.dy) == 0.0
-    ):
-        raise SingularRay(f"ray {name} is parallel to a reference direction")
-    alpha, beta = _map_direction(dirs._basis, dx, dy)
-    if alpha == 0.0:
-        raise SingularRay(f"ray {name}'s (u, v) coordinate alpha underflows to 0")
-    m = beta / alpha
-    if m == 0.0 or math.isinf(m):
-        what = "overflows" if m else "underflows to 0"
-        raise SingularRay(f"ray {name}'s slope beta/alpha {what}")
-    return m
-
-
-def _slope_pair(o: Point, a: Point, b: Point, dirs: DirectionPair) -> tuple[float, float]:
-    ax, ay = _offset(o, a, "A")
-    bx, by = _offset(o, b, "B")
-    return _slope(ax, ay, dirs, "OA"), _slope(bx, by, dirs, "OB")
 
 
 def affine_angle(o: Point, a: Point, b: Point, dirs: DirectionPair) -> AngleResult:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 import math
 
-from .angle import _require_vertex
 from .errors import (
     CoincidentIntersection,
     DegenerateConfiguration,
@@ -39,6 +38,7 @@ from .kernel import (
     Point,
     Ray,
     _Frozen,
+    _require_vertex,
     _slot_setters,
     distance,
     intersect_lines,

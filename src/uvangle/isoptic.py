@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 
-from .angle import _slope_pair
 from .errors import SingularPosition, ThetaTooSmall
 from .kernel import (
     BOUNDARY_EPS,
@@ -31,6 +30,7 @@ from .kernel import (
     _map_point,
     _set_point_x,
     _set_point_y,
+    _slope_pair,
     _slot_setters,
     invert_map,
     normalize_configuration,

@@ -17,8 +17,9 @@ raise its error.  They apply a map through ``_map_point`` and
 ``sample_locus``'s per-sample loop, ``normalize_configuration``,
 ``compose_maps``, ``power._monic_in_frame``, ``AffineMap.apply_linear`` and
 ``radical_axis``'s direction multiply a map out inline.  The (u, v) frame
-of the reference directions (``basis_map``, kept by ``DirectionPair``) and
-the slope form of the angle in it live here.  All operations are pure, so
+of the reference directions (``basis_map``, kept by ``DirectionPair``), the
+(u, v) slope of a ray with its vertex checks (``_slope``, ``_slope_pair``,
+``_require_vertex``) and the slope form of the angle live here.  All operations are pure, so
 everything here is safe to share freely between threads.
 
 The value types of the package (here and in the other modules) are
@@ -44,7 +45,13 @@ from __future__ import annotations
 
 import math
 
-from .errors import ComponentMismatch, DegenerateConfiguration, ParallelLines, SingularMap
+from .errors import (
+    ComponentMismatch,
+    DegenerateConfiguration,
+    ParallelLines,
+    SingularMap,
+    SingularRay,
+)
 
 # Relative tolerance of scalar comparisons and of point-on-line/vertex tests.
 REL_EPS = 1e-9
@@ -372,6 +379,52 @@ def decompose(d: DirectionVector, dirs: DirectionPair) -> tuple[float, float]:
     to 0, which only underflow can do for a nonzero d.
     """
     return _map_direction(dirs._basis, d.dx, d.dy)
+
+
+def _require_vertex(ray: Ray, o: Point) -> None:
+    scale = max(1.0, abs(o.x), abs(o.y))
+    if distance(ray.origin, o) > REL_EPS * scale:
+        raise ValueError("ray must emanate from the vertex")
+
+
+def _offset(o: Point, p: Point, name: str) -> tuple[float, float]:
+    """Direction from the vertex o to p; ValueError when they coincide or it overflows."""
+    if p.x == o.x and p.y == o.y:
+        raise ValueError(f"point {name} coincides with the vertex")
+    dx, dy = p.x - o.x, p.y - o.y
+    if not (math.isfinite(dx) and math.isfinite(dy)):
+        _check_finite(dx, dy)
+    return dx, dy
+
+
+def _slope(dx: float, dy: float, dirs: DirectionPair, name: str) -> float:
+    """Slope beta/alpha of the direction (dx, dy) = alpha*u + beta*v.
+
+    Raises SingularRay when the direction is parallel to u or v, ValueError
+    when its (u, v) coordinates overflow or both underflow to 0, and
+    SingularRay when alpha alone underflows to 0 or when the slope overflows
+    or underflows to 0, in that order; a returned slope is finite and nonzero.
+    """
+    u, v = dirs.u, dirs.v
+    if (
+        _cross_if_independent(dx, dy, u.dx, u.dy) == 0.0
+        or _cross_if_independent(dx, dy, v.dx, v.dy) == 0.0
+    ):
+        raise SingularRay(f"ray {name} is parallel to a reference direction")
+    alpha, beta = _map_direction(dirs._basis, dx, dy)
+    if alpha == 0.0:
+        raise SingularRay(f"ray {name}'s (u, v) coordinate alpha underflows to 0")
+    m = beta / alpha
+    if m == 0.0 or math.isinf(m):
+        what = "overflows" if m else "underflows to 0"
+        raise SingularRay(f"ray {name}'s slope beta/alpha {what}")
+    return m
+
+
+def _slope_pair(o: Point, a: Point, b: Point, dirs: DirectionPair) -> tuple[float, float]:
+    ax, ay = _offset(o, a, "A")
+    bx, by = _offset(o, b, "B")
+    return _slope(ax, ay, dirs, "OA"), _slope(bx, by, dirs, "OB")
 
 
 def _same_sign(m_a: float, m_b: float) -> bool:

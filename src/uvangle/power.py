@@ -59,7 +59,9 @@ class AxisHyperbola(_Frozen):
     ``center`` lives in the original plane; its frame image (c, d) is held
     in ``_frame_center``, the one place to read it.  ``frame`` maps the
     original plane to the frame where the asymptote directions become the
-    coordinate axes; ``_inverse`` maps back.
+    coordinate axes; ``_inverse`` maps back.  ``relative_coords`` and
+    ``plane_point`` are the two conversions between plane points and
+    center-relative frame coordinates.
     """
 
     __slots__ = ("center", "kappa", "frame", "_inverse", "_frame_center")
@@ -92,12 +94,23 @@ class AxisHyperbola(_Frozen):
         c, d = self._frame_center
         return x - c, y - d
 
+    def plane_point(self, x: float, y: float) -> Point:
+        """The plane point with center-relative frame coordinates (x, y).
+
+        The inverse of ``relative_coords``; raises ValueError naming a frame
+        or plane coordinate that is not finite.
+        """
+        c, d = self._frame_center
+        fx, fy = c + x, d + y
+        if not (math.isfinite(fx) and math.isfinite(fy)):
+            _check_finite(fx, fy)
+        return Point(*_map_point(self._inverse, fx, fy))
+
     def point_at(self, alpha: float) -> Point:
         """The curve point with center-relative frame abscissa alpha."""
         if alpha == 0.0:
             raise ValueError("abscissa on the asymptote")
-        c, d = self._frame_center
-        return self._inverse.apply_point(Point(c + alpha, d + self.kappa / alpha))
+        return self.plane_point(alpha, self.kappa / alpha)
 
 
 (
@@ -158,18 +171,9 @@ def secant_intersections(p: Point, direction: DirectionVector, h: AxisHyperbola)
         t1, t2 = q / a2, a0 / q
         if t1 > t2:
             t1, t2 = t2, t1
-    c, dcenter = h._frame_center
-    g = h._inverse
-
-    def original(t: float) -> tuple[Point, float]:
-        alpha = px + t * dx
-        x, y = c + alpha, dcenter + (py + t * dy)  # the frame point, mapped back by g
-        if not (math.isfinite(x) and math.isfinite(y)):
-            _check_finite(x, y)
-        return Point(*_map_point(g, x, y)), alpha
-
-    point_a, alpha = original(t1)
-    point_b, beta = original(t2)
+    alpha, beta = px + t1 * dx, px + t2 * dx
+    point_a = h.plane_point(alpha, py + t1 * dy)
+    point_b = h.plane_point(beta, py + t2 * dy)
     return SecantResult(point_a, point_b, alpha, beta, tangent)
 
 

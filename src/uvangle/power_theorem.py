@@ -38,29 +38,24 @@ def _require_on_curve(p: Point, h: AxisHyperbola) -> tuple[float, float]:
 def asymptotic_projections(a: Point, h: AxisHyperbola) -> tuple[Point, Point]:
     """Projections of a curve point onto the two asymptotes, each along the other."""
     x, y = _require_on_curve(a, h)
-    c, d = h._frame_center
-    a1 = h._inverse.apply_point(Point(c + x, d))
-    a2 = h._inverse.apply_point(Point(c, d + y))
-    return a1, a2
+    # plane_point adds the center: adding -0.0 leaves every float unchanged,
+    # while adding +0.0 would turn a -0.0 center coordinate into +0.0.
+    return h.plane_point(x, -0.0), h.plane_point(-0.0, y)
 
 
-def projected_area(p: Point, a: Point, which: int, h: AxisHyperbola) -> float:
-    """Parallelogram area of (a - p) with (a_i - p), measured in frame coordinates."""
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
+def projected_areas(p: Point, a: Point, h: AxisHyperbola) -> tuple[float, float]:
+    """Parallelogram areas of (a - p) with (a_1 - p) and with (a_2 - p), in frame coordinates."""
     x, y = _require_on_curve(a, h)
     px, py = h.relative_coords(p)
     ax, ay = x - px, y - py
-    if which == 1:
-        bx, by = x - px, -py
-    else:
-        bx, by = -px, y - py
-    return abs(ax * by - ay * bx)
+    # a_1 - p = (ax, -py) and a_2 - p = (-px, ay) in frame coordinates.
+    return abs(ax * -py - ay * ax), abs(ax * ay - ay * -px)
 
 
 def symmetric_area(p: Point, a: Point, h: AxisHyperbola) -> float:
     """Geometric mean of the two projected areas."""
-    return math.sqrt(projected_area(p, a, 1, h) * projected_area(p, a, 2, h))
+    s1, s2 = projected_areas(p, a, h)
+    return math.sqrt(s1 * s2)
 
 
 def one_sided_identity(
@@ -68,7 +63,6 @@ def one_sided_identity(
 ) -> tuple[float, float, float]:
     """(S_PA*S_PB, S(P,A1)*S(P,B1), S(P,A2)*S(P,B2)) for one secant; all three agree."""
     result = secant_intersections(p, secant, h)
-    lhs = symmetric_area(p, result.a, h) * symmetric_area(p, result.b, h)
-    mid1 = projected_area(p, result.a, 1, h) * projected_area(p, result.b, 1, h)
-    mid2 = projected_area(p, result.a, 2, h) * projected_area(p, result.b, 2, h)
-    return lhs, mid1, mid2
+    a1, a2 = projected_areas(p, result.a, h)
+    b1, b2 = projected_areas(p, result.b, h)
+    return math.sqrt(a1 * a2) * math.sqrt(b1 * b2), a1 * b1, a2 * b2

@@ -32,7 +32,7 @@ from uvangle import (
     signed_area,
     vec,
 )
-from uvangle.angle import _slope
+from uvangle.kernel import _slope
 from uvangle.errors import (
     CoincidentIntersection,
     ComponentMismatch,

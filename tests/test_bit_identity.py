@@ -220,7 +220,7 @@ def _edge_angles(lines: list[str]) -> None:
         preserves_affine_angle,
         sector_area_equivalence,
     )
-    from uvangle.angle import _slope
+    from uvangle.kernel import _slope
 
     u, v = DirectionVector(2.0, 0.5), DirectionVector(-0.6, 1.5)
     dirs = DirectionPair(u, v)

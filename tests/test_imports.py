@@ -131,17 +131,32 @@ def test_every_public_member_has_a_caller_in_src():
 
 
 def test_cli_imports_no_private_name_of_another_module():
-    # The CLI reaches the library through public names only, so what a
-    # command computes stays in the module that owns it.
-    tree = ast.parse((SRC / "cli.py").read_text())
+    # Every module, the CLI included, reaches another module through public
+    # names only, so what it computes stays in the module that owns it.  The
+    # one exception is ``kernel``, whose private helpers are the package's
+    # shared primitives.
     private = [
-        f"{node.module}.{alias.name}"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
+        f"{path.name}: {node.module}.{alias.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.module != "kernel"
         for alias in node.names
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_only_power_reads_the_hyperbola_frame_slots():
+    # Other modules convert between plane points and a hyperbola's frame
+    # through AxisHyperbola.relative_coords and AxisHyperbola.plane_point.
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "power.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = [
+            node.lineno for attr in ("_inverse", "_frame_center") for node in _attributes(tree, attr)
+        ]
+        assert found == [], f"{path.name} reads a frame slot on lines {found}"
 
 
 # ``__init__.py`` resolves its exports lazily from one name -> submodule table.

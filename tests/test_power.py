@@ -49,7 +49,7 @@ from uvangle.errors import (
 from uvangle.power_theorem import (
     asymptotic_projections,
     one_sided_identity,
-    projected_area,
+    projected_areas,
     symmetric_area,
 )
 
@@ -129,13 +129,10 @@ def test_projections_worked_examples():
 def test_projected_area_worked_examples():
     p, a = Point(2, 2), Point(1, 1)
     # oracle: raw cross products of (a - p) with (a_i - p)
-    assert projected_area(p, a, 1, UNIT) == pytest.approx(1.0, rel=1e-12)
-    assert projected_area(p, a, 2, UNIT) == pytest.approx(1.0, rel=1e-12)
-    assert projected_area(a, a, 1, UNIT) == 0.0
+    assert projected_areas(p, a, UNIT) == pytest.approx((1.0, 1.0), rel=1e-12)
+    assert projected_areas(a, a, UNIT) == (0.0, 0.0)
     assert symmetric_area(p, a, UNIT) == pytest.approx(1.0, rel=1e-12)
     assert symmetric_area(a, a, UNIT) == 0.0
-    with pytest.raises(ValueError, match="^which must be 1 or 2$"):
-        projected_area(p, a, 3, UNIT)
 
 
 def test_symmetric_area_square_identity():
@@ -146,7 +143,8 @@ def test_symmetric_area_square_identity():
         alpha = rng.choice((-1.0, 1.0)) * log_uniform(rng, 0.2, 5.0)
         a = h.point_at(alpha)
         lhs = symmetric_area(p, a, h) ** 2
-        rhs = projected_area(p, a, 1, h) * projected_area(p, a, 2, h)
+        s1, s2 = projected_areas(p, a, h)
+        rhs = s1 * s2
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
 
 
@@ -536,5 +534,13 @@ def test_hyperbola_general_frame_roundtrip():
         axis_v = Line(h.center, inverse.apply_linear(DirectionVector(0, 1)))
         assert axis_u.contains(a1)
         assert axis_v.contains(a2)
+        # plane_point inverts relative_coords, also on a frame reflected for kappa < 0.
+        q = random_off_curve_point(rng, h)
+        for g in (h, AxisHyperbola(h.center, -h.kappa, h.frame)):
+            for point in (p, q):
+                assert_point_close(g.plane_point(*g.relative_coords(point)), point, tol=1e-9)
     with pytest.raises(ValueError, match="^abscissa on the asymptote$"):
         h.point_at(0.0)
+    far = axis_aligned(Point(1e308, 0.0), 1.0)
+    with pytest.raises(ValueError, match="^coordinates must be finite, got inf$"):
+        far.plane_point(1e308, 0.0)
