@@ -1,26 +1,24 @@
 """Planar primitives: points, directions, lines, rays, affine maps, and slopes.
 
 Coordinates are IEEE-754 doubles.  Scalar comparisons use a relative
-tolerance with a small absolute floor.  Every direction test but one goes
-through one float predicate, ``_cross_if_independent``, which takes
-coordinates and returns the cross product, or 0.0 when the sine is at most
-PAR_EPS, so no caller computes the cross product twice.  It compares
-products of the coordinates, so it is scale invariant while those products
-stay representable (not for directions scaled by 2^1000 or 2^-1000).  The
-exception is ``power.secant_intersections``: its asymptotes are the frame
-axes, so it tests a secant for parallelism with |dx*dy| <= PAR_EPS*|d|^2 on
-the secant's frame coordinates (dx, dy).  The query paths of the package
-compute on floats and build no intermediate values; where such a value's
-constructor would have raised on a state that valid inputs can reach, they
-raise its error.  They apply a map through ``_map_point`` and
-``_map_direction``, which raise the finiteness and underflow errors; only
-``sample_locus``'s per-sample loop, ``normalize_configuration``,
-``compose_maps``, ``power._monic_in_frame``, ``AffineMap.apply_linear`` and
-``radical_axis``'s direction multiply a map out inline.  The (u, v) frame
-of the reference directions (``basis_map``, kept by ``DirectionPair``), the
-(u, v) slope of a ray with its vertex checks (``_slope``, ``_slope_pair``,
-``_require_vertex``) and the slope form of the angle live here.  All operations are pure, so
-everything here is safe to share freely between threads.
+tolerance with a small absolute floor.  Every direction test goes through one
+float predicate, ``_cross_if_independent``, which takes coordinates and
+returns the cross product, or 0.0 when the sine is at most PAR_EPS, so no
+caller computes the cross product twice.  It compares products of the
+coordinates, so it is scale invariant while those products stay
+representable (not for directions scaled by 2^1000 or 2^-1000).  The query
+paths of the package compute on floats and build no intermediate values;
+where such a value's constructor would have raised on a state that valid
+inputs can reach, they raise its error.  They apply a map through
+``_map_point`` and ``_map_direction``, which raise the finiteness and
+underflow errors; only ``sample_locus``'s per-sample loop,
+``normalize_configuration``, ``compose_maps``, ``power._monic_in_frame``,
+``AffineMap.apply_linear`` and ``radical_axis``'s direction multiply a map
+out inline.  The (u, v) frame of the reference directions (``basis_map``,
+kept by ``DirectionPair``), the (u, v) slope of a ray with its vertex checks
+(``_slope``, ``_slope_pair``, ``_require_vertex``) and the slope form of the
+angle live here.  All operations are pure, so everything here is safe to
+share freely between threads.
 
 The value types of the package (here and in the other modules) are
 immutable ``__slots__`` classes built on ``_Frozen``: assigning or deleting

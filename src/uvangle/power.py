@@ -32,7 +32,6 @@ from .errors import (
 )
 from .kernel import (
     ABS_EPS,
-    PAR_EPS,
     REL_EPS,
     TANGENT_TOL,
     AffineMap,
@@ -40,6 +39,7 @@ from .kernel import (
     Line,
     Point,
     _check_finite,
+    _cross_if_independent,
     _Frozen,
     _map_direction,
     _map_point,
@@ -152,10 +152,13 @@ def secant_intersections(p: Point, direction: DirectionVector, h: AxisHyperbola)
     """
     px, py = h.relative_coords(p)
     dx, dy = _map_direction(h.frame, direction.dx, direction.dy)
-    a2 = dx * dy
-    norm = math.hypot(dx, dy)
-    if abs(a2) <= PAR_EPS * norm * norm:
+    # Only the line matters: an exact power of two brings the larger coordinate into [0.5, 1).
+    e = -math.frexp(max(abs(dx), abs(dy)))[1]
+    dx, dy = math.ldexp(dx, e), math.ldexp(dy, e)
+    if (_cross_if_independent(dx, dy, 1.0, 0.0) == 0.0
+            or _cross_if_independent(dx, dy, 0.0, 1.0) == 0.0):
         raise NoRealIntersection("secant direction is parallel to an asymptote")
+    a2 = dx * dy
     a1 = dx * py + dy * px
     a0 = px * py - h.kappa
     disc = a1 * a1 - 4.0 * a2 * a0
@@ -218,15 +221,17 @@ def _monic_in_frame(h: AxisHyperbola, other: AxisHyperbola) -> tuple[float, floa
         and math.isfinite(yy) and math.isfinite(tx) and math.isfinite(ty)
     ):
         _check_finite(xx, xy, yx, yy, tx, ty)
-    tol = REL_EPS * max(abs(xx), abs(xy), abs(yx), abs(yy))
+    # The frames share their axes when their rows, the coordinate functionals, are parallel.
+    o = other.frame
     c, d = h._frame_center
-    if abs(xy) <= tol and abs(yx) <= tol:
+    gx, gy = tx - c, ty - d
+    if (_cross_if_independent(f.xx, f.xy, o.xx, o.xy) == 0.0
+            and _cross_if_independent(f.yx, f.yy, o.yx, o.yy) == 0.0):
         # z_x = xx*wx + tx, z_y = yy*wy + ty
-        gx, gy = tx - c, ty - d
         return gy / yy, gx / xx, (gx * gy - h.kappa) / (xx * yy)
-    if abs(xx) <= tol and abs(yy) <= tol:
+    if (_cross_if_independent(f.xx, f.xy, o.yx, o.yy) == 0.0
+            and _cross_if_independent(f.yx, f.yy, o.xx, o.xy) == 0.0):
         # z_x = xy*wy + tx, z_y = yx*wx + ty
-        gx, gy = tx - c, ty - d
         return gx / xy, gy / yx, (gx * gy - h.kappa) / (xy * yx)
     raise NonLinearDifference("hyperbolas do not share an asymptote direction pair")
 

@@ -608,6 +608,29 @@ DET_IS_NAN = (
     "--u", "3e-160,1e-160", "--v", "1e-160,2e-160",
 )
 
+# --v 0,1e-300 gives every curve a frame row ~1e300 long, and the rounded composition of a
+# frame with its own inverse had yx = -2.97e284: _monic_in_frame took the swapped-axes
+# branch and ended in a ZeroDivisionError traceback.
+ROWS_OVERFLOW = (
+    "radical-center", "--h1", "1,1,1", "--h2", "7,-1,2", "--h3", "-2,0.5,3",
+    "--u", "1.3576740221785215,-1.4714950502067226", "--v", "0,1e-300",
+)
+
+
+def test_radical_center_on_a_frame_with_a_huge_row_is_one_error_line():
+    line = assert_one_line_error(run_cli(*ROWS_OVERFLOW), 2)
+    assert line.startswith("uvangle radical-center: domain error: "), line
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: the product of two ~1e300 frame rows overflows, so the direction "
+    "predicate calls a row independent of itself",
+)
+def test_radical_center_on_a_frame_with_a_huge_row():
+    center = run_json(*ROWS_OVERFLOW)["outputs"]["center"]
+    assert center == pytest.approx([-15.50903565291778, 35.786151683118106], rel=1e-12)
+
 
 @pytest.mark.parametrize(
     "argv, message",
@@ -790,6 +813,7 @@ def svg_shape(stdout: str) -> tuple[int, int]:
 @example(argv=list(RATIO_OVERFLOWS))
 @example(argv=list(RATIO_UNDERFLOWS))
 @example(argv=list(DET_OVERFLOWS))
+@example(argv=list(ROWS_OVERFLOW))
 @example(argv=[*ISOPTIC, "--theta", "1", "--samples", "5", "--output", "svg"])
 @example(argv=[*ISOPTIC_FRAME_OVERFLOWS, "--output", "svg"])
 @given(argv=cli_argv())

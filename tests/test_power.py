@@ -16,6 +16,7 @@ from helpers import (
     random_hyperbola,
     random_off_curve_point,
     random_secant_direction,
+    unit_direction,
 )
 from uvangle import (
     AffineMap,
@@ -46,6 +47,7 @@ from uvangle.errors import (
     ParallelAxes,
     ParallelChords,
 )
+from uvangle.kernel import PAR_EPS
 from uvangle.power_theorem import (
     asymptotic_projections,
     one_sided_identity,
@@ -84,6 +86,42 @@ def test_secant_worked_example():
 def test_secant_asymptote_direction_rejected():
     with pytest.raises(NoRealIntersection):
         secant_intersections(Point(2, 2), DirectionVector(1, 0), UNIT)
+
+
+def _secant_outcome(p, d, h):
+    """The float.hex of every float of the result, or the error's class and message."""
+    try:
+        r = secant_intersections(p, d, h)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return tuple(x.hex() for x in (r.a.x, r.a.y, r.b.x, r.b.y, r.alpha, r.beta)), r.tangent
+
+
+def test_secant_is_bit_identical_under_power_of_two_direction_scaling():
+    # Only the secant line matters, so d and d * 2^k give the same bits wherever
+    # the frame image of d * 2^k is finite and normal: |k| <= 1000 on these frames.
+    rng = random.Random(41)
+    for i in range(20):
+        h = random_hyperbola(rng)
+        p = random_off_curve_point(rng, h)
+        d = random_secant_direction(rng, p, h) if i % 2 else unit_direction(rng)
+        expected = _secant_outcome(p, d, h)
+        for k in range(-1000, 1001):
+            scaled = DirectionVector(math.ldexp(d.dx, k), math.ldexp(d.dy, k))
+            assert _secant_outcome(p, scaled, h) == expected, (i, k)
+
+
+def test_secant_direction_of_size_1e308_meets_the_curve():
+    h = AxisHyperbola.from_directions(
+        Point(0.5, -1.0), 1.5, DirectionVector(2.0, 0.5), DirectionVector(-0.6, 1.5)
+    )
+    huge = secant_intersections(Point(2.0, 3.0), DirectionVector(1e308, -1e308), h)
+    unit = secant_intersections(Point(2.0, 3.0), DirectionVector(1.0, -1.0), h)
+    assert not huge.tangent
+    assert (huge.a.x, huge.a.y) == (-2.134629349686566, 7.134629349686566)
+    assert (huge.b.x, huge.b.y) == (3.8679626830198988, 1.1320373169801017)
+    assert_point_close(unit.a, huge.a, 1e-15)
+    assert_point_close(unit.b, huge.b, 1e-15)
 
 
 def test_secant_miss_raises():
@@ -333,6 +371,39 @@ def test_radical_axis_incompatible_frames():
     )
     with pytest.raises(NonLinearDifference):
         radical_axis(UNIT, rotated)
+
+
+@pytest.mark.parametrize(
+    "u", [DirectionVector(1.0, 0.0), DirectionVector(1.3576740221785215, -1.4714950502067226)]
+)
+def test_radical_axis_rejects_curves_that_share_one_asymptote_direction(u):
+    # v = (0, 1e-300) and (1e-300, 1e-300) are 45 degrees apart; in the first
+    # curve's frame, whose y is scaled by ~1e300, they differ by ~1e-300.
+    h1 = AxisHyperbola.from_directions(Point(0.0, 0.0), 1.0, u, DirectionVector(0.0, 1e-300))
+    h2 = AxisHyperbola.from_directions(Point(1.0, 1.0), 2.0, u, DirectionVector(1e-300, 1e-300))
+    for pair in ((h1, h2), (h2, h1)):
+        with pytest.raises(NonLinearDifference):
+            radical_axis(*pair)
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+@pytest.mark.parametrize("factor, shared", [(0.9, True), (1.1, False)])
+def test_radical_axis_decides_shared_directions_at_par_eps(factor, shared, swapped):
+    # The partner's v is turned by factor * PAR_EPS; built from (v, u) it enters
+    # the first curve's frame through the swapped-axes branch.
+    u, phi = DirectionVector(0.6, 0.8), math.atan2(-0.3, 1.0)
+    v = DirectionVector(math.cos(phi), math.sin(phi))
+    turned = DirectionVector(math.cos(phi + factor * PAR_EPS), math.sin(phi + factor * PAR_EPS))
+    h1 = AxisHyperbola.from_directions(Point(0.5, -1.0), 1.5, u, v)
+    directions = (turned, u) if swapped else (u, turned)
+    h2 = AxisHyperbola.from_directions(Point(2.0, 1.0), -0.7, *directions)
+    chord_point = Point(1.8632952942854917, -0.5589885882856476)
+    for pair in ((h1, h2), (h2, h1)):
+        if shared:
+            assert on_line(radical_axis(*pair), chord_point, 1e-9)
+        else:
+            with pytest.raises(NonLinearDifference):
+                radical_axis(*pair)
 
 
 def test_radical_axis_core_equality():
