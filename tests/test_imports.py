@@ -159,30 +159,25 @@ def test_only_power_reads_the_hyperbola_frame_slots():
         assert found == [], f"{path.name} reads a frame slot on lines {found}"
 
 
-def _loads_of(name: str) -> list[tuple[str, int]]:
-    """(enclosing scope, line) of every read of ``name`` in src, as a bare name or an attribute."""
-    found = []
+def test_par_eps_has_one_reader():
+    # "Parallel" is decided in one place: every direction test goes through
+    # kernel._cross_if_independent, the only code that reads PAR_EPS, as a
+    # bare name or as an attribute.
+    readers = []
 
     def visit(node: ast.AST, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}")
                 continue
-            if (isinstance(child, ast.Name) and child.id == name
+            if (isinstance(child, ast.Name) and child.id == "PAR_EPS"
                     and isinstance(child.ctx, ast.Load)) or (
-                    isinstance(child, ast.Attribute) and child.attr == name):
-                found.append((scope, child.lineno))
+                    isinstance(child, ast.Attribute) and child.attr == "PAR_EPS"):
+                readers.append((scope, child.lineno))
             visit(child, scope)
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
-    return found
-
-
-def test_par_eps_has_one_reader():
-    # "Parallel" is decided in one place: every direction test goes through
-    # kernel._cross_if_independent, the only code that reads PAR_EPS.
-    readers = _loads_of("PAR_EPS")
     assert readers and {scope for scope, _ in readers} == {"kernel._cross_if_independent"}, (
         readers
     )
