@@ -89,9 +89,10 @@ def midpoint_ray(o: Point, r: Ray, s: Ray, dirs: DirectionPair) -> Ray:
     """The unique ray bisecting the angle between r and s inside their component.
 
     In basis coordinates the area ratio is proportional to the slope, so the
-    bisector carries the geometric mean of the two slopes.  Raises
-    ComponentMismatch across components, and OverflowError or ValueError when
-    the product of the slopes overflows or underflows to 0.
+    bisector carries the geometric mean of the two slopes.  The mean is built
+    from their mantissas and exponents, so it neither overflows nor
+    underflows, and it has the bits of sqrt(m_r*m_s) wherever that product
+    is a normal float.  Raises ComponentMismatch across components.
     """
     _require_vertex(r, o)
     _require_vertex(s, o)
@@ -99,12 +100,9 @@ def midpoint_ray(o: Point, r: Ray, s: Ray, dirs: DirectionPair) -> Ray:
     m_s = _slope(s.dir.dx, s.dir.dy, dirs, "s")
     if not _same_sign(m_r, m_s):
         raise ComponentMismatch("rays lie in different components")
-    product = m_r * m_s
-    if math.isinf(product):
-        raise OverflowError("slope product m_r*m_s overflows")
-    if product == 0.0:
-        raise ValueError("slope product m_r*m_s underflows to 0")
-    m_t = math.copysign(math.sqrt(product), m_r)
+    (f_r, e_r), (f_s, e_s) = math.frexp(abs(m_r)), math.frexp(abs(m_s))
+    e = e_r + e_s
+    m_t = math.copysign(math.ldexp(math.sqrt(math.ldexp(f_r * f_s, e % 2)), e // 2), m_r)
     d_t = DirectionVector(dirs.u.dx + m_t * dirs.v.dx, dirs.u.dy + m_t * dirs.v.dy)
     if dot(d_t, r.dir) < 0.0:
         d_t = d_t.scaled(-1.0)

@@ -1,7 +1,11 @@
 """Planar primitives: points, directions, lines, rays, affine maps, and slopes.
 
-Coordinates are IEEE-754 doubles.  Scalar comparisons use a relative
-tolerance with a small absolute floor.  Every direction test goes through one
+Coordinates are IEEE-754 doubles.  The segment test of
+``normalize_configuration`` and the determinant test of ``invert_map``
+compare a quantity with its own inputs, with no absolute floor, so scaling
+a configuration by 2^k leaves their verdicts alone while the values stay
+normal floats; ``_require_vertex`` and ``Line.contains`` still keep a floor
+of 1 under REL_EPS.  Every direction test goes through one
 float predicate, ``_cross_if_independent``, which takes coordinates and
 returns the cross product, or 0.0 when the sine is at most PAR_EPS, so no
 caller computes the cross product twice.  It compares products of the
@@ -53,8 +57,9 @@ from .errors import (
 
 # Relative tolerance of scalar comparisons and of point-on-line/vertex tests.
 REL_EPS = 1e-9
-# Absolute floor under REL_EPS, the threshold for vanishing lengths, and the
-# singularity threshold of a determinant relative to the product of its row norms.
+# Threshold of a vanishing quantity relative to its own inputs: a segment's half
+# length against its endpoints' largest coordinate, a determinant against the
+# product of its row norms.  area_ratio and radical_axis also add it as a floor.
 ABS_EPS = 1e-12
 # Largest |sine| between two directions that still counts as parallel.
 PAR_EPS = 1e-10
@@ -453,11 +458,12 @@ def normalize_configuration(a: Point, b: Point, dirs: DirectionPair) -> AffineMa
     u to (1, 1)/(2s) and v to (1, -1)/(2t), and the midpoint of ab goes to the
     origin.  Raises DegenerateConfiguration when the points coincide, the
     segment is parallel to either reference direction, or s or t underflows
-    to 0 or is too small for 1/(2s) or 1/(2t) to be finite.
+    to 0 or is too small for 1/(2s) or 1/(2t) to be finite.  The points
+    coincide when |b - a|/2 <= ABS_EPS times their largest coordinate, which
+    gives a and b scaled by 2^k the verdict of a and b.
     """
     hx, hy = (b.x - a.x) / 2.0, (b.y - a.y) / 2.0
-    scale = max(1.0, abs(a.x), abs(a.y), abs(b.x), abs(b.y))
-    if math.hypot(hx, hy) <= ABS_EPS * scale:
+    if math.hypot(hx, hy) <= ABS_EPS * max(abs(a.x), abs(a.y), abs(b.x), abs(b.y)):
         raise DegenerateConfiguration("segment endpoints coincide")
     h = DirectionVector(hx, hy)
     if is_parallel(h, dirs.v):

@@ -189,7 +189,7 @@ def chord_line(t1: float, t2: float, kappa: float) -> Line:
     """Chord of x*y = kappa through the points with abscissae t1, t2."""
     if t1 == 0.0 or t2 == 0.0 or kappa == 0.0:
         raise ValueError("chord parameters and kappa must be nonzero")
-    if abs(t1 - t2) <= REL_EPS * max(abs(t1), abs(t2)) + ABS_EPS:
+    if abs(t1 - t2) <= REL_EPS * max(abs(t1), abs(t2)):
         raise CoincidentParameters("chord parameters coincide")
     base = Point(t1, kappa / t1)
     return Line(base, DirectionVector(t2 - t1, kappa / t2 - kappa / t1))
@@ -202,7 +202,7 @@ def chord_intersection_x(t1: float, t2: float, t3: float, t4: float) -> float:
     kappa cancels and the abscissa is the same for every nonzero kappa.
     """
     p12, p34 = t1 * t2, t3 * t4
-    if abs(p12 - p34) <= REL_EPS * max(abs(p12), abs(p34)) + ABS_EPS:
+    if abs(p12 - p34) <= REL_EPS * max(abs(p12), abs(p34)):
         raise ParallelChords("chords with equal parameter products are parallel")
     return ((t3 + t4) * p12 - (t1 + t2) * p34) / (p12 - p34)
 

@@ -54,13 +54,16 @@ def _line_kinds(source: str) -> tuple[int, int, int, int]:
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     # Net source size, tracked beside the benchmarks: the total is what
-    # `wc -l src/uvangle/*.py` prints; code lines are the count to track.
-    kinds = [_line_kinds(p.read_text()) for p in SOURCES.glob("*.py")]
+    # `wc -l src/uvangle/*.py` prints; code lines are the count to track, and the
+    # `raise` statements are the guards.
+    sources = [p.read_text() for p in SOURCES.glob("*.py")]
+    kinds = [_line_kinds(source) for source in sources]
     code, docstring, comment, blank = (sum(k) for k in zip(*kinds))
     total = code + docstring + comment + blank
+    raises = sum(isinstance(node, ast.Raise) for s in sources for node in ast.walk(ast.parse(s)))
     terminalreporter.write_line(
         f"source lines (src/uvangle/*.py): {total} ({code} code, {docstring} docstring, "
-        f"{comment} comment, {blank} blank)"
+        f"{comment} comment, {blank} blank), {raises} raise statements"
     )
     if not ACCEPTANCE_RESULTS:
         return

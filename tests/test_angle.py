@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from helpers import (
@@ -373,18 +374,40 @@ def test_slope_out_of_range_is_a_singular_ray(dirs, message):
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize(
-    "dirs, error, message",
-    [
-        (SMALL_SLOPES, ValueError, "slope product m_r*m_s underflows to 0"),
-        (LARGE_SLOPES, OverflowError, "slope product m_r*m_s overflows"),
-    ],
-)
-def test_midpoint_names_an_out_of_range_slope_product(dirs, error, message):
-    ray = Ray(ORIGIN, DirectionVector(1.0, 1.0))
-    with pytest.raises(error) as exc:
-        midpoint_ray(ORIGIN, ray, ray, dirs)
-    assert str(exc.value) == message
+@pytest.mark.parametrize("dirs", [SMALL_SLOPES, LARGE_SLOPES], ids=["small", "large"])
+def test_midpoint_of_slopes_whose_product_leaves_the_range(dirs):
+    # Slopes near 1e-200 or 1e200: m_r*m_s underflows or overflows, the mean does not.
+    r = Ray(ORIGIN, DirectionVector(1.0, 1.0))
+    for s in (r, Ray(ORIGIN, DirectionVector(1.0, 2.0))):
+        m_r, m_s = (_slope(ray.dir.dx, ray.dir.dy, dirs, "d") for ray in (r, s))
+        t = midpoint_ray(ORIGIN, r, s, dirs)
+        m_t = _slope(t.dir.dx, t.dir.dy, dirs, "t")
+        with mpmath.workdps(50):
+            mean = mpmath.sqrt(mpmath.mpf(m_r) * mpmath.mpf(m_s))
+            assert abs(mpmath.mpf(m_t) - mean) <= math.ulp(float(mean))
+
+
+def test_midpoint_keeps_the_bits_of_the_slope_product_form():
+    # Wherever m_r*m_s is a normal float, the mean built from mantissas and exponents is
+    # sqrt(m_r*m_s) to the bit.  Scaling u and v by independent powers of two spreads the
+    # slopes over 2^-480 .. 2^480.
+    rng = random.Random(27)
+    for _ in range(500):
+        o = random_vertex(rng)
+        unit = direction_pair(rng)
+        i, j = rng.randint(-240, 240), rng.randint(-240, 240)
+        dirs = DirectionPair(unit.u.scaled(math.ldexp(1.0, i)), unit.v.scaled(math.ldexp(1.0, j)))
+        r, s = (
+            Ray(o, DirectionVector(unit.u.dx + m * unit.v.dx, unit.u.dy + m * unit.v.dy))
+            for m in same_component_slopes(rng, 2)
+        )
+        m_r, m_s = (_slope(ray.dir.dx, ray.dir.dy, dirs, "d") for ray in (r, s))
+        m_t = math.copysign(math.sqrt(m_r * m_s), m_r)
+        d_t = DirectionVector(dirs.u.dx + m_t * dirs.v.dx, dirs.u.dy + m_t * dirs.v.dy)
+        if d_t.dx * r.dir.dx + d_t.dy * r.dir.dy < 0.0:
+            d_t = d_t.scaled(-1.0)
+        t = midpoint_ray(o, r, s, dirs)
+        assert (t.dir.dx.hex(), t.dir.dy.hex()) == (d_t.dx.hex(), d_t.dy.hex()), (m_r, m_s)
 
 
 def test_midpoint_bisects():

@@ -648,6 +648,25 @@ def test_out_of_range_result_is_a_named_domain_error(argv, message):
     assert line == f"uvangle {argv[0]}: domain error: {message}"
 
 
+# Inputs of size ~1e-13, which an absolute floor of 1e-12 called coincident endpoints
+# and parallel chords.
+TINY_SEGMENT = (
+    "isoptic", "--A", "1e-13,0", "--B", "3e-13,0", "--u", "1,1", "--v", "1,-1", "--theta", "1",
+)
+TINY_CHORDS = ("chords", "--t", "1e-13,4e-13,2e-13,3e-13", "--kappa", "1e-26")
+# A segment of size 1e-200, whose canonical map's determinant overflows.
+SEGMENT_DET_OVERFLOWS = (
+    "isoptic", "--A=-1e-200,0", "--B", "1e-200,0", "--u", "1,1", "--v", "1,-1", "--theta", "1",
+)
+
+
+def test_tiny_segments_and_chords_are_decided_at_their_own_scale():
+    run_json(*TINY_SEGMENT)
+    assert run_json(*TINY_CHORDS)["outputs"]["intersection_x"] == 5e-13
+    line = assert_one_line_error(run_cli(*SEGMENT_DET_OVERFLOWS), 2)
+    assert line == "uvangle isoptic: domain error: linear part is singular (det = inf)"
+
+
 DEPENDENT = ("--u", "1,0", "--v", "2,0")
 
 
@@ -814,6 +833,9 @@ def svg_shape(stdout: str) -> tuple[int, int]:
 @example(argv=list(RATIO_UNDERFLOWS))
 @example(argv=list(DET_OVERFLOWS))
 @example(argv=list(ROWS_OVERFLOW))
+@example(argv=list(TINY_SEGMENT))
+@example(argv=list(TINY_CHORDS))
+@example(argv=list(SEGMENT_DET_OVERFLOWS))
 @example(argv=[*ISOPTIC, "--theta", "1", "--samples", "5", "--output", "svg"])
 @example(argv=[*ISOPTIC_FRAME_OVERFLOWS, "--output", "svg"])
 @given(argv=cli_argv())

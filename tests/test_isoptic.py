@@ -393,7 +393,8 @@ def sheared_specs(draw) -> IsopticSpec:
     theta = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(1e-3, 8.0))
     try:
         return IsopticSpec(a, b, DirectionPair(u, v), theta)
-    except (ValueError, DegenerateConfiguration):
+    except (ValueError, DegenerateConfiguration, SingularMap, OverflowError):
+        # A segment of size ~1e-154 or less overflows the canonical map's determinant.
         assume(False)
 
 
@@ -476,12 +477,10 @@ def _random_sheared_batch(seed: int, count: int, k: int = 0) -> tuple[list, list
         # Odd n: the branches have their own t grids.
         pytest.param(*_random_sheared_batch(1601, 200), 3, 472, id="random-sheared-batch-n3"),
         pytest.param(*_random_sheared_batch(1601, 200), 33, 5262, id="random-sheared-batch-n33"),
-        # Endpoints scaled by 2^k.  Scaling up keeps every flag.  IsopticSpec rejects
-        # all 200 specs at 2^-100 and 2^-300 as coincident endpoints, because
-        # normalize_configuration's coincidence test has an absolute floor.
-        *(pytest.param(*_random_sheared_batch(1601, 200, k), 64, count,
+        # Endpoints scaled by 2^k: every scale keeps every flag.
+        *(pytest.param(*_random_sheared_batch(1601, 200, k), 64, 10214,
                        id=f"random-sheared-batch-2^{k}")
-          for k, count in ((-300, 0), (-100, 0), (100, 10214), (300, 10214))),
+          for k in (-300, -100, 100, 300)),
     ],
 )
 def test_sample_locus_classifies_the_canonical_sample(frame, theta, n, admissible):
@@ -510,6 +509,19 @@ def test_sample_locus_classifies_the_canonical_sample(frame, theta, n, admissibl
             r = spec._frame.apply_point(q)
             assert (p.x.hex(), p.y.hex(), ok) == (r.x.hex(), r.y.hex(), expected), (q, angle, n)
     assert total == admissible
+
+
+@pytest.mark.parametrize("k", [-300, -100, -40, 40, 100, 300])
+def test_sample_locus_scales_with_the_segment(k):
+    # Scaling A and B by 2^k keeps u and v, so the locus scales by 2^k and keeps its
+    # flags, bit for bit: the segment's coincidence test has no absolute floor.
+    a, b, u, v = _EDGE_FRAME
+    dirs = DirectionPair(DirectionVector(*u), DirectionVector(*v))
+    unit = sample_locus(IsopticSpec(Point(*a), Point(*b), dirs, 1.0), 64)
+    scaled_a, scaled_b = (Point(math.ldexp(x, k), math.ldexp(y, k)) for x, y in (a, b))
+    scaled = sample_locus(IsopticSpec(scaled_a, scaled_b, dirs, 1.0), 64)
+    expected = [(math.ldexp(p.x, k).hex(), math.ldexp(p.y, k).hex(), ok) for p, ok in unit]
+    assert [(p.x.hex(), p.y.hex(), ok) for p, ok in scaled] == expected
 
 
 @pytest.mark.parametrize(
