@@ -59,7 +59,8 @@ from .errors import (
 REL_EPS = 1e-9
 # Threshold of a vanishing quantity relative to its own inputs: a segment's half
 # length against its endpoints' largest coordinate, a determinant against the
-# product of its row norms.  area_ratio and radical_axis also add it as a floor.
+# product of its row norms.  area_ratio, radical_axis and
+# degeneration.first_order_limit also add it as a floor.
 ABS_EPS = 1e-12
 # Largest |sine| between two directions that still counts as parallel.
 PAR_EPS = 1e-10

@@ -204,6 +204,10 @@ def chord_intersection_x(t1: float, t2: float, t3: float, t4: float) -> float:
     p12, p34 = t1 * t2, t3 * t4
     if abs(p12 - p34) <= REL_EPS * max(abs(p12), abs(p34)):
         raise ParallelChords("chords with equal parameter products are parallel")
+    # An exact power of two brings the larger product into [0.5, 1), so the cubic numerator
+    # keeps the scale of t: the bits are unchanged wherever it was a normal float.
+    e = -math.frexp(max(abs(p12), abs(p34)))[1]
+    p12, p34 = math.ldexp(p12, e), math.ldexp(p34, e)
     return ((t3 + t4) * p12 - (t1 + t2) * p34) / (p12 - p34)
 
 

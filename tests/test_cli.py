@@ -654,6 +654,9 @@ TINY_SEGMENT = (
     "isoptic", "--A", "1e-13,0", "--B", "3e-13,0", "--u", "1,1", "--v", "1,-1", "--theta", "1",
 )
 TINY_CHORDS = ("chords", "--t", "1e-13,4e-13,2e-13,3e-13", "--kappa", "1e-26")
+# Chords whose cubic numerator (t3 + t4)*t1*t2 underflows or overflows at their own scale.
+CHORDS_CUBIC_UNDERFLOWS = ("chords", "--t", "1e-110,4e-110,2e-110,3e-110", "--kappa", "1e-220")
+CHORDS_CUBIC_OVERFLOWS = ("chords", "--t", "1e110,4e110,2e110,3e110", "--kappa", "1e220")
 # A segment of size 1e-200, whose canonical map's determinant overflows.
 SEGMENT_DET_OVERFLOWS = (
     "isoptic", "--A=-1e-200,0", "--B", "1e-200,0", "--u", "1,1", "--v", "1,-1", "--theta", "1",
@@ -665,6 +668,15 @@ def test_tiny_segments_and_chords_are_decided_at_their_own_scale():
     assert run_json(*TINY_CHORDS)["outputs"]["intersection_x"] == 5e-13
     line = assert_one_line_error(run_cli(*SEGMENT_DET_OVERFLOWS), 2)
     assert line == "uvangle isoptic: domain error: linear part is singular (det = inf)"
+
+
+@pytest.mark.parametrize(
+    "argv, x", [(CHORDS_CUBIC_UNDERFLOWS, 5e-110), (CHORDS_CUBIC_OVERFLOWS, 5e110)]
+)
+def test_chord_abscissa_does_not_leave_the_range_of_its_inputs(argv, x):
+    outputs = run_json(*argv)["outputs"]
+    assert outputs["intersection_x"] == pytest.approx(x, rel=1e-15, abs=0.0)
+    assert outputs["intersection"][0] == pytest.approx(x, rel=1e-15, abs=0.0)
 
 
 DEPENDENT = ("--u", "1,0", "--v", "2,0")
@@ -835,6 +847,8 @@ def svg_shape(stdout: str) -> tuple[int, int]:
 @example(argv=list(ROWS_OVERFLOW))
 @example(argv=list(TINY_SEGMENT))
 @example(argv=list(TINY_CHORDS))
+@example(argv=list(CHORDS_CUBIC_UNDERFLOWS))
+@example(argv=list(CHORDS_CUBIC_OVERFLOWS))
 @example(argv=list(SEGMENT_DET_OVERFLOWS))
 @example(argv=[*ISOPTIC, "--theta", "1", "--samples", "5", "--output", "svg"])
 @example(argv=[*ISOPTIC_FRAME_OVERFLOWS, "--output", "svg"])

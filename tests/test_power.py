@@ -295,19 +295,17 @@ def test_chord_intersection_examples():
         chord_intersection_x(1.0, 6.0, 2.0, 3.0)
 
 
-@pytest.mark.parametrize("k", [-400, -250, -41, -1, 1, 41, 250, 400])
+@pytest.mark.parametrize("k", [-400, -350, -250, -41, -1, 1, 41, 250, 350, 400])
 def test_chords_scale_with_their_abscissae(k):
     # t -> t*2^k with kappa -> kappa*2^(2k) scales the chord and its meet by 2^k, bit for
-    # bit.  chord_intersection_x's numerator is cubic in t, so the two scales compared
-    # are 2^-(k//2) and 2^(k - k//2), which keep it a normal float.
+    # bit.  From |k| = 350 on, chord_intersection_x's cubic numerator t*t1*t2 would leave
+    # the normal range if it were formed at the inputs' own scale.
     ts, kappa = (1.0, 4.0, 2.0, 3.0), 1.5
-    lo, hi = -(k // 2), k - k // 2
-    ts_lo = [math.ldexp(t, lo) for t in ts]
-    ts_hi = [math.ldexp(t, hi) for t in ts]
-    assert chord_intersection_x(*ts_hi) == math.ldexp(chord_intersection_x(*ts_lo), k)
+    scaled_ts = [math.ldexp(t, k) for t in ts]
+    assert chord_intersection_x(*scaled_ts) == math.ldexp(chord_intersection_x(*ts), k)
     for i in (0, 2):
-        line = chord_line(ts_lo[i], ts_lo[i + 1], math.ldexp(kappa, 2 * lo))
-        scaled = chord_line(ts_hi[i], ts_hi[i + 1], math.ldexp(kappa, 2 * hi))
+        line = chord_line(ts[i], ts[i + 1], kappa)
+        scaled = chord_line(scaled_ts[i], scaled_ts[i + 1], math.ldexp(kappa, 2 * k))
         coords = (line.base.x, line.base.y, line.dir.dx, line.dir.dy)
         assert (scaled.base.x, scaled.base.y, scaled.dir.dx, scaled.dir.dy) == tuple(
             math.ldexp(c, k) for c in coords
