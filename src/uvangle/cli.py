@@ -20,12 +20,15 @@ Each handler imports the modules its command uses when it runs, so one
 process loads only those.  The names are looked up at call time, never
 kept in this module's globals, so rebinding a module's function (as a
 tracer does) reaches every call.
+
+Documents are written by ``_json``, not by the json package: importing json
+loads its decoder and scanner and compiles their regexes, which costs a
+one-shot process more than encoding its one document does.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -319,42 +322,51 @@ def _cmd_invariance(args) -> tuple[dict, list[str]]:
     return invariance_deviations(args.trials, args.seed), []
 
 
-def _floats_in(value):
-    """The floats in a JSON-like value, in document order."""
+def _json(value, indent: str = "", key: str | None = None) -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)``, written without the json package.
+
+    Strings of printable ASCII other than ``"`` and ``\\``, as every string
+    of a document is, are quoted as they are; any other string goes to
+    ``json.dumps``, so its escape rules stay the stdlib's.  A nan or infinity
+    raises ValueError naming ``key``: each key of the top level, and of an
+    ``outputs`` dict, names what it holds.
+    """
+    if isinstance(value, str):
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'
+        import json
+
+        return json.dumps(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return repr(value)
     if isinstance(value, float):
-        yield value
-    elif isinstance(value, dict):
-        for item in value.values():
-            yield from _floats_in(item)
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            yield from _floats_in(item)
-
-
-def _non_finite_output(outputs: dict) -> str | None:
-    """What is wrong with the first output key holding nan or an infinity, or None."""
-    for key, value in outputs.items():
-        for x in _floats_in(value):
-            if math.isnan(x):
-                return f"output {key} is nan"
-            if math.isinf(x):
-                return f"output {key} overflows to {x!r}"
-    return None
+        if not math.isfinite(value):
+            problem = "is nan" if math.isnan(value) else f"overflows to {value!r}"
+            raise ValueError(f"output {key} {problem}")
+        return repr(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        brackets, items = "[]", [inner + _json(item, inner, key) for item in value]
+    else:
+        brackets, items = "{}", [
+            f"{inner}{_json(k)}: {_json(v, inner, k if key in (None, 'outputs') else key)}"
+            for k, v in value.items()
+        ]
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{indent}{brackets[1]}"
 
 
 def _emit(payload, out_path: str | None) -> None:
     """Write the document (strict JSON: nan and infinities raise ValueError) or SVG bytes.
 
-    The ValueError of a non-finite output names the first output key holding one.
+    ``_json`` encodes the document without the json package, whose import
+    would cost the process more than the encoding does.  The ValueError of a
+    non-finite output names the first output key holding one.
     """
-    if isinstance(payload, dict):
-        try:
-            text = json.dumps(payload, indent=2, allow_nan=False)
-        except ValueError as exc:
-            raise ValueError(_non_finite_output(payload["outputs"]) or str(exc)) from None
-        data = (text + "\n").encode("utf-8")
-    else:
-        data = payload
+    data = (_json(payload) + "\n").encode("utf-8") if isinstance(payload, dict) else payload
     if out_path is None:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()

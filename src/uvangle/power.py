@@ -251,10 +251,10 @@ def radical_axis(h1: AxisHyperbola, h2: AxisHyperbola) -> Line:
     e1x, e1y, e10 = _monic_in_frame(h1, h1)
     e2x, e2y, e20 = _monic_in_frame(h2, h1)
     ex, ey, e0 = e1x - e2x, e1y - e2y, e10 - e20
-    scale = max(1.0, abs(e1x), abs(e1y), abs(e10), abs(e2x), abs(e2y), abs(e20))
-    tol = ABS_EPS * scale
+    # Each difference is tested against the coefficients of its own degree in length.
+    tol = ABS_EPS * max(abs(e1x), abs(e1y), abs(e2x), abs(e2y))
     if abs(ex) <= tol and abs(ey) <= tol:
-        if abs(e0) <= tol:
+        if abs(e0) <= ABS_EPS * max(abs(e10), abs(e20)):
             raise IdenticalCurves("the two hyperbolas coincide")
         raise EmptyRadicalAxis("equal centers with different kappa give an empty axis")
     # The base point (bx, by) and direction (dx, dy) in h1's frame, with the

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uvangle.cli import _non_finite_output, build_parser, main
+from uvangle.cli import _json, build_parser, main
 
 SCHEMA = json.loads(
     (resources.files("uvangle") / "schemas" / "result_v1.json").read_text()
@@ -331,14 +331,14 @@ runpy.run_module("uvangle", run_name="__main__", alter_sys=True)
 """
 
 
-def modules_loaded_by(*argv: str) -> set[str]:
+def modules_loaded_by(*argv: str, code: int = 0) -> set[str]:
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", MODULES_AT_EXIT, *argv],
         capture_output=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.returncode == code, proc.stderr.decode()
     return set(proc.stderr.decode().split("modules:\n", 1)[1].splitlines())
 
 
@@ -364,6 +364,26 @@ def test_isoptic_command_loads_only_its_modules(output):
         "uvangle._invariance", "uvangle.area_ratio", "random",
     }
     assert sorted(loaded & unwanted) == []
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("angle", "--O", "0,0", "--A", "1,1", "--B", "1,2", "--u", "1,0", "--v", "0,1"), 0),
+        ((*ISOPTIC, "--theta", "1"), 0),
+        ((*ISOPTIC, "--theta", "1", "--output", "svg"), 0),
+        (("power", "--kappa", "2", "--center", "0,0", "--P", "2,2"), 0),
+        (("radical-center", "--h1", "0,0,1", "--h2", "1,0.5,3", "--h3", "-1,-2,2"), 0),
+        (("chords", "--t", "1,4,2,3"), 0),
+        (("chords", "--progression", "1,2,3"), 0),
+        (("degenerate", "--m1", "2", "--m2", "1"), 0),
+        (("invariance", "--trials", "2", "--seed", "0"), 0),
+        (("angle", "--O", "x"), 1),
+    ],
+)
+def test_no_command_loads_the_json_package(argv, code):
+    loaded = modules_loaded_by(*argv, code=code)
+    assert sorted(loaded & {"json", "json.decoder", "json.encoder", "json.scanner", "_json"}) == []
 
 
 def test_invariance_command_loads_the_area_ratio_oracle():
@@ -663,6 +683,24 @@ SEGMENT_DET_OVERFLOWS = (
 )
 
 
+# The README's radical-center curves scaled by 1e-15, kappa by 1e-30, and two of its
+# curves with equal centers and different kappa at that scale.
+TINY_CURVES = (
+    "radical-center", "--h1", "0,0,1e-30", "--h2", "-1e-15,-0.5e-15,3e-30",
+    "--h3", "1e-15,2e-15,2e-30",
+)
+TINY_CONCENTRIC = (
+    "radical-center", "--h1", "0,0,1e-30", "--h2", "0,0,2e-30", "--h3", "1e-15,2e-15,2e-30",
+)
+
+
+def test_tiny_curves_are_decided_at_their_own_scale():
+    center = run_json(*TINY_CURVES)["outputs"]["center"]
+    assert center == pytest.approx([-1e-15 / 3, 5e-15 / 3], rel=1e-14, abs=0.0)
+    line = assert_one_line_error(run_cli(*TINY_CONCENTRIC), 2)
+    assert line == "uvangle radical-center: domain error: a pairwise radical axis is empty"
+
+
 def test_tiny_segments_and_chords_are_decided_at_their_own_scale():
     run_json(*TINY_SEGMENT)
     assert run_json(*TINY_CHORDS)["outputs"]["intersection_x"] == 5e-13
@@ -735,10 +773,52 @@ def test_half_log_angle_of_slopes_whose_product_underflows():
         ({"a": 1.0, "b": [[0.0, -math.inf]], "c": math.nan}, "output b overflows to -inf"),
         ({"a": "x", "b": {"c": math.nan}}, "output b is nan"),
         ({"a": [1.0, None, True]}, None),
+        ({"a": [1.0], "b": {"c": [[2.0, 3.0], [4.0, math.inf]]}, "d": math.nan},
+         "output b overflows to inf"),
     ],
 )
 def test_non_finite_output_names_the_first_key_holding_one(outputs, message):
-    assert _non_finite_output(outputs) == message
+    # The same key is named when the outputs sit inside a whole document.
+    document = {"schema_version": "1", "command": "x", "inputs": {"a": 1.0}, "outputs": outputs}
+    for doc in (outputs, document):
+        if message is None:
+            assert _json(doc) == json.dumps(doc, indent=2, allow_nan=False)
+        else:
+            with pytest.raises(ValueError) as exc:
+                _json(doc)
+            assert str(exc.value) == message
+
+
+# Documents for the emitter: strings with non-ASCII, astral and control characters, '"',
+# '\\' and DEL; the float extremes; and now and then a nan or an infinity.
+JSON_STRINGS = st.text(max_size=8) | st.sampled_from(
+    ("", "a b", '"', "\\", "\x7f", "\x00", "\n\t", "\u00e9", "\u2028", "\U0001f600", "\ud800")
+)
+JSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308)
+)
+JSON_DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_FLOATS | JSON_STRINGS
+    | st.sampled_from((math.nan, math.inf, -math.inf)),
+    lambda children: (
+        st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(JSON_STRINGS, children, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(doc=JSON_DOCUMENTS)
+def test_json_matches_the_json_package(doc):
+    try:
+        expected = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:  # a nan or an infinity
+        with pytest.raises(ValueError, match=r" (is nan|overflows to -?inf)$"):
+            _json(doc)
+    else:
+        assert _json(doc) == expected
 
 
 @pytest.mark.parametrize(
@@ -850,6 +930,7 @@ def svg_shape(stdout: str) -> tuple[int, int]:
 @example(argv=list(CHORDS_CUBIC_UNDERFLOWS))
 @example(argv=list(CHORDS_CUBIC_OVERFLOWS))
 @example(argv=list(SEGMENT_DET_OVERFLOWS))
+@example(argv=list(TINY_CURVES))
 @example(argv=[*ISOPTIC, "--theta", "1", "--samples", "5", "--output", "svg"])
 @example(argv=[*ISOPTIC_FRAME_OVERFLOWS, "--output", "svg"])
 @given(argv=cli_argv())
@@ -861,3 +942,5 @@ def test_every_command_ends_in_json_or_one_error_line(workloads, argv):
         assert (svg_shape(stdout), stderr) == ((samples, 2), ""), argv
     else:
         assert workloads.contract_violation(code, stdout, stderr) is None, (argv, code, stderr)
+        if code == 0:  # the emitter writes the json package's bytes
+            assert stdout == json.dumps(json.loads(stdout), indent=2) + "\n", argv

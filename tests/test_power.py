@@ -39,6 +39,7 @@ from uvangle import (
 from uvangle.errors import (
     CoincidentParameters,
     DegenerateIntersection,
+    EmptyRadicalAxis,
     IdenticalCurves,
     InvalidPosition,
     NoRealIntersection,
@@ -469,6 +470,29 @@ def test_radical_center_concurrency():
         scale = max(1.0, abs(center.x), abs(center.y))
         for axis in axes:
             assert axis.distance_to(center) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("u, v", [((1.0, 0.0), (0.0, 1.0)), ((2.0, 0.5), (-0.6, 1.5))])
+def test_radical_center_scales_with_its_curves(u, v):
+    # Centers scaled by 2^k, with kappa by 2^(2k), scale the radical center by 2^k, bit for
+    # bit.  radical_axis tests each coefficient difference against coefficients of its own
+    # degree in length; one tolerance over both degrees, floored at 1, called the README
+    # curves coincident for k <= -50 and their axes empty for k near 200.
+    dirs = DirectionVector(*u), DirectionVector(*v)
+
+    def curve(cx, cy, kappa, k):
+        center = Point(math.ldexp(cx, k), math.ldexp(cy, k))
+        return AxisHyperbola.from_directions(center, math.ldexp(kappa, 2 * k), *dirs)
+
+    readme = ((0.0, 0.0, 1.0), (-1.0, -0.5, 3.0), (1.0, 2.0, 2.0))
+    center = radical_center(*(curve(*c, 0) for c in readme))
+    for k in range(-500, 201):
+        got = radical_center(*(curve(*c, k) for c in readme))
+        assert (got.x, got.y) == (math.ldexp(center.x, k), math.ldexp(center.y, k)), k
+        with pytest.raises(IdenticalCurves):
+            radical_axis(curve(1.0, 2.0, 1.0, k), curve(1.0, 2.0, 1.0, k))
+        with pytest.raises(EmptyRadicalAxis):
+            radical_axis(curve(1.0, 2.0, 1.0, k), curve(1.0, 2.0, 2.0, k))
 
 
 def test_radical_structure_ignores_the_order_of_the_directions():
