@@ -113,7 +113,7 @@ def sigma_lambda(o: Point, ray: Ray, u_line: Line, v_line: Line, aux: Line) -> S
     if is_parallel(d, v_line.dir):
         return SigmaValue.infinity()
     p_u, p_v, p_l = _aux_points(o, d, u_line, v_line, aux)
-    scale = max(1.0, distance(o, p_u), distance(o, p_v), distance(o, p_l))
+    scale = max(distance(o, p_u), distance(o, p_v), distance(o, p_l))
     if (
         distance(p_l, p_u) <= REL_EPS * scale
         or distance(p_l, p_v) <= REL_EPS * scale
@@ -136,7 +136,7 @@ def sigma_sign(o: Point, ray: Ray, u_line: Line, v_line: Line, aux: Line) -> Com
     if is_parallel(d, u_line.dir) or is_parallel(d, v_line.dir):
         return ComponentLabel.SINGULAR
     t_u, t_v, t_l = (_position(p, aux) for p in _aux_points(o, d, u_line, v_line, aux))
-    span = max(abs(t_u - t_v), abs(t_l - t_u), abs(t_l - t_v), ABS_EPS)
+    span = max(abs(t_u - t_v), abs(t_l - t_u), abs(t_l - t_v))
     if min(abs(t_l - t_u), abs(t_l - t_v), abs(t_u - t_v)) <= REL_EPS * span:
         return ComponentLabel.SINGULAR
     product = (t_l - t_u) * (t_l - t_v)
@@ -175,8 +175,8 @@ def area_cross_ratio(l1: Ray, l2: Ray, r1: Ray, r2: Ray, o: Point, aux: Line) ->
     d14, s14 = det(0, 3)
     num = d13 * d24
     den = d23 * d14
-    num_zero = abs(d13) <= REL_EPS * s13 + ABS_EPS or abs(d24) <= REL_EPS * s24 + ABS_EPS
-    den_zero = abs(d23) <= REL_EPS * s23 + ABS_EPS or abs(d14) <= REL_EPS * s14 + ABS_EPS
+    num_zero = abs(d13) <= REL_EPS * s13 or abs(d24) <= REL_EPS * s24
+    den_zero = abs(d23) <= REL_EPS * s23 or abs(d14) <= REL_EPS * s14
     if num_zero and den_zero:
         raise UndefinedCrossRatio("coinciding entries make the cross ratio 0/0")
     if den_zero:

@@ -1,15 +1,14 @@
 """Planar primitives: points, directions, lines, rays, affine maps, and slopes.
 
 Coordinates are IEEE-754 doubles.  The segment test of
-``normalize_configuration`` and the determinant test of ``invert_map``
-compare a quantity with its own inputs, with no absolute floor, so scaling
-a configuration by 2^k leaves their verdicts alone while the values stay
-normal floats; ``_require_vertex`` and ``Line.contains`` still keep a floor
-of 1 under REL_EPS.  Every direction test goes through one
-float predicate, ``_cross_if_independent``, which takes coordinates and
-returns the cross product, or 0.0 when the sine is at most PAR_EPS, so no
-caller computes the cross product twice.  It compares products of the
-coordinates, so it is scale invariant while those products stay
+``normalize_configuration``, the determinant test of ``invert_map``,
+``_require_vertex`` and ``Line.contains`` compare a quantity with its own
+inputs, with no absolute floor, so scaling a configuration by 2^k leaves
+their verdicts alone while the values stay normal floats.  Every direction
+test goes through one float predicate, ``_cross_if_independent``, which
+takes coordinates and returns the cross product, or 0.0 when the sine is at
+most PAR_EPS, so no caller computes the cross product twice.  It compares
+products of the coordinates, so it is scale invariant while those products stay
 representable (not for directions scaled by 2^1000 or 2^-1000).  The query
 paths of the package compute on floats and build no intermediate values;
 where such a value's constructor would have raised on a state that valid
@@ -57,17 +56,18 @@ from .errors import (
 
 # Relative tolerance of scalar comparisons and of point-on-line/vertex tests.
 REL_EPS = 1e-9
-# Threshold of a vanishing quantity relative to its own inputs: a segment's half
-# length against its endpoints' largest coordinate, a determinant against the
-# product of its row norms, a radical-axis coefficient against the curves'
-# coefficients of its degree.  area_ratio and degeneration.first_order_limit
-# also add it as a floor.
+# A quantity vanishes when it is at most ABS_EPS times the largest input it is
+# formed from: a segment's half length against its endpoints' coordinates, a
+# determinant against the product of its row norms, a signed area against the
+# square of its points' distances from the vertex, a radical-axis coefficient
+# against the curves' coefficients of its degree, a factor 1 +- m*t against 1
+# and |m*t|.
 ABS_EPS = 1e-12
 # Largest |sine| between two directions that still counts as parallel.
 PAR_EPS = 1e-10
 # Largest |boundary factor| / max(1, |q|^2) of a canonical point on the isoptic's singular lines.
 BOUNDARY_EPS = 1e-10
-# Largest |x*y - kappa| / max(1, |x*y|, kappa) of a point still on an axis hyperbola.
+# Largest |x*y - kappa| / max(|x*y|, kappa) of a point still on an axis hyperbola.
 ON_CURVE_TOL = 1e-7
 # Largest |discriminant| / (a1^2 + |4*a2*a0|) of a secant that counts as tangent.
 TANGENT_TOL = 1e-10
@@ -220,7 +220,7 @@ class Line(_Frozen):
         return abs(a * p.x + b * p.y - c)
 
     def contains(self, p: Point) -> bool:
-        scale = max(1.0, math.hypot(p.x, p.y), math.hypot(self.base.x, self.base.y))
+        scale = max(math.hypot(p.x, p.y), math.hypot(self.base.x, self.base.y))
         return self.distance_to(p) <= REL_EPS * scale
 
 
@@ -387,7 +387,7 @@ def decompose(d: DirectionVector, dirs: DirectionPair) -> tuple[float, float]:
 
 
 def _require_vertex(ray: Ray, o: Point) -> None:
-    scale = max(1.0, abs(o.x), abs(o.y))
+    scale = max(abs(o.x), abs(o.y))
     if distance(ray.origin, o) > REL_EPS * scale:
         raise ValueError("ray must emanate from the vertex")
 

@@ -26,7 +26,7 @@ def _require_on_curve(p: Point, h: AxisHyperbola) -> tuple[float, float]:
     """
     x, y = h.relative_coords(p)
     residual = x * y - h.kappa
-    if abs(residual) > ON_CURVE_TOL * max(1.0, abs(x * y), h.kappa):
+    if abs(residual) > ON_CURVE_TOL * max(abs(x * y), h.kappa):
         raise NotOnCurve(f"point is not on the hyperbola (residual {residual!r})")
     if abs(y) < abs(x):
         y = h.kappa / x

@@ -96,17 +96,20 @@ def test_sigma_auxiliary_parallel_to_ray_raises():
 
 
 def test_sigma_auxiliary_through_vertex_raises():
-    # aux through (c, 0): at c = 0 all three points on it coincide with the vertex; at
-    # c = 1e-7 they are apart, but the denominator area ~c^2 is below the absolute floor
-    # (scale >= 1) of its test, which a scale-free rule may move.  c = 1e-5 gives -3.0.
+    # aux through (c, 0): at c = 0 all three points on it coincide with the vertex, and
+    # every tolerance is 0.  For c > 0 they are apart, and the tests compare with their
+    # distances from the vertex, so c = 1e-7 gives -3 as c = 1e-5 does.  At c = 1e-170
+    # both areas and the denominator's tolerance underflow to 0, and the ratio is 0/0.
     ray = Ray(ORIGIN, DirectionVector(1, 3))
     for c, message in (
         (0.0, "intersection points on the auxiliary line coincide"),
-        (1e-7, "degenerate area in the ratio denominator"),
+        (1e-170, "degenerate area in the ratio denominator"),
     ):
         aux = Line(Point(c, 0), DirectionVector(1, -1))
         with pytest.raises(CoincidentIntersection, match=f"^{message}$"):
             sigma_lambda(ORIGIN, ray, X_AXIS, Y_AXIS, aux)
+    aux = Line(Point(1e-7, 0), DirectionVector(1, -1))
+    assert math.isclose(sigma_lambda(ORIGIN, ray, X_AXIS, Y_AXIS, aux).value, -3.0, rel_tol=1e-15)
     aux = Line(Point(1e-5, 0), DirectionVector(1, -1))
     assert sigma_lambda(ORIGIN, ray, X_AXIS, Y_AXIS, aux).value == -3.0
 
@@ -141,6 +144,10 @@ def test_sigma_sign_cases():
         is ComponentLabel.SINGULAR
     assert sigma_sign(ORIGIN, Ray(ORIGIN, DirectionVector(1, 1e-9)), X_AXIS, Y_AXIS, aux) \
         is ComponentLabel.NEGATIVE
+    # An auxiliary line through the vertex puts P_L, P_U and P_V at one position.
+    through_vertex = Line(ORIGIN, DirectionVector(1, -1))
+    assert sigma_sign(ORIGIN, Ray(ORIGIN, midpoint_dir), X_AXIS, Y_AXIS, through_vertex) \
+        is ComponentLabel.SINGULAR
 
 
 def test_cross_ratio_against_reference_pair_is_sigma_quotient():
@@ -209,6 +216,15 @@ def test_cross_ratio_undefined_when_three_entries_coincide():
     l2 = Ray(ORIGIN, DirectionVector(1, -3))
     with pytest.raises(UndefinedCrossRatio):
         area_cross_ratio(l1, l2, l1, l1, ORIGIN, aux)
+    # On x = 1 a ray (1, m) has the position m, and (0, 1) is the point at infinity.
+    # Two entries at 0, or two at infinity, make a determinant and its scale both 0;
+    # each case zeroes one numerator and one denominator determinant.
+    x_is_one = _aux_line(1.0, 0.0)
+    rays = {m: Ray(ORIGIN, DirectionVector(1, m)) for m in (0, 2)}
+    rays[None] = Ray(ORIGIN, DirectionVector(0, 1))
+    for entries in ((0, 0, 0, 2), (0, 0, 2, 0), (None, None, None, 2), (None, None, 2, None)):
+        with pytest.raises(UndefinedCrossRatio):
+            area_cross_ratio(*(rays[m] for m in entries), ORIGIN, x_is_one)
 
 
 def test_angle_zero_for_coincident_rays():
@@ -408,6 +424,19 @@ def test_midpoint_keeps_the_bits_of_the_slope_product_form():
             d_t = d_t.scaled(-1.0)
         t = midpoint_ray(o, r, s, dirs)
         assert (t.dir.dx.hex(), t.dir.dy.hex()) == (d_t.dx.hex(), d_t.dy.hex()), (m_r, m_s)
+
+
+@pytest.mark.parametrize("k", [0, 40, -40])
+def test_midpoint_rejects_a_ray_off_the_vertex_at_every_scale(k):
+    # The vertex is the origin, so REL_EPS times its largest coordinate is 0 at every
+    # scale, and r, which starts 7e-10 from it, is refused at each 2^k.
+    def scaled(x, y):
+        return math.ldexp(x, k), math.ldexp(y, k)
+
+    r = Ray(Point(*scaled(5e-10, 5e-10)), DirectionVector(*scaled(1e-12, 1e-12)))
+    s = Ray(Point(0, 0), DirectionVector(*scaled(1e-12, 4e-12)))
+    with pytest.raises(ValueError, match="^ray must emanate from the vertex$"):
+        midpoint_ray(Point(0, 0), r, s, AXES)
 
 
 def test_midpoint_bisects():

@@ -159,28 +159,77 @@ def test_only_power_reads_the_hyperbola_frame_slots():
         assert found == [], f"{path.name} reads a frame slot on lines {found}"
 
 
+def _scoped_nodes():
+    """(scope, node) for every node of src/uvangle; a scope names the module and the
+    enclosing classes and functions, as in ``kernel.Line.contains``."""
+
+    def visit(node: ast.AST, scope: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from visit(child, f"{scope}.{child.name}")
+            else:
+                yield scope, child
+                yield from visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        yield from visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+
+
 def test_par_eps_has_one_reader():
     # "Parallel" is decided in one place: every direction test goes through
     # kernel._cross_if_independent, the only code that reads PAR_EPS, as a
     # bare name or as an attribute.
-    readers = []
-
-    def visit(node: ast.AST, scope: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}")
-                continue
-            if (isinstance(child, ast.Name) and child.id == "PAR_EPS"
-                    and isinstance(child.ctx, ast.Load)) or (
-                    isinstance(child, ast.Attribute) and child.attr == "PAR_EPS"):
-                readers.append((scope, child.lineno))
-            visit(child, scope)
-
-    for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    readers = [
+        (scope, node.lineno) for scope, node in _scoped_nodes()
+        if (isinstance(node, ast.Name) and node.id == "PAR_EPS" and isinstance(node.ctx, ast.Load))
+        or (isinstance(node, ast.Attribute) and node.attr == "PAR_EPS")
+    ]
     assert readers and {scope for scope, _ in readers} == {"kernel._cross_if_independent"}, (
         readers
     )
+
+
+# A tolerance test compares a quantity with the inputs it is formed from, so
+# scaling them by 2^k keeps its verdict.  An absolute floor (a 1.0 beside those
+# inputs, or ABS_EPS added to a tolerance) breaks that below or above scale 1.
+# The functions that keep a 1 are listed here, each with its reason.
+FLOOR_ALLOWED = {
+    "isoptic._classify": "in the canonical frame, 1 is the squared half-length of the segment",
+    "isoptic.sample_locus": "_classify's boundary test inline, with the same 1",
+    "degeneration.degenerate_cross_ratio": (
+        "1 is a term of the factors 1 +- m*t, so max(1, |m*t|) is their own scale"
+    ),
+    "degeneration.first_order_limit": (
+        "RESIDUAL_FLOOR * max(1, |limit|) sets which samples enter the printed residual_order"
+    ),
+}
+
+
+def _is_one(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and node.value == 1 and not isinstance(node.value, bool)
+
+
+def _is_abs_eps(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "ABS_EPS") or (
+        isinstance(node, ast.Attribute) and node.attr == "ABS_EPS")
+
+
+def _is_floor(node: ast.AST) -> bool:
+    """max(..., 1.0, ...), its spelled-out form x if x > 1.0 else 1.0, max(..., ABS_EPS, ...),
+    or ABS_EPS added to or subtracted from a term."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "max":
+        return any(_is_one(arg) or _is_abs_eps(arg) for arg in node.args)
+    if isinstance(node, ast.IfExp) and isinstance(node.test, ast.Compare):
+        return any(map(_is_one, node.test.comparators)) and (
+            _is_one(node.body) or _is_one(node.orelse))
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        return _is_abs_eps(node.left) or _is_abs_eps(node.right)
+    return False
+
+
+def test_absolute_floors_are_the_listed_ones():
+    floors = [(scope, node.lineno) for scope, node in _scoped_nodes() if _is_floor(node)]
+    assert {scope for scope, _ in floors} == set(FLOOR_ALLOWED), floors
 
 
 # ``__init__.py`` resolves its exports lazily from one name -> submodule table.

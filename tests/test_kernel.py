@@ -250,6 +250,14 @@ def test_line_implicit_form_is_deterministic():
     assert c == pytest.approx(c2, abs=1e-12)
 
 
+@pytest.mark.parametrize("k", [0, 60, -60])
+def test_line_contains_is_relative_to_the_point_and_the_base(k):
+    # (1e-10, 1e-10) lies 1e-10 off the x-axis, as far off as it is from the origin.
+    x_axis = Line(Point(0, 0), DirectionVector(1, 0))
+    assert not x_axis.contains(Point(math.ldexp(1e-10, k), math.ldexp(1e-10, k)))
+    assert x_axis.contains(Point(math.ldexp(1e-10, k), 0.0))
+
+
 def test_basis_map_sends_u_and_v_to_the_unit_vectors():
     rng = random.Random(8)
     for _ in range(200):

@@ -150,6 +150,19 @@ def test_projections_worked_examples():
     assert_point_close(b2, Point(0, 2), tol=1e-12)
     with pytest.raises(NotOnCurve):
         asymptotic_projections(Point(2, 3), UNIT)
+    # kappa = 5e-324 rounds the tolerance ON_CURVE_TOL * max(|x*y|, kappa) to 0, and
+    # the residual of (1, 5e-324) is exactly 0.
+    least = axis_aligned(Point(0, 0), 5e-324)
+    assert asymptotic_projections(Point(1, 5e-324), least) == (Point(1, 0), Point(0, 5e-324))
+
+
+@pytest.mark.parametrize("k", [0, 20, -20])
+def test_on_curve_test_is_relative_to_the_curve(k):
+    # On x*y = 1e-20, the point (1e-5, 1e-5) has x*y = 1e10 * kappa: far off the
+    # curve, whatever the scale, although its residual 1e-10 is below ON_CURVE_TOL.
+    small = axis_aligned(Point(0, 0), math.ldexp(1e-20, 2 * k))
+    with pytest.raises(NotOnCurve, match=r"^point is not on the hyperbola \(residual "):
+        asymptotic_projections(Point(math.ldexp(1e-5, k), math.ldexp(1e-5, k)), small)
 
 
 def test_projected_area_worked_examples():
