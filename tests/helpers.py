@@ -1,9 +1,19 @@
-"""Shared generators and assertion helpers for the test suite."""
+"""Shared generators, assertion helpers and CLI runners for the test suite."""
 
 from __future__ import annotations
 
+import io
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
+from typing import NamedTuple
+
+import jsonschema
 
 from uvangle import (
     AffineMap,
@@ -16,6 +26,7 @@ from uvangle import (
     Ray,
     cross,
 )
+from uvangle.cli import main
 
 
 IDENTITY = AffineMap(1.0, 0.0, 0.0, 1.0)
@@ -146,3 +157,62 @@ def random_secant_direction(
             from uvangle import invert_map
 
             return invert_map(h.frame).apply_linear(d)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SCHEMA = json.loads((resources.files("uvangle") / "schemas" / "result_v1.json").read_text())
+
+
+class CliRun(NamedTuple):
+    returncode: int
+    stdout: bytes
+    stderr: str
+
+
+def run_cli(*argv: str) -> CliRun:
+    """``uvangle.cli.main(argv)`` in this process, with stdout and stderr captured.
+
+    A ``SystemExit`` becomes its exit code, as the interpreter makes it;
+    any other exception propagates, so a traceback fails the test with its
+    real stack.
+    """
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    saved = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = out, err
+    try:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+        out.flush()
+    finally:
+        sys.stdout, sys.stderr = saved
+    return CliRun(code, out.buffer.getvalue(), err.getvalue())
+
+
+def valid_document(stdout: bytes) -> dict:
+    """The JSON document stdout holds, checked against ``schemas/result_v1.json``."""
+    doc = json.loads(stdout)
+    jsonschema.validate(doc, SCHEMA)
+    return doc
+
+
+def run_json(*argv: str) -> dict:
+    """The document of a ``run_cli`` that exits 0, checked against the schema."""
+    run = run_cli(*argv)
+    assert run.returncode == 0, run.stderr
+    return valid_document(run.stdout)
+
+
+def run_process(*argv: str, env=None) -> subprocess.CompletedProcess:
+    """``python *argv`` in a child process, with this tree's ``src`` as its PYTHONPATH.
+
+    Only for tests of the process itself: the entry points, the modules a
+    fresh interpreter loads, help in a pipe, determinism across hash seeds.
+    env is the child's environment (default: this one's); stdout and stderr
+    are captured as bytes.
+    """
+    env = {**(os.environ if env is None else env), "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, env=env, timeout=600
+    )

@@ -2,9 +2,8 @@
 
 import json
 import math
+import os
 import random
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -21,6 +20,8 @@ from helpers import (
     random_off_curve_point,
     random_secant_direction,
     random_vertex,
+    run_cli,
+    run_process,
     same_component_slopes,
     unit_direction,
 )
@@ -517,22 +518,20 @@ def test_criterion_11_sector_area(acceptance):
 
 
 def test_criterion_12_cli_determinism_and_worked_examples(acceptance):
-    def run(*argv):
-        return subprocess.run(
-            [sys.executable, "-m", "uvangle.cli", *argv], capture_output=True
-        )
-
     power_args = ("power", "--kappa", "1", "--center", "0,0", "--P", "2,2")
     chords_args = ("chords", "--progression", "1,2,5", "--kappa", "1")
-    first = run(*power_args)
-    second = run(*power_args)
-    deterministic = first.stdout == second.stdout and first.returncode == 0
-    doc = json.loads(first.stdout)
+    power, chords = run_cli(*power_args), run_cli(*chords_args)
+    # Each worked example prints the same bytes in two processes with different hash
+    # seeds as in this one.
+    deterministic = power.returncode == chords.returncode == 0 and all(
+        run_process("-m", "uvangle", *argv, env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+        == inproc.stdout
+        for argv, inproc in ((power_args, power), (chords_args, chords))
+        for seed in ("0", "1")
+    )
+    doc = json.loads(power.stdout)
     power_ok = doc["outputs"]["power"] == 3.0
-    third = run(*chords_args)
-    fourth = run(*chords_args)
-    deterministic = deterministic and third.stdout == fourth.stdout
-    area = json.loads(third.stdout)["outputs"]["area"]
+    area = json.loads(chords.stdout)["outputs"]["area"]
     area_ok = abs(area - 0.375) <= 1e-9
     readme = Path(__file__).resolve().parent.parent / "README.md"
     documented = readme.exists() and all(

@@ -21,10 +21,10 @@ from collections import Counter
 import pytest
 
 import uvangle.angle
-import uvangle.cli
 import uvangle.isoptic
 import uvangle.kernel
 import uvangle.power
+from helpers import run_cli
 from uvangle import (
     AffineMap,
     AxisHyperbola,
@@ -77,38 +77,34 @@ def calls(monkeypatch):
     return counts
 
 
-def run_main(*argv: str) -> None:
-    assert uvangle.cli.main(list(argv)) == 0
-
-
 @pytest.mark.parametrize("output", ["json", "svg"])
-def test_isoptic_builds_the_canonical_map_once(calls, capsys, output):
-    run_main(*ISOPTIC, "--output", output)
+def test_isoptic_builds_the_canonical_map_once(calls, output):
+    assert run_cli(*ISOPTIC, "--output", output).returncode == 0
     assert (calls["normalize_configuration"], calls["invert_map"]) == (1, 1)
 
 
 @pytest.mark.parametrize("output", ["json", "svg"])
-def test_isoptic_builds_the_basis_once(calls, capsys, output):
-    run_main(*ISOPTIC, "--output", output)
+def test_isoptic_builds_the_basis_once(calls, output):
+    assert run_cli(*ISOPTIC, "--output", output).returncode == 0
     assert calls["basis_map"] == 1
 
 
-def test_radical_center_inverts_each_frame_once(calls, capsys):
-    run_main("radical-center", "--h1", "0,0,1", "--h2", "-1,-0.5,3", "--h3", "1,2,2",
-             "--u", "2,0.5", "--v", "-0.6,1.5")
+def test_radical_center_inverts_each_frame_once(calls):
+    assert run_cli("radical-center", "--h1", "0,0,1", "--h2", "-1,-0.5,3", "--h3", "1,2,2",
+                   "--u", "2,0.5", "--v", "-0.6,1.5").returncode == 0
     assert calls["invert_map"] == 3
 
 
-def test_reflected_radical_center_inverts_each_frame_once(calls, capsys):
+def test_reflected_radical_center_inverts_each_frame_once(calls):
     # kappa < 0 reflects the frame; only the reflected frame is inverted.
-    run_main("radical-center", "--h1", "0,0,-1", "--h2", "-1,-0.5,-3", "--h3", "1,2,2",
-             "--u", "2,0.5", "--v", "-0.6,1.5")
+    assert run_cli("radical-center", "--h1", "0,0,-1", "--h2", "-1,-0.5,-3", "--h3", "1,2,2",
+                   "--u", "2,0.5", "--v", "-0.6,1.5").returncode == 0
     assert calls["invert_map"] == 3
 
 
-def test_angle_builds_the_basis_once(calls, capsys):
-    run_main("angle", "--O", "0.5,-0.25", "--A", "3,1.5", "--B", "1.5,2",
-             "--u", "2,0.5", "--v", "-0.6,1.5")
+def test_angle_builds_the_basis_once(calls):
+    assert run_cli("angle", "--O", "0.5,-0.25", "--A", "3,1.5", "--B", "1.5,2",
+                   "--u", "2,0.5", "--v", "-0.6,1.5").returncode == 0
     assert (calls["basis_map"], calls["decompose"]) == (1, 0)
 
 

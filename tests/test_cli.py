@@ -1,37 +1,18 @@
 import argparse
+import functools
 import json
 import math
 import os
-import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uvangle.cli import _json, build_parser, main
-
-SCHEMA = json.loads(
-    (resources.files("uvangle") / "schemas" / "result_v1.json").read_text()
-)
-
-
-def run_cli(*argv: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "uvangle.cli", *argv], capture_output=True
-    )
-
-
-def run_json(*argv: str) -> dict:
-    proc = run_cli(*argv)
-    assert proc.returncode == 0, proc.stderr.decode()
-    doc = json.loads(proc.stdout)
-    jsonschema.validate(doc, SCHEMA)
-    return doc
+from helpers import CliRun, run_cli, run_json, run_process, valid_document
+from uvangle.cli import _json, build_parser
 
 
 def test_angle_worked_example():
@@ -49,7 +30,7 @@ def test_angle_singular_ray_exits_2():
         "angle", "--O", "0,0", "--A", "1,0", "--B", "1,2", "--u", "1,0", "--v", "0,1"
     )
     assert proc.returncode == 2
-    assert "parallel to a reference direction" in proc.stderr.decode()
+    assert "parallel to a reference direction" in proc.stderr
 
 
 def test_usage_error_exits_1():
@@ -144,10 +125,12 @@ def test_isoptic_document_round_trips():
     ],
 )
 def test_byte_identical_reruns(argv):
-    first = run_cli(*argv)
-    second = run_cli(*argv)
-    assert first.returncode == 0
-    assert first.stdout == second.stdout
+    # Two processes with different hash seeds, so the check holds even where the
+    # environment pins one; both print what the in-process run prints.
+    runs = [run_process("-m", "uvangle", *argv, env={**os.environ, "PYTHONHASHSEED": seed})
+            for seed in ("0", "1")]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout == run_cli(*argv).stdout
 
 
 def test_svg_well_formed_and_classed():
@@ -198,16 +181,9 @@ def test_theta_zero_is_domain_error():
 
 def test_out_file_and_in_process_entry(tmp_path):
     target = tmp_path / "doc.json"
-    code = main(
-        [
-            "power", "--kappa", "1", "--center", "0,0", "--P", "2,2",
-            "--out", str(target),
-        ]
-    )
-    assert code == 0
-    doc = json.loads(target.read_text())
-    assert doc["outputs"]["power"] == 3.0
-    jsonschema.validate(doc, SCHEMA)
+    run = run_cli("power", "--kappa", "1", "--center", "0,0", "--P", "2,2", "--out", str(target))
+    assert run == (0, b"", "")  # the document goes to the file only
+    assert valid_document(target.read_bytes())["outputs"]["power"] == 3.0
 
 
 def test_documents_keep_fixed_key_order():
@@ -216,10 +192,10 @@ def test_documents_keep_fixed_key_order():
     assert doc["schema_version"] == "1"
 
 
-def assert_one_line_error(proc: subprocess.CompletedProcess, code: int) -> str:
-    assert proc.returncode == code, proc.stderr.decode()
+def assert_one_line_error(proc: CliRun, code: int) -> str:
+    assert proc.returncode == code, proc.stderr
     assert proc.stdout == b""
-    lines = proc.stderr.decode().splitlines()
+    lines = proc.stderr.splitlines()
     assert len(lines) == 1, lines
     return lines[0]
 
@@ -310,12 +286,7 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
         "import uvangle.cli, sys; "
         "print(*[m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])"
     )
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        capture_output=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
+    proc = run_process("-S", "-c", code)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().split() == []
 
@@ -331,15 +302,16 @@ runpy.run_module("uvangle", run_name="__main__", alter_sys=True)
 """
 
 
+@functools.cache  # a command line that two tests check starts one process
+def _exit_code_and_modules(*argv: str) -> tuple[int, str]:
+    proc = run_process("-S", "-c", MODULES_AT_EXIT, *argv)
+    return proc.returncode, proc.stderr.decode()
+
+
 def modules_loaded_by(*argv: str, code: int = 0) -> set[str]:
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", MODULES_AT_EXIT, *argv],
-        capture_output=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert proc.returncode == code, proc.stderr.decode()
-    return set(proc.stderr.decode().split("modules:\n", 1)[1].splitlines())
+    returncode, stderr = _exit_code_and_modules(*argv)
+    assert returncode == code, stderr
+    return set(stderr.split("modules:\n", 1)[1].splitlines())
 
 
 def test_angle_command_loads_only_its_modules():
@@ -495,15 +467,11 @@ def test_help_matches_the_stock_formatter(monkeypatch, columns):
 
 def test_help_in_a_pipe_is_the_stock_help(monkeypatch):
     # A pipe is no terminal, so without COLUMNS the width falls back to 80 columns.
-    src = Path(__file__).resolve().parent.parent / "src"
     env = {k: v for k, v in os.environ.items() if k != "COLUMNS"}
-    env["PYTHONPATH"] = str(src)
     monkeypatch.setenv("COLUMNS", "80")
     for name, parser in _parsers().items():
         argv = [name, "--help"] if name else ["--help"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "uvangle", *argv], capture_output=True, env=env
-        )
+        proc = run_process("-m", "uvangle", *argv, env=env)
         assert proc.returncode == 0 and proc.stderr == b""
         assert proc.stdout.decode() == _stock_help(parser), name
 

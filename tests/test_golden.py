@@ -1,7 +1,11 @@
 """Byte-for-byte comparison of CLI output with committed golden files.
 
-Each case runs ``python -m uvangle`` and ``python -m uvangle.cli`` and
-compares stdout with ``tests/golden/<name>.<ext>``.  The golden files were
+Each case runs ``uvangle.cli.main`` once, in process, compares stdout with
+``tests/golden/<name>.<ext>`` and checks each JSON golden against
+``schemas/result_v1.json``.  ``test_entry_points_match_the_in_process_run``
+runs ``python -m uvangle`` and ``python -m uvangle.cli`` as processes on a
+JSON golden, an SVG golden, a domain error and a parse error, and asserts
+that each prints what the in-process run prints.  The golden files were
 captured before the angle moved from the auxiliary-line ratio to the (u, v)
 slope, so these tests pin the printed values of the README commands across
 refactors.
@@ -24,11 +28,11 @@ roundoff of ``affine_angle`` itself.  Only its lambda field, computed from
 """
 
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import run_cli, run_process, valid_document
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -89,25 +93,38 @@ CASES = {
 INVARIANCE_LAMBDA_DEV = 1.3162111726105019e-14
 
 
-# The package entry point (what users and the benchmark run) and the module one.
-ENTRY_POINTS = ("uvangle", "uvangle.cli")
-
-
-def run_cli(entry: str, *argv: str) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, "-m", entry, *argv], capture_output=True)
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
-    for entry in ENTRY_POINTS:
-        proc = run_cli(entry, *CASES[name])
-        assert proc.returncode == 0, (entry, proc.stderr.decode())
-        assert proc.stdout == (GOLDEN / name).read_bytes(), entry
+    proc = run_cli(*CASES[name])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / name).read_bytes()
+    if name.endswith(".json"):
+        valid_document(proc.stdout)
 
 
 def test_invariance_lambda_field_is_pinned():
-    for entry in ENTRY_POINTS:
-        proc = run_cli(entry, "invariance", "--trials", "200", "--seed", "0")
-        assert proc.returncode == 0, (entry, proc.stderr.decode())
-        outputs = json.loads(proc.stdout)["outputs"]
-        assert outputs["lambda_independence_max_rel_dev"] == INVARIANCE_LAMBDA_DEV, entry
+    proc = run_cli("invariance", "--trials", "200", "--seed", "0")
+    assert proc.returncode == 0, proc.stderr
+    outputs = json.loads(proc.stdout)["outputs"]
+    assert outputs["lambda_independence_max_rel_dev"] == INVARIANCE_LAMBDA_DEV
+
+
+# What a process adds to main: the entry point's module, exit code and stream bytes.
+ENTRY_POINT_RUNS = (
+    CASES["angle.json"],
+    CASES["isoptic_sheared.svg"],
+    ("angle", "--O", "0,0", "--A", "1,0", "--B", "1,2", "--u", "1,0", "--v", "0,1"),  # domain
+    ("angle", "--O", "0,0", "--A", "1,2,3", "--B", "1,2", "--u", "1,0", "--v", "0,1"),  # parse
+)
+
+
+# The package entry point (what users and the benchmark run) and the module one.
+@pytest.mark.parametrize("entry", ["uvangle", "uvangle.cli"])
+def test_entry_points_match_the_in_process_run(entry):
+    codes = []
+    for argv in ENTRY_POINT_RUNS:
+        proc = run_process("-m", entry, *argv)
+        inproc = run_cli(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr.decode()) == inproc, argv
+        codes.append(proc.returncode)
+    assert codes == [0, 0, 2, 1]

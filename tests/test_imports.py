@@ -8,14 +8,14 @@ checked through the name -> submodule table instead.
 import ast
 import builtins
 import importlib
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "uvangle"
+from helpers import run_process
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "uvangle"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -232,6 +232,31 @@ def test_absolute_floors_are_the_listed_ones():
     assert {scope for scope, _ in floors} == set(FLOOR_ALLOWED), floors
 
 
+# Tests run the CLI in process through helpers.run_cli.  A module that starts a
+# process (imports subprocess or multiprocessing, or helpers.run_process) tests
+# something about the process itself, and is listed here with that reason.
+SPAWN_ALLOWED = {
+    "helpers.py": "run_process, the one way a test starts a Python child",
+    "mutate_raises.py": "runs pytest on each mutant in a copy of the tree, under a timeout",
+    "test_mutate_raises.py": "runs one mutant's suite through mutate_raises, and fakes its result",
+    "test_perfbench_smoke.py": "perfbench/run.py, which starts its own CLI processes",
+    "test_imports.py": "a fresh interpreter's import system binding uvangle.power",
+    "test_cli.py": "the modules a fresh interpreter loads, help in a pipe, bytes across hash seeds",
+    "test_golden.py": "python -m uvangle and python -m uvangle.cli against the in-process run",
+    "test_acceptance.py": "criterion 12: the worked examples' bytes across hash seeds",
+}
+
+
+def test_only_the_listed_test_modules_start_processes():
+    spawning = set()
+    for path in TESTS.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        if (_imported(tree) | modules) & {"subprocess", "multiprocessing", "run_process"}:
+            spawning.add(path.name)
+    assert spawning == set(SPAWN_ALLOWED)
+
+
 # ``__init__.py`` resolves its exports lazily from one name -> submodule table.
 
 
@@ -306,9 +331,5 @@ assert power is uvangle.power
 def test_package_power_stays_the_function(steps):
     # A fresh process each time: the import system binds a loaded submodule on
     # its package, which must not replace the exported function ``power``.
-    proc = subprocess.run(
-        [sys.executable, "-c", POWER_PROBE, *steps],
-        capture_output=True,
-        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
-    )
+    proc = run_process("-c", POWER_PROBE, *steps)
     assert proc.returncode == 0, proc.stderr.decode()

@@ -1,19 +1,14 @@
 """The benchmark's smoke run: every workload, tiny, with all of its checks."""
 
-import subprocess
-import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from helpers import run_process
+
+RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
 
 def test_perfbench_smoke_passes():
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--smoke"],
-        cwd=ROOT,
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
-    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    assert "smoke ok" in proc.stdout
+    proc = run_process(str(RUN), "--smoke")
+    stdout = proc.stdout.decode()
+    assert proc.returncode == 0, stdout[-2000:] + proc.stderr.decode()[-2000:]
+    assert "smoke ok" in stdout
