@@ -25,9 +25,17 @@ its golden file.
 ``invariance`` is absent: its group and shear deviations measure the
 roundoff of ``affine_angle`` itself.  Only its lambda field, computed from
 ``sigma_lambda``, is pinned (``test_invariance_lambda_field_is_pinned``).
+
+``ERROR_CASES`` are command lines the CLI rejects; ``tests/golden/cli_errors.txt``
+holds one line per case: the exit code, the argv as a shell would quote it,
+and stderr with its newlines escaped.  To recapture after an intended change
+of an error line:
+
+    PYTHONPATH=src python tests/test_golden.py
 """
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -109,6 +117,94 @@ def test_invariance_lambda_field_is_pinned():
     assert outputs["lambda_independence_max_rel_dev"] == INVARIANCE_LAMBDA_DEV
 
 
+ANGLE = ("angle", "--O", "0,0", "--A", "1,1", "--B", "1,2", "--u", "1,0", "--v", "0,1")
+ISOPTIC = ("isoptic", "--A", "-1,0", "--B", "1,0", "--u", "1,1", "--v", "1,-1")
+
+# Every kind of parse error, each converter's messages, one domain error per
+# command that has one (invariance has none), and each kind of invalid argv
+# that perfbench's cli-oneshot stream draws (perfbench/inputs.py::bad_command).
+ERROR_CASES = (
+    # the command
+    (),
+    ("nonsense",),
+    ("transform", "--P", "0.5,1"),
+    ("--bogus",),
+    # options: missing, unknown, ambiguous, duplicated, without a value, after --
+    ("angle", "--O", "0,0"),
+    ("power", "--kappa", "1.5", "--center", "0.25,-1"),
+    (*ANGLE, "--bogus"),
+    (*ANGLE, "--seed", "1"),
+    (*ANGLE, "extra"),
+    ("degenerate", "--m", "1", "--m2", "1"),
+    ("power", "--kap", "1", "--center", "0,0"),
+    ("angle", "--O", "0,0", "--O", "1,1"),
+    ("degenerate", "--m1", "2", "--m2"),
+    ("degenerate", "--m1", "--m2", "1"),
+    ("degenerate", "--m1", "2", "--m2", "-x"),
+    ("angle", "--", "--O", "0,0"),
+    # the converters
+    ("angle", "--O", "0,0", "--A", "1,2,3", "--B", "1,2", "--u", "1,0", "--v", "0,1"),
+    ("angle", "--O", "0,0", "--A", "x1,2", "--B", "1,2", "--u", "1,0", "--v", "0,1"),
+    ("angle", "--O", "nan,0", "--A", "1,1", "--B", "1,2", "--u", "1,0", "--v", "0,1"),
+    ("angle", "--O", "0,1e999", "--A", "1,1", "--B", "1,2", "--u", "1,0", "--v", "0,1"),
+    ("radical-center", "--h1", "1,2", "--h2", "0,0,1", "--h3", "1,2,2"),
+    ("radical-center", "--h1", "0,0,inf", "--h2", "-1,-0.5,3", "--h3", "1,2,2"),
+    (*ISOPTIC, "--theta", "x"),
+    (*ISOPTIC, "--theta", "inf"),
+    (*ISOPTIC, "--theta", "1", "--samples", "65537"),
+    (*ISOPTIC, "--theta", "1", "--samples", "x"),
+    (*ISOPTIC, "--theta", "1", "--samples", "1.5"),
+    (*ISOPTIC, "--theta", "1", "--viewport", "1,2"),
+    (*ISOPTIC, "--theta", "1", "--viewport", "0,0,1,-inf"),
+    (*ISOPTIC, "--theta", "1", "--output", "pdf"),
+    ("power", "--kappa", "nan", "--center", "0,0", "--P", "2,2"),
+    ("chords", "--progression", "1,2,5", "--kappa", "inf"),
+    ("chords", "--t", "1,2,3"),
+    ("degenerate", "--m1", "2", "--m2=-inf"),
+    ("degenerate", "--m1=", "--m2", "1"),
+    ("degenerate", "--m1", "2", "--m2", "1", "--t-sequence", "0.01,nan"),
+    ("degenerate", "--m1", "2", "--m2", "1", "--t-sequence", "0.1,x"),
+    ("invariance", "--trials", "100001"),
+    ("invariance", "--trials", "-2"),
+    ("invariance", "--trials", "x"),
+    ("invariance", "--seed", "x"),
+    ("invariance", "--seed", "1.5"),
+    # the exclusive group
+    ("chords", "--t", "1,4,2,3", "--progression", "1,2,5"),
+    ("chords",),
+    ("chords", "--kappa", "2"),
+    # domain errors
+    ("angle", "--O", "0,0", "--A", "0,0", "--B", "1,2", "--u", "1,0", "--v", "0,1"),
+    ("angle", "--O", "0.5,1", "--A", "1.25,1", "--B", "1.5,3", "--u", "1,0", "--v", "0,1"),
+    (*ISOPTIC, "--theta", "0"),
+    (*ISOPTIC, "--theta", "1.5e-08"),
+    ("isoptic", "--A", "0.5,1", "--B", "0.5,1", "--u", "1,1", "--v", "1,-1", "--theta", "1.5"),
+    (*ISOPTIC, "--theta", "1", "--samples", "1", "--output", "svg"),
+    ("power", "--kappa", "0", "--center", "0.5,1", "--P", "2,2"),
+    ("radical-center", "--h1", "0.5,1,1", "--h2", "1.5,2,1.5", "--h3", "2.5,3,2"),
+    ("chords", "--t", "1,3,2,1.5"),
+    ("degenerate", "--m1", "0", "--m2", "1.5"),
+)
+
+
+def error_lines() -> list[str]:
+    lines = []
+    for argv in ERROR_CASES:
+        run = run_cli(*argv)
+        assert run.stdout == b"", argv
+        stderr = run.stderr.encode("unicode_escape").decode("ascii")
+        lines.append(f"{run.returncode} {shlex.join(argv)}\t{stderr}")
+    return lines
+
+
+def test_every_error_line_matches_its_golden():
+    expected = (GOLDEN / "cli_errors.txt").read_text().splitlines()
+    actual = error_lines()
+    for want, got in zip(expected, actual):
+        assert got == want
+    assert len(actual) == len(expected)
+
+
 # What a process adds to main: the entry point's module, exit code and stream bytes.
 ENTRY_POINT_RUNS = (
     CASES["angle.json"],
@@ -128,3 +224,7 @@ def test_entry_points_match_the_in_process_run(entry):
         assert (proc.returncode, proc.stdout, proc.stderr.decode()) == inproc, argv
         codes.append(proc.returncode)
     assert codes == [0, 0, 2, 1]
+
+
+if __name__ == "__main__":
+    (GOLDEN / "cli_errors.txt").write_text("\n".join(error_lines()) + "\n")
