@@ -10,11 +10,19 @@ by the ``invariance`` demonstrations flows from an explicit seed through
 Python's Mersenne Twister (``random.Random``), so identical invocations
 produce byte-identical output.
 
-Each option is declared once, on its sub-parser in ``build_parser``, and its
-dest is its JSON key.  A sub-parser's defaults name its handler, which
-returns the outputs and diagnostics (or SVG bytes), and the options that
-``main`` echoes as ``inputs``, in that order; ``--out``, ``--output`` and
-``--viewport`` say where and how to write the result and are not echoed.
+Each command is declared once, in ``COMMANDS``: its help, its handler, the
+options that ``main`` echoes as ``inputs`` (in that order), and its options.
+An option's dest is its JSON key.  A handler returns the outputs and
+diagnostics, or SVG bytes; ``--out``, ``--output`` and ``--viewport`` say
+where and how to write the result and are not echoed.
+
+Two readers share the table.  ``_fast_parse`` reads the command lines it
+fully understands, which every successful command line of the README is,
+without importing argparse: argparse and the first parser it builds cost a
+one-shot process more than anything else it does before computing.  For
+any other command line, ``-h``, ``--help`` and every usage error among them,
+``main`` parses with ``build_parser``'s argparse parser, which prints the
+help and the one error line.  The tests check the fast reader against it.
 
 Each handler imports the modules its command uses when it runs, so one
 process loads only those.  The names are looked up at call time, never
@@ -28,9 +36,7 @@ one-shot process more than encoding its one document does.
 
 from __future__ import annotations
 
-import argparse
 import math
-import re
 import sys
 from collections.abc import Sequence
 
@@ -44,37 +50,8 @@ MAX_SAMPLES = 65_536
 MAX_TRIALS = 100_000
 
 
-class _HelpFormatter(argparse.HelpFormatter):
-    """HelpFormatter that reads the terminal width when it formats, not when it is built.
-
-    argparse builds a formatter for every ``add_argument``, and the stock
-    ``__init__`` reads the width through ``shutil``, which imports fnmatch,
-    zlib, bz2 and lzma; a process that prints no help needs none of them.
-    """
-
-    def __init__(self, prog: str) -> None:
-        super().__init__(prog, width=0)
-
-    def format_help(self) -> str:
-        sized = argparse.HelpFormatter(self._prog)  # width from shutil.get_terminal_size()
-        self._width, self._max_help_position = sized._width, sized._max_help_position
-        return super().format_help()
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse parser that exits with status 1 and one stderr line on usage errors.
-
-    Tokens spelling a negative number (``-1,0``, ``-.5,0``, ``-inf``, ``-nan``)
-    are treated as values, not options.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, formatter_class=_HelpFormatter, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
-
-    def error(self, message: str) -> None:  # type: ignore[override]
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+class _BadValue(ValueError):
+    """A command-line value its converter rejects; the message is argparse's error text."""
 
 
 def _number(text: str) -> float:
@@ -89,17 +66,17 @@ def _scalar(text: str) -> float:
     try:
         return _number(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        raise _BadValue(f"invalid float value: {text!r}") from None
 
 
 def _floats(text: str, count: int, what: str) -> tuple[float, ...]:
     parts = text.split(",")
     if len(parts) != count:
-        raise argparse.ArgumentTypeError(f"{what} needs {count} comma-separated numbers")
+        raise _BadValue(f"{what} needs {count} comma-separated numbers")
     try:
         return tuple(_number(p) for p in parts)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{what}: {exc}") from None
+        raise _BadValue(f"{what}: {exc}") from None
 
 
 def _pair(text: str) -> tuple[float, float]:
@@ -118,9 +95,9 @@ def _int(text: str, cap: int) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise _BadValue(f"invalid int value: {text!r}") from None
     if value > cap:
-        raise argparse.ArgumentTypeError(f"must be at most {cap}, got {value}")
+        raise _BadValue(f"must be at most {cap}, got {value}")
     return value
 
 
@@ -131,7 +108,7 @@ def _samples(text: str) -> int:
 def _trials(text: str) -> int:
     value = _int(text, MAX_TRIALS)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+        raise _BadValue(f"must be a non-negative integer, got {value}")
     return value
 
 
@@ -139,71 +116,7 @@ def _float_list(text: str) -> list[float]:
     try:
         return [_number(p) for p in text.split(",") if p]
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="uvangle", description=__doc__.splitlines()[0])
-    # An explicit prog spares add_subparsers formatting the usage to derive it.
-    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
-
-    p = sub.add_parser("angle", help="angle between rays OA and OB")
-    p.set_defaults(handler=_cmd_angle, echo=("O", "A", "B", "u", "v"))
-    p.add_argument("--O", type=_pair, required=True)
-    p.add_argument("--A", type=_pair, required=True)
-    p.add_argument("--B", type=_pair, required=True)
-    p.add_argument("--u", type=_pair, required=True)
-    p.add_argument("--v", type=_pair, required=True)
-
-    p = sub.add_parser("isoptic", help="isoptic hyperbola of a segment")
-    p.set_defaults(handler=_cmd_isoptic, echo=("A", "B", "u", "v", "theta", "samples"))
-    p.add_argument("--A", type=_pair, required=True)
-    p.add_argument("--B", type=_pair, required=True)
-    p.add_argument("--u", type=_pair, required=True)
-    p.add_argument("--v", type=_pair, required=True)
-    p.add_argument("--theta", type=_scalar, required=True)
-    p.add_argument("--samples", type=_samples, default=32)
-    p.add_argument("--output", choices=("json", "svg"), default="json")
-    p.add_argument("--viewport", type=_quad, default=None)
-
-    p = sub.add_parser("power", help="hyperbolic power of a point")
-    p.set_defaults(handler=_cmd_power, echo=("kappa", "center", "P", "u", "v"))
-    p.add_argument("--kappa", type=_scalar, required=True)
-    p.add_argument("--center", type=_pair, required=True)
-    p.add_argument("--P", type=_pair, required=True)
-    p.add_argument("--u", type=_pair, default=(1.0, 0.0))
-    p.add_argument("--v", type=_pair, default=(0.0, 1.0))
-
-    p = sub.add_parser("radical-center", help="radical center of three hyperbolas")
-    p.set_defaults(handler=_cmd_radical_center, echo=("h1", "h2", "h3", "u", "v"))
-    p.add_argument("--h1", type=_triple, required=True, metavar="CX,CY,KAPPA")
-    p.add_argument("--h2", type=_triple, required=True, metavar="CX,CY,KAPPA")
-    p.add_argument("--h3", type=_triple, required=True, metavar="CX,CY,KAPPA")
-    p.add_argument("--u", type=_pair, default=(1.0, 0.0))
-    p.add_argument("--v", type=_pair, default=(0.0, 1.0))
-
-    p = sub.add_parser("chords", help="chord intersections on x*y = kappa")
-    # inputs echoes only the one of t and progression that was given.
-    p.set_defaults(handler=_cmd_chords, echo=("t", "progression", "kappa"))
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--t", type=_quad, default=None, metavar="T1,T2,T3,T4")
-    group.add_argument("--progression", type=_triple, default=None, metavar="A,R,P")
-    p.add_argument("--kappa", type=_scalar, default=1.0)
-
-    p = sub.add_parser("degenerate", help="first-order degenerate limit of the log angle")
-    p.set_defaults(handler=_cmd_degenerate, echo=("m1", "m2", "t_sequence"))
-    p.add_argument("--m1", type=_scalar, required=True)
-    p.add_argument("--m2", type=_scalar, required=True)
-    p.add_argument("--t-sequence", type=_float_list, default=None)
-
-    p = sub.add_parser("invariance", help="seeded invariance demonstrations")
-    p.set_defaults(handler=_cmd_invariance, echo=("seed", "trials"))
-    p.add_argument("--trials", type=_trials, default=100)
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled demonstrations")
-
-    for p in sub.choices.values():
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-    return parser
+        raise _BadValue(str(exc)) from None
 
 
 def _line_record(line: Line) -> dict:
@@ -322,6 +235,195 @@ def _cmd_invariance(args) -> tuple[dict, list[str]]:
     return invariance_deviations(args.trials, args.seed), []
 
 
+# The commands: name -> (help, handler, the options main echoes, options).  An
+# option is its flag -> the keyword arguments of argparse's add_argument, or of
+# the command's required mutually exclusive group when "exclusive" is set.
+_OUT = {"--out": {"help": "output path (default: stdout)"}}
+_FRAME = {"--u": {"type": _pair, "default": (1.0, 0.0)}, "--v": {"type": _pair, "default": (0.0, 1.0)}}
+COMMANDS = {
+    "angle": ("angle between rays OA and OB", _cmd_angle, ("O", "A", "B", "u", "v"), {
+        "--O": {"type": _pair, "required": True},
+        "--A": {"type": _pair, "required": True},
+        "--B": {"type": _pair, "required": True},
+        "--u": {"type": _pair, "required": True},
+        "--v": {"type": _pair, "required": True},
+        **_OUT,
+    }),
+    "isoptic": (
+        "isoptic hyperbola of a segment", _cmd_isoptic, ("A", "B", "u", "v", "theta", "samples"), {
+            "--A": {"type": _pair, "required": True},
+            "--B": {"type": _pair, "required": True},
+            "--u": {"type": _pair, "required": True},
+            "--v": {"type": _pair, "required": True},
+            "--theta": {"type": _scalar, "required": True},
+            "--samples": {"type": _samples, "default": 32},
+            "--output": {"choices": ("json", "svg"), "default": "json"},
+            "--viewport": {"type": _quad},
+            **_OUT,
+        },
+    ),
+    "power": ("hyperbolic power of a point", _cmd_power, ("kappa", "center", "P", "u", "v"), {
+        "--kappa": {"type": _scalar, "required": True},
+        "--center": {"type": _pair, "required": True},
+        "--P": {"type": _pair, "required": True},
+        **_FRAME,
+        **_OUT,
+    }),
+    "radical-center": (
+        "radical center of three hyperbolas", _cmd_radical_center, ("h1", "h2", "h3", "u", "v"), {
+            "--h1": {"type": _triple, "required": True, "metavar": "CX,CY,KAPPA"},
+            "--h2": {"type": _triple, "required": True, "metavar": "CX,CY,KAPPA"},
+            "--h3": {"type": _triple, "required": True, "metavar": "CX,CY,KAPPA"},
+            **_FRAME,
+            **_OUT,
+        },
+    ),
+    # inputs echoes only the one of t and progression that was given.
+    "chords": ("chord intersections on x*y = kappa", _cmd_chords, ("t", "progression", "kappa"), {
+        "--t": {"type": _quad, "metavar": "T1,T2,T3,T4", "exclusive": True},
+        "--progression": {"type": _triple, "metavar": "A,R,P", "exclusive": True},
+        "--kappa": {"type": _scalar, "default": 1.0},
+        **_OUT,
+    }),
+    "degenerate": (
+        "first-order degenerate limit of the log angle", _cmd_degenerate,
+        ("m1", "m2", "t_sequence"), {
+            "--m1": {"type": _scalar, "required": True},
+            "--m2": {"type": _scalar, "required": True},
+            "--t-sequence": {"type": _float_list},
+            **_OUT,
+        },
+    ),
+    "invariance": ("seeded invariance demonstrations", _cmd_invariance, ("seed", "trials"), {
+        "--trials": {"type": _trials, "default": 100},
+        "--seed": {"type": int, "default": 0, "help": "seed for sampled demonstrations"},
+        **_OUT,
+    }),
+}
+
+
+class _Args:
+    """A parsed command line: one attribute per dest, as argparse's Namespace has."""
+
+    def __init__(self, values: dict) -> None:
+        self.__dict__.update(values)
+
+
+def _is_value(text: str) -> bool:
+    """argparse reads text as a value, not as an option: it does not start with "-",
+    or it spells a negative number by ``_Parser``'s rule."""
+    return (text[:1] != "-" or text[1:2].isdecimal() or (text[1:2] == "." and text[2:3].isdecimal())
+            or text[1:4].lower() in ("inf", "nan"))
+
+
+def _fast_parse(argv: Sequence[str]) -> _Args | None:
+    """``build_parser().parse_args(argv)``'s namespace for argv it fully understands, else None.
+
+    It understands a command of ``COMMANDS``, then options of that command by
+    their full flags, each at most once, as ``--flag value`` or
+    ``--flag=value``, with values that ``_is_value``.  Every required option
+    and one option of an exclusive group must be given, and every value must
+    convert and be one of its choices.  Anything else returns None, ``-h``,
+    ``--``, an abbreviation and a count above its cap among it, so that
+    argparse prints the help or the error.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, handler, echo, options = COMMANDS[argv[0]]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        if not eq:
+            text = next(tokens, None)
+        option = options.get(flag)
+        if option is None or flag in given or text is None or not _is_value(text):
+            return None
+        try:
+            value = option.get("type", str)(text)
+        except ValueError:
+            return None
+        if "choices" in option and value not in option["choices"]:
+            return None
+        given[flag] = value
+    exclusive = [flag for flag, option in options.items() if "exclusive" in option]
+    if exclusive and sum(flag in given for flag in exclusive) != 1:
+        return None
+    values = {"command": argv[0], "handler": handler, "echo": echo}
+    for flag, option in options.items():
+        if flag not in given and option.get("required"):
+            return None
+        values[flag[2:].replace("-", "_")] = given.get(flag, option.get("default"))
+    return _Args(values)
+
+
+def build_parser():
+    """The argparse parser of ``COMMANDS``, which prints ``--help`` and every usage error."""
+    import argparse
+    import re
+
+    class _HelpFormatter(argparse.HelpFormatter):
+        """HelpFormatter that reads the terminal width when it formats, not when it is built.
+
+        argparse builds a formatter for every ``add_argument``, and the stock
+        ``__init__`` reads the width through ``shutil``, which imports fnmatch,
+        zlib, bz2 and lzma; a process that prints no help needs none of them.
+        """
+
+        def __init__(self, prog: str) -> None:
+            super().__init__(prog, width=0)
+
+        def format_help(self) -> str:
+            sized = argparse.HelpFormatter(self._prog)  # width from shutil.get_terminal_size()
+            self._width, self._max_help_position = sized._width, sized._max_help_position
+            return super().format_help()
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse parser that exits with status 1 and one stderr line on usage errors.
+
+        Tokens spelling a negative number (``-1,0``, ``-.5,0``, ``-inf``, ``-nan``)
+        are treated as values, not options.
+        """
+
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, formatter_class=_HelpFormatter, **kwargs)
+            self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+        def error(self, message: str) -> None:  # type: ignore[override]
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(1)
+
+    def argparse_type(convert):
+        """convert, with a _BadValue's message as argparse's error text."""
+
+        def converted(text: str):
+            try:
+                return convert(text)
+            except _BadValue as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        converted.__name__ = convert.__name__  # argparse names the type of a plain ValueError
+        return converted
+
+    parser = _Parser(prog="uvangle", description=__doc__.splitlines()[0])
+    # An explicit prog spares add_subparsers formatting the usage to derive it.
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+    for name, (help_text, handler, echo, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler, echo=echo)
+        group = None
+        for flag, option in options.items():
+            kwargs = dict(option)
+            if "type" in kwargs:
+                kwargs["type"] = argparse_type(kwargs["type"])
+            if kwargs.pop("exclusive", False):
+                group = group or p.add_mutually_exclusive_group(required=True)
+                group.add_argument(flag, **kwargs)
+            else:
+                p.add_argument(flag, **kwargs)
+    return parser
+
+
 def _json(value, indent: str = "", key: str | None = None) -> str:
     """``json.dumps(value, indent=2, allow_nan=False)``, written without the json package.
 
@@ -376,8 +478,11 @@ def _emit(payload, out_path: str | None) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_parse(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         result = args.handler(args)
         if not isinstance(result, bytes):

@@ -6,13 +6,28 @@ import os
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import CliRun, run_cli, run_json, run_process, valid_document
-from uvangle.cli import _json, build_parser
+from uvangle.cli import (
+    COMMANDS,
+    MAX_SAMPLES,
+    MAX_TRIALS,
+    _fast_parse,
+    _float_list,
+    _json,
+    _pair,
+    _quad,
+    _samples,
+    _scalar,
+    _trials,
+    _triple,
+    build_parser,
+)
 
 
 def test_angle_worked_example():
@@ -284,7 +299,7 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     # -S keeps site (and any .pth file it runs) from importing these first.
     code = (
         "import uvangle.cli, sys; "
-        "print(*[m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])"
+        "print(*[m for m in ('dataclasses', 'inspect', 'typing', 'argparse') if m in sys.modules])"
     )
     proc = run_process("-S", "-c", code)
     assert proc.returncode == 0, proc.stderr.decode()
@@ -338,24 +353,35 @@ def test_isoptic_command_loads_only_its_modules(output):
     assert sorted(loaded & unwanted) == []
 
 
+SUCCESSFUL_COMMANDS = (
+    ("angle", "--O", "0,0", "--A", "1,1", "--B", "1,2", "--u", "1,0", "--v", "0,1"),
+    (*ISOPTIC, "--theta", "1"),
+    (*ISOPTIC, "--theta", "1", "--output", "svg"),
+    ("power", "--kappa", "2", "--center", "0,0", "--P", "2,2"),
+    ("radical-center", "--h1", "0,0,1", "--h2", "1,0.5,3", "--h3", "-1,-2,2"),
+    ("chords", "--t", "1,4,2,3"),
+    ("chords", "--progression", "1,2,3"),
+    ("degenerate", "--m1", "2", "--m2", "1"),
+    ("invariance", "--trials", "2", "--seed", "0"),
+)
+
+
 @pytest.mark.parametrize(
-    "argv, code",
-    [
-        (("angle", "--O", "0,0", "--A", "1,1", "--B", "1,2", "--u", "1,0", "--v", "0,1"), 0),
-        ((*ISOPTIC, "--theta", "1"), 0),
-        ((*ISOPTIC, "--theta", "1", "--output", "svg"), 0),
-        (("power", "--kappa", "2", "--center", "0,0", "--P", "2,2"), 0),
-        (("radical-center", "--h1", "0,0,1", "--h2", "1,0.5,3", "--h3", "-1,-2,2"), 0),
-        (("chords", "--t", "1,4,2,3"), 0),
-        (("chords", "--progression", "1,2,3"), 0),
-        (("degenerate", "--m1", "2", "--m2", "1"), 0),
-        (("invariance", "--trials", "2", "--seed", "0"), 0),
-        (("angle", "--O", "x"), 1),
-    ],
+    "argv, code", [*((argv, 0) for argv in SUCCESSFUL_COMMANDS), (("angle", "--O", "x"), 1)]
 )
 def test_no_command_loads_the_json_package(argv, code):
     loaded = modules_loaded_by(*argv, code=code)
     assert sorted(loaded & {"json", "json.decoder", "json.encoder", "json.scanner", "_json"}) == []
+
+
+@pytest.mark.parametrize("argv", SUCCESSFUL_COMMANDS)
+def test_a_successful_command_loads_no_argparse(argv):
+    assert sorted(modules_loaded_by(*argv) & {"argparse", "gettext", "locale"}) == []
+
+
+@pytest.mark.parametrize("argv, code", [(("angle", "--O", "x"), 1), (("--help",), 0)])
+def test_help_and_usage_errors_load_argparse(argv, code):
+    assert "argparse" in modules_loaded_by(*argv, code=code)
 
 
 def test_invariance_command_loads_the_area_ratio_oracle():
@@ -435,12 +461,17 @@ def test_overflowing_progression_node_is_named():
 
 
 def _parsers() -> dict:
-    parser = build_parser()
-    subparsers = parser._subparsers._group_actions[0].choices
-    assert list(subparsers) == [
-        "angle", "isoptic", "power", "radical-center", "chords", "degenerate", "invariance",
+    """The parser that prints ``uvangle [<command>] --help``, for each command of the table."""
+    parsers = {}
+    for name in ("", *COMMANDS):
+        with mock.patch.object(argparse.ArgumentParser, "print_help", autospec=True) as printed:
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([name, "--help"] if name else ["--help"])
+        parsers[name] = printed.call_args.args[0]
+    assert list(parsers) == [
+        "", "angle", "isoptic", "power", "radical-center", "chords", "degenerate", "invariance",
     ]
-    return {"": parser, **subparsers}
+    return parsers
 
 
 def _stock_help(parser) -> str:
@@ -802,6 +833,96 @@ def test_counts_are_capped_when_parsed(capsys, argv, cap):
     assert capsys.readouterr().err == (
         f"uvangle {argv[0]}: error: argument {argv[-1]}: must be at most {cap}, got {cap + 1}\n"
     )
+
+
+# The equivalence property's values, by converter: spellings each accepts, negative ones
+# among them; and spellings that a converter, argparse or both reject.
+FINITE = st.sampled_from(("0", "1.5", "-1", "-.5", "-1e-05", "2e300", "-0.0", "5e-324", " 7"))
+
+
+def finite(k: int):
+    return st.lists(FINITE, min_size=k, max_size=k).map(",".join)
+
+
+GOOD_VALUES = {
+    _pair: finite(2), _triple: finite(3), _quad: finite(4), _scalar: finite(1),
+    _float_list: st.integers(1, 3).flatmap(finite),
+    _samples: st.sampled_from(("-1", "0", "2", "64", str(MAX_SAMPLES))),
+    _trials: st.sampled_from(("0", "3", str(MAX_TRIALS))),
+    int: st.sampled_from(("0", "-3", "7")),
+    None: st.sampled_from(("doc.json", "a b", "0")),
+}
+BAD_VALUES = st.sampled_from((
+    "x", "nan", "-inf", "-Infinity", "-nan", "1e999", "1,2,3,4,5", "", "-", "--", "-x", "-h",
+    "--help", "-a b", "pdf", str(MAX_SAMPLES + 1), str(MAX_TRIALS + 1), "1.5",
+))
+JUNK = st.sampled_from(("-h", "--help", "--", "junk", "--bogus", "-x", "", "--out"))
+
+
+@st.composite
+def table_argv(draw) -> tuple[list[str], bool]:
+    """argv drawn from the table, and whether it is a command line the fast path must read.
+
+    The options come in any order, each missing, given once or twice, as ``--flag
+    value`` or ``--flag=value``; now and then a flag is abbreviated, a value is
+    rejected, a junk token is inserted or the command is unknown.
+    """
+    command = draw(st.sampled_from([*COMMANDS, "transform"]))
+    options = COMMANDS[command][3] if command in COMMANDS else {}
+    argv, counts, clean = [command], {}, command in COMMANDS
+    for flag in draw(st.permutations(list(options))):
+        option = options[flag]
+        usual = (1,) * 10 if "required" in option else (0, 1) * 5
+        counts[flag] = draw(st.sampled_from((*usual, 0, 2)))
+        for _ in range(counts[flag]):
+            spelled = draw(st.sampled_from((flag,) * 15 + (flag[:-1],)))
+            if draw(st.integers(0, 15)):
+                good = option.get("choices") or GOOD_VALUES[option.get("type")]
+                value = draw(st.sampled_from(good) if isinstance(good, tuple) else good)
+            else:
+                value, clean = draw(BAD_VALUES), False
+            clean &= spelled == flag
+            argv += draw(st.sampled_from(([f"{spelled}={value}"], [spelled, value])))
+    for _ in range(draw(st.sampled_from((0,) * 6 + (1, 2)))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(JUNK))
+        clean = False
+    clean &= all(count == 1 or (count == 0 and "required" not in options[flag])
+                 for flag, count in counts.items())
+    clean &= sum(counts[flag] for flag in options if "exclusive" in options[flag]) in (
+        1 if any("exclusive" in option for option in options.values()) else 0,)
+    return argv, clean
+
+
+# Each command line shape of perfbench's cli-oneshot stream.
+@example(case=(["angle", "--O", "-0.25,0.5", "--A", "1.5,-1", "--B", "0.5,2", "--u", "1,-0.1",
+                "--v", "0.2,1"], True))
+@example(case=(["power", "--kappa", "-1.25", "--center", "-.5,0", "--P", "2,2.5"], True))
+@example(case=(["chords", "--t", "1.1,3.9,2,3.2"], True))
+@example(case=(["chords", "--progression", "1,2.5,40", "--kappa", "0.75"], True))
+@example(case=(["radical-center", "--h1", "0.1,-0.2,1", "--h2", "-1,-0.5,3",
+                "--h3", "1,2,-1e-05"], True))
+@example(case=(["degenerate", "--m1", "2.5", "--m2", "-inf"], False))
+@example(case=(["degenerate", "--m1", "2.5", "--m2", "-1e-05"], True))
+@example(case=([*ISOPTIC, "--theta", "-1", "--samples", "64"], True))
+@example(case=([*ISOPTIC, "--theta", "1", "--samples", "256", "--output", "svg",
+                "--out", "locus.svg"], True))
+@example(case=(["invariance", "--trials=3", "--seed=-3"], True))
+@example(case=([*ISOPTIC, "--theta", "1", "--samples", str(MAX_SAMPLES + 1)], False))
+@example(case=(["invariance", "--trials", str(MAX_TRIALS + 1)], False))
+@example(case=(["chords", "--t", "1,4,2,3", "--progression", "1,2,5"], False))
+@example(case=(["power", "--kappa", "1", "--center", "0,0", "--P", "2,2", "--out=--"], False))
+@example(case=(["power", "--kappa", "1", "--center", "0,0", "--P", "2,2", "--out", "-x"], False))
+@example(case=([*ISOPTIC, "--theta", "1", "--output", "pdf"], False))
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=table_argv())
+def test_fast_parse_reads_argv_as_argparse_does(case):
+    # The fast path reads every command line the table declares, and what it reads
+    # is what argparse reads; anything else is argparse's.
+    argv, clean = case
+    fast = _fast_parse(argv)
+    assert fast is not None or not clean, argv
+    if fast is not None:
+        assert vars(fast) == vars(build_parser().parse_args(argv)), argv
 
 
 # The contract fuzzer's grammar: extreme, non-finite and malformed number spellings,
