@@ -239,7 +239,10 @@ def _cmd_invariance(args) -> tuple[dict, list[str]]:
 # option is its flag -> the keyword arguments of argparse's add_argument, or of
 # the command's required mutually exclusive group when "exclusive" is set.
 _OUT = {"--out": {"help": "output path (default: stdout)"}}
-_FRAME = {"--u": {"type": _pair, "default": (1.0, 0.0)}, "--v": {"type": _pair, "default": (0.0, 1.0)}}
+_FRAME = {
+    "--u": {"type": _pair, "default": (1.0, 0.0)},
+    "--v": {"type": _pair, "default": (0.0, 1.0)},
+}
 COMMANDS = {
     "angle": ("angle between rays OA and OB", _cmd_angle, ("O", "A", "B", "u", "v"), {
         "--O": {"type": _pair, "required": True},
@@ -310,8 +313,7 @@ class _Args:
 
 
 def _is_value(text: str) -> bool:
-    """argparse reads text as a value, not as an option: it does not start with "-",
-    or it spells a negative number by ``_Parser``'s rule."""
+    """argparse reads text as a value: no leading "-", or a negative number (``_Parser``)."""
     return (text[:1] != "-" or text[1:2].isdecimal() or (text[1:2] == "." and text[2:3].isdecimal())
             or text[1:4].lower() in ("inf", "nan"))
 

@@ -877,8 +877,9 @@ def table_argv(draw) -> tuple[list[str], bool]:
         for _ in range(counts[flag]):
             spelled = draw(st.sampled_from((flag,) * 15 + (flag[:-1],)))
             if draw(st.integers(0, 15)):
-                good = option.get("choices") or GOOD_VALUES[option.get("type")]
-                value = draw(st.sampled_from(good) if isinstance(good, tuple) else good)
+                choices = option.get("choices")
+                good = st.sampled_from(choices) if choices else GOOD_VALUES[option.get("type")]
+                value = draw(good)
             else:
                 value, clean = draw(BAD_VALUES), False
             clean &= spelled == flag
@@ -888,8 +889,8 @@ def table_argv(draw) -> tuple[list[str], bool]:
         clean = False
     clean &= all(count == 1 or (count == 0 and "required" not in options[flag])
                  for flag, count in counts.items())
-    clean &= sum(counts[flag] for flag in options if "exclusive" in options[flag]) in (
-        1 if any("exclusive" in option for option in options.values()) else 0,)
+    exclusive = [counts[flag] for flag in options if "exclusive" in options[flag]]
+    clean &= not exclusive or sum(exclusive) == 1
     return argv, clean
 
 
