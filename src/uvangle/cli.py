@@ -16,13 +16,14 @@ An option's dest is its JSON key.  A handler returns the outputs and
 diagnostics, or SVG bytes; ``--out``, ``--output`` and ``--viewport`` say
 where and how to write the result and are not echoed.
 
-Two readers share the table.  ``_fast_parse`` reads the command lines it
-fully understands, which every successful command line of the README is,
-without importing argparse: argparse and the first parser it builds cost a
-one-shot process more than anything else it does before computing.  For
-any other command line, ``-h``, ``--help`` and every usage error among them,
-``main`` parses with ``build_parser``'s argparse parser, which prints the
-help and the one error line.  The tests check the fast reader against it.
+``_fast_parse`` reads a command line by the table, and it is the only
+grammar: a handler runs on its result alone.  A command line it refuses goes
+to ``build_parser``'s argparse parser only to be reported: argparse prints
+the help or its one error line, and where argparse would accept what the
+table refuses (an abbreviated or repeated option, ``--out=-x``), ``main``
+prints the table's rule as the error line.  A successful command therefore
+never imports argparse, which with the parser it builds would cost a one-shot
+process more than anything else it does before computing.
 
 Each handler imports the modules its command uses when it runs, so one
 process loads only those.  The names are looked up at call time, never
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import math
 import sys
+import types
 from collections.abc import Sequence
 
 from .errors import ComponentMismatch, GeometryError
@@ -305,29 +307,22 @@ COMMANDS = {
 }
 
 
-class _Args:
-    """A parsed command line: one attribute per dest, as argparse's Namespace has."""
-
-    def __init__(self, values: dict) -> None:
-        self.__dict__.update(values)
-
-
 def _is_value(text: str) -> bool:
-    """argparse reads text as a value: no leading "-", or a negative number (``_Parser``)."""
+    """text is a value, not an option: no leading "-", or a negative number, inf or nan."""
     return (text[:1] != "-" or text[1:2].isdecimal() or (text[1:2] == "." and text[2:3].isdecimal())
             or text[1:4].lower() in ("inf", "nan"))
 
 
-def _fast_parse(argv: Sequence[str]) -> _Args | None:
-    """``build_parser().parse_args(argv)``'s namespace for argv it fully understands, else None.
+def _fast_parse(argv: Sequence[str]) -> types.SimpleNamespace | None:
+    """The command line argv, read by ``COMMANDS``: the CLI's one grammar, or None.
 
-    It understands a command of ``COMMANDS``, then options of that command by
-    their full flags, each at most once, as ``--flag value`` or
-    ``--flag=value``, with values that ``_is_value``.  Every required option
-    and one option of an exclusive group must be given, and every value must
-    convert and be one of its choices.  Anything else returns None, ``-h``,
-    ``--``, an abbreviation and a count above its cap among it, so that
-    argparse prints the help or the error.
+    argv is a command of ``COMMANDS``, then options of that command by their
+    full flags, each at most once, as ``--flag value`` or ``--flag=value``,
+    with values that ``_is_value``.  Every required option and one option of
+    an exclusive group must be given, and every value must convert and be one
+    of its choices.  The namespace holds one attribute per dest, the command,
+    and its handler and echo list.  For anything else, ``-h`` and ``--help``
+    among it, it returns None, and ``main`` only reports the command line.
     """
     if not argv or argv[0] not in COMMANDS:
         return None
@@ -356,40 +351,23 @@ def _fast_parse(argv: Sequence[str]) -> _Args | None:
         if flag not in given and option.get("required"):
             return None
         values[flag[2:].replace("-", "_")] = given.get(flag, option.get("default"))
-    return _Args(values)
+    return types.SimpleNamespace(**values)
 
 
 def build_parser():
     """The argparse parser of ``COMMANDS``, which prints ``--help`` and every usage error."""
     import argparse
-    import re
-
-    class _HelpFormatter(argparse.HelpFormatter):
-        """HelpFormatter that reads the terminal width when it formats, not when it is built.
-
-        argparse builds a formatter for every ``add_argument``, and the stock
-        ``__init__`` reads the width through ``shutil``, which imports fnmatch,
-        zlib, bz2 and lzma; a process that prints no help needs none of them.
-        """
-
-        def __init__(self, prog: str) -> None:
-            super().__init__(prog, width=0)
-
-        def format_help(self) -> str:
-            sized = argparse.HelpFormatter(self._prog)  # width from shutil.get_terminal_size()
-            self._width, self._max_help_position = sized._width, sized._max_help_position
-            return super().format_help()
 
     class _Parser(argparse.ArgumentParser):
         """argparse parser that exits with status 1 and one stderr line on usage errors.
 
-        Tokens spelling a negative number (``-1,0``, ``-.5,0``, ``-inf``, ``-nan``)
-        are treated as values, not options.
+        A token that starts with "-" is a value, not an option, when ``_is_value``
+        says so (``-1,0``, ``-.5,0``, ``-inf``, ``-nan``), as in ``_fast_parse``.
         """
 
         def __init__(self, *args, **kwargs) -> None:
-            super().__init__(*args, formatter_class=_HelpFormatter, **kwargs)
-            self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = types.SimpleNamespace(match=_is_value)
 
         def error(self, message: str) -> None:  # type: ignore[override]
             print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -408,11 +386,9 @@ def build_parser():
         return converted
 
     parser = _Parser(prog="uvangle", description=__doc__.splitlines()[0])
-    # An explicit prog spares add_subparsers formatting the usage to derive it.
-    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
-    for name, (help_text, handler, echo, options) in COMMANDS.items():
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler, echo=echo)
         group = None
         for flag, option in options.items():
             kwargs = dict(option)
@@ -484,7 +460,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _fast_parse(argv)
     if args is None:
-        args = build_parser().parse_args(argv)
+        # argparse exits with the help or its error line, or accepts what the table refuses.
+        command = build_parser().parse_args(argv).command
+        print(f"uvangle {command}: error: give each option once, by its full name, with one "
+              "value that is a number or does not start with '-'", file=sys.stderr)
+        return 1
     try:
         result = args.handler(args)
         if not isinstance(result, bytes):

@@ -1,5 +1,6 @@
 import ast
 import io
+import sys
 import tokenize
 from pathlib import Path
 
@@ -55,7 +56,8 @@ def _line_kinds(source: str) -> tuple[int, int, int, int]:
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     # Net source size, tracked beside the benchmarks: the total is what
     # `wc -l src/uvangle/*.py` prints; code lines are the count to track, and the
-    # `raise` statements are the guards.
+    # `raise` statements are the guards.  Beside them, the children that
+    # helpers.run_process started: each costs an interpreter start.
     sources = [p.read_text() for p in SOURCES.glob("*.py")]
     kinds = [_line_kinds(source) for source in sources]
     code, docstring, comment, blank = (sum(k) for k in zip(*kinds))
@@ -65,6 +67,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         f"source lines (src/uvangle/*.py): {total} ({code} code, {docstring} docstring, "
         f"{comment} comment, {blank} blank), {raises} raise statements"
     )
+    helpers = sys.modules.get("helpers")
+    children = len(helpers.CHILDREN) if helpers else 0
+    terminalreporter.write_line(f"child processes started by helpers.run_process: {children}")
     if not ACCEPTANCE_RESULTS:
         return
     terminalreporter.write_line("")

@@ -204,14 +204,19 @@ def run_json(*argv: str) -> dict:
     return valid_document(run.stdout)
 
 
+# The argv of each child run_process starts; the Tier-1 summary prints how many.
+CHILDREN: list[tuple[str, ...]] = []
+
+
 def run_process(*argv: str, env=None) -> subprocess.CompletedProcess:
     """``python *argv`` in a child process, with this tree's ``src`` as its PYTHONPATH.
 
     Only for tests of the process itself: the entry points, the modules a
-    fresh interpreter loads, help in a pipe, determinism across hash seeds.
-    env is the child's environment (default: this one's); stdout and stderr
-    are captured as bytes.
+    fresh interpreter loads, determinism across hash seeds.  env is the
+    child's environment (default: this one's); stdout and stderr are
+    captured as bytes.
     """
+    CHILDREN.append(argv)
     env = {**(os.environ if env is None else env), "PYTHONPATH": str(SRC)}
     return subprocess.run(
         [sys.executable, *argv], capture_output=True, env=env, timeout=600

@@ -474,42 +474,8 @@ def _parsers() -> dict:
     return parsers
 
 
-def _stock_help(parser) -> str:
-    # The same parser formatted by argparse's own HelpFormatter.
-    ours, parser.formatter_class = parser.formatter_class, argparse.HelpFormatter
-    try:
-        return parser.format_help()
-    finally:
-        parser.formatter_class = ours
-
-
-@pytest.mark.parametrize("columns", [None, "60", "200"])
-def test_help_matches_the_stock_formatter(monkeypatch, columns):
-    if columns is None:
-        monkeypatch.delenv("COLUMNS", raising=False)
-    else:
-        monkeypatch.setenv("COLUMNS", columns)
-    for name, parser in _parsers().items():
-        assert parser.prog == f"uvangle {name}".strip()
-        ours = parser.format_help()
-        assert ours == _stock_help(parser), name
-        assert parser.format_usage() == ours[: len(parser.format_usage())]
-
-
-def test_help_in_a_pipe_is_the_stock_help(monkeypatch):
-    # A pipe is no terminal, so without COLUMNS the width falls back to 80 columns.
-    env = {k: v for k, v in os.environ.items() if k != "COLUMNS"}
-    monkeypatch.setenv("COLUMNS", "80")
-    for name, parser in _parsers().items():
-        argv = [name, "--help"] if name else ["--help"]
-        proc = run_process("-m", "uvangle", *argv, env=env)
-        assert proc.returncode == 0 and proc.stderr == b""
-        assert proc.stdout.decode() == _stock_help(parser), name
-
-
 def test_help_matches_its_golden(monkeypatch):
-    # The goldens hold `uvangle [<command>] --help` at 80 columns; unlike the stock
-    # formatter test above, they see a reordered or renamed option.
+    # The goldens hold `uvangle [<command>] --help` at 80 columns, as argparse formats it.
     monkeypatch.setenv("COLUMNS", "80")
     golden = Path(__file__).parent / "golden" / "help"
     for name, parser in _parsers().items():
@@ -917,13 +883,20 @@ def table_argv(draw) -> tuple[list[str], bool]:
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(case=table_argv())
 def test_fast_parse_reads_argv_as_argparse_does(case):
-    # The fast path reads every command line the table declares, and what it reads
-    # is what argparse reads; anything else is argparse's.
+    # The table reads every command line it declares, as argparse reads it; any other
+    # command line ends in the help or in one error line, and no handler runs.
     argv, clean = case
     fast = _fast_parse(argv)
     assert fast is not None or not clean, argv
     if fast is not None:
-        assert vars(fast) == vars(build_parser().parse_args(argv)), argv
+        read = {key: value for key, value in vars(fast).items() if key not in ("handler", "echo")}
+        assert read == vars(build_parser().parse_args(argv)), argv
+        return
+    run = run_cli(*argv)
+    if run.returncode == 0:
+        assert run.stdout.startswith(b"usage: uvangle") and run.stderr == "", argv
+    else:
+        assert (run.returncode, run.stdout, len(run.stderr.splitlines())) == (1, b"", 1), argv
 
 
 # The contract fuzzer's grammar: extreme, non-finite and malformed number spellings,
@@ -976,12 +949,20 @@ GRAMMAR = {
 
 @st.composite
 def cli_argv(draw) -> list[str]:
+    # Each option given is now and then abbreviated, given twice, or given as `--flag=--`,
+    # which argparse reads as a flag with no value; the table refuses all three.
     command = draw(st.sampled_from(sorted(GRAMMAR)))
     argv = [command]
     for flag, values in GRAMMAR[command]:
         value = draw(values)
-        if value is not None:
-            argv += [flag, value]
+        if value is None:
+            continue
+        how = draw(st.sampled_from(("once",) * 17 + ("abbreviated", "twice", "=--")))
+        if how == "=--":
+            argv.append(f"{flag}=--")
+        else:
+            spelled = flag[:-1] if how == "abbreviated" and len(flag) > 4 else flag
+            argv += [spelled, value] * (2 if how == "twice" else 1)
     return argv
 
 

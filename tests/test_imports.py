@@ -241,8 +241,8 @@ SPAWN_ALLOWED = {
     "test_mutate_raises.py": "runs one mutant's suite through mutate_raises, and fakes its result",
     "test_perfbench_smoke.py": "perfbench/run.py, which starts its own CLI processes",
     "test_imports.py": "a fresh interpreter's import system binding uvangle.power",
-    "test_cli.py": "the modules a fresh interpreter loads, help in a pipe, bytes across hash seeds",
-    "test_golden.py": "python -m uvangle and python -m uvangle.cli against the in-process run",
+    "test_cli.py": "the modules a fresh interpreter loads, bytes across hash seeds",
+    "test_golden.py": "python -m uvangle and python -m uvangle.cli, --help too, against main",
     "test_acceptance.py": "criterion 12: the worked examples' bytes across hash seeds",
 }
 
