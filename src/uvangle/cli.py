@@ -17,13 +17,12 @@ diagnostics, or SVG bytes; ``--out``, ``--output`` and ``--viewport`` say
 where and how to write the result and are not echoed.
 
 ``_fast_parse`` reads a command line by the table, and it is the only
-grammar: a handler runs on its result alone.  A command line it refuses goes
-to ``build_parser``'s argparse parser only to be reported: argparse prints
-the help or its one error line, and where argparse would accept what the
-table refuses (an abbreviated or repeated option, ``--out=-x``), ``main``
-prints the table's rule as the error line.  A successful command therefore
-never imports argparse, which with the parser it builds would cost a one-shot
-process more than anything else it does before computing.
+grammar: a handler runs on its result alone, and a command line it refuses
+gets the one error line of its first fault, read left to right.  argparse
+reads no command line: ``build_parser`` builds its parser from the table only
+to print ``--help``.  A command that asks for no help therefore never imports
+argparse, which with the parser it builds would cost a one-shot process more
+than anything else it does before computing.
 
 Each handler imports the modules its command uses when it runs, so one
 process loads only those.  The names are looked up at call time, never
@@ -52,10 +51,6 @@ MAX_SAMPLES = 65_536
 MAX_TRIALS = 100_000
 
 
-class _BadValue(ValueError):
-    """A command-line value its converter rejects; the message is argparse's error text."""
-
-
 def _number(text: str) -> float:
     """float(text) when it is finite; ValueError for non-numbers, nan and infinities."""
     value = float(text)
@@ -64,21 +59,22 @@ def _number(text: str) -> float:
     return value
 
 
+# The converters: each raises ValueError with the text of the value's error line.
 def _scalar(text: str) -> float:
     try:
         return _number(text)
     except ValueError:
-        raise _BadValue(f"invalid float value: {text!r}") from None
+        raise ValueError(f"invalid float value: {text!r}") from None
 
 
 def _floats(text: str, count: int, what: str) -> tuple[float, ...]:
     parts = text.split(",")
     if len(parts) != count:
-        raise _BadValue(f"{what} needs {count} comma-separated numbers")
+        raise ValueError(f"{what} needs {count} comma-separated numbers")
     try:
         return tuple(_number(p) for p in parts)
     except ValueError as exc:
-        raise _BadValue(f"{what}: {exc}") from None
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def _pair(text: str) -> tuple[float, float]:
@@ -93,13 +89,13 @@ def _quad(text: str) -> tuple[float, float, float, float]:
     return _floats(text, 4, "quadruple")  # type: ignore[return-value]
 
 
-def _int(text: str, cap: int) -> int:
+def _int(text: str, cap: float = math.inf) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise _BadValue(f"invalid int value: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
     if value > cap:
-        raise _BadValue(f"must be at most {cap}, got {value}")
+        raise ValueError(f"must be at most {cap}, got {value}")
     return value
 
 
@@ -110,15 +106,12 @@ def _samples(text: str) -> int:
 def _trials(text: str) -> int:
     value = _int(text, MAX_TRIALS)
     if value < 0:
-        raise _BadValue(f"must be a non-negative integer, got {value}")
+        raise ValueError(f"must be a non-negative integer, got {value}")
     return value
 
 
 def _float_list(text: str) -> list[float]:
-    try:
-        return [_number(p) for p in text.split(",") if p]
-    except ValueError as exc:
-        raise _BadValue(str(exc)) from None
+    return [_number(p) for p in text.split(",")]
 
 
 def _line_record(line: Line) -> dict:
@@ -301,104 +294,103 @@ COMMANDS = {
     ),
     "invariance": ("seeded invariance demonstrations", _cmd_invariance, ("seed", "trials"), {
         "--trials": {"type": _trials, "default": 100},
-        "--seed": {"type": int, "default": 0, "help": "seed for sampled demonstrations"},
+        "--seed": {"type": _int, "default": 0, "help": "seed for sampled demonstrations"},
         **_OUT,
     }),
 }
 
 
 def _is_value(text: str) -> bool:
-    """text is a value, not an option: no leading "-", or a negative number, inf or nan."""
-    return (text[:1] != "-" or text[1:2].isdecimal() or (text[1:2] == "." and text[2:3].isdecimal())
-            or text[1:4].lower() in ("inf", "nan"))
+    """text is a value, not an option: no leading "-", or a number before its first ",".
+
+    ``-1,0``, ``-.5``, ``-inf``, ``-Infinity`` and ``-nan`` are values; ``-x``,
+    ``--`` and ``-nancy.json`` are not.
+    """
+    if text[:1] != "-":
+        return True
+    try:
+        float(text.partition(",")[0])
+    except ValueError:
+        return False
+    return True
 
 
-def _fast_parse(argv: Sequence[str]) -> types.SimpleNamespace | None:
-    """The command line argv, read by ``COMMANDS``: the CLI's one grammar, or None.
+def _fast_parse(argv: Sequence[str]) -> types.SimpleNamespace | str | None:
+    """The command line argv, read by ``COMMANDS``: the CLI's one grammar.
 
     argv is a command of ``COMMANDS``, then options of that command by their
     full flags, each at most once, as ``--flag value`` or ``--flag=value``,
     with values that ``_is_value``.  Every required option and one option of
     an exclusive group must be given, and every value must convert and be one
     of its choices.  The namespace holds one attribute per dest, the command,
-    and its handler and echo list.  For anything else, ``-h`` and ``--help``
-    among it, it returns None, and ``main`` only reports the command line.
+    and its handler and echo list.
+
+    Otherwise it returns the error line of the first fault, read left to
+    right, in argparse's words wherever argparse reports that fault too; an
+    abbreviated option is unrecognized.  ``-h`` or ``--help`` before any
+    fault returns None, and ``main`` prints the help.
     """
-    if not argv or argv[0] not in COMMANDS:
+    if argv[:1] and argv[0] in ("-h", "--help"):
         return None
+    if not argv or argv[0][:1] == "-":
+        return "uvangle: error: the following arguments are required: command"
+    if argv[0] not in COMMANDS:
+        names = ", ".join(map(repr, COMMANDS))
+        return f"uvangle: error: argument command: invalid choice: {argv[0]!r} (choose from {names})"
     _, handler, echo, options = COMMANDS[argv[0]]
+    error = f"uvangle {argv[0]}: error:"
     given = {}
     tokens = iter(argv[1:])
     for token in tokens:
+        if token in ("-h", "--help"):
+            return None
         flag, eq, text = token.partition("=")
+        option = options.get(flag)
+        if option is None:
+            return f"{error} unrecognized arguments: {token}"
+        if flag in given:
+            return f"{error} argument {flag}: given more than once"
         if not eq:
             text = next(tokens, None)
-        option = options.get(flag)
-        if option is None or flag in given or text is None or not _is_value(text):
-            return None
+        if text is None or not _is_value(text):
+            return f"{error} argument {flag}: expected one argument"
         try:
             value = option.get("type", str)(text)
-        except ValueError:
-            return None
+        except ValueError as exc:
+            return f"{error} argument {flag}: {exc}"
         if "choices" in option and value not in option["choices"]:
-            return None
+            names = ", ".join(map(repr, option["choices"]))
+            return f"{error} argument {flag}: invalid choice: {value!r} (choose from {names})"
+        rival = [other for other in given if "exclusive" in option and "exclusive" in options[other]]
+        if rival:
+            return f"{error} argument {flag}: not allowed with argument {rival[0]}"
         given[flag] = value
     exclusive = [flag for flag, option in options.items() if "exclusive" in option]
-    if exclusive and sum(flag in given for flag in exclusive) != 1:
-        return None
+    if exclusive and not any(flag in given for flag in exclusive):
+        return f"{error} one of the arguments {' '.join(exclusive)} is required"
+    missing = [flag for flag, option in options.items() if option.get("required") and flag not in given]
+    if missing:
+        return f"{error} the following arguments are required: {', '.join(missing)}"
     values = {"command": argv[0], "handler": handler, "echo": echo}
     for flag, option in options.items():
-        if flag not in given and option.get("required"):
-            return None
         values[flag[2:].replace("-", "_")] = given.get(flag, option.get("default"))
     return types.SimpleNamespace(**values)
 
 
 def build_parser():
-    """The argparse parser of ``COMMANDS``, which prints ``--help`` and every usage error."""
+    """The argparse parser of ``COMMANDS``; ``main`` runs it only to print ``--help``."""
     import argparse
 
-    class _Parser(argparse.ArgumentParser):
-        """argparse parser that exits with status 1 and one stderr line on usage errors.
-
-        A token that starts with "-" is a value, not an option, when ``_is_value``
-        says so (``-1,0``, ``-.5,0``, ``-inf``, ``-nan``), as in ``_fast_parse``.
-        """
-
-        def __init__(self, *args, **kwargs) -> None:
-            super().__init__(*args, **kwargs)
-            self._negative_number_matcher = types.SimpleNamespace(match=_is_value)
-
-        def error(self, message: str) -> None:  # type: ignore[override]
-            print(f"{self.prog}: error: {message}", file=sys.stderr)
-            raise SystemExit(1)
-
-    def argparse_type(convert):
-        """convert, with a _BadValue's message as argparse's error text."""
-
-        def converted(text: str):
-            try:
-                return convert(text)
-            except _BadValue as exc:
-                raise argparse.ArgumentTypeError(str(exc)) from None
-
-        converted.__name__ = convert.__name__  # argparse names the type of a plain ValueError
-        return converted
-
-    parser = _Parser(prog="uvangle", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="uvangle", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, _, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         group = None
         for flag, option in options.items():
-            kwargs = dict(option)
-            if "type" in kwargs:
-                kwargs["type"] = argparse_type(kwargs["type"])
-            if kwargs.pop("exclusive", False):
+            if "exclusive" in option:
                 group = group or p.add_mutually_exclusive_group(required=True)
-                group.add_argument(flag, **kwargs)
-            else:
-                p.add_argument(flag, **kwargs)
+            kwargs = {key: value for key, value in option.items() if key != "exclusive"}
+            (group if "exclusive" in option else p).add_argument(flag, **kwargs)
     return parser
 
 
@@ -459,11 +451,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _fast_parse(argv)
-    if args is None:
-        # argparse exits with the help or its error line, or accepts what the table refuses.
-        command = build_parser().parse_args(argv).command
-        print(f"uvangle {command}: error: give each option once, by its full name, with one "
-              "value that is a number or does not start with '-'", file=sys.stderr)
+    if args is None:  # argparse prints the help and exits 0
+        build_parser().parse_args([argv[0], "--help"] if argv[0] in COMMANDS else ["--help"])
+    if isinstance(args, str):
+        print(args, file=sys.stderr)
         return 1
     try:
         result = args.handler(args)

@@ -129,7 +129,7 @@ ERROR_CASES = (
     ("nonsense",),
     ("transform", "--P", "0.5,1"),
     ("--bogus",),
-    # options: missing, unknown, ambiguous, duplicated, without a value, after --
+    # options: missing, unknown, abbreviated, repeated, without a value, after --
     ("angle", "--O", "0,0"),
     ("power", "--kappa", "1.5", "--center", "0.25,-1"),
     (*ANGLE, "--bogus"),
@@ -142,8 +142,8 @@ ERROR_CASES = (
     ("degenerate", "--m1", "--m2", "1"),
     ("degenerate", "--m1", "2", "--m2", "-x"),
     ("angle", "--", "--O", "0,0"),
-    # options argparse reads but the table refuses: abbreviated, repeated, or given a
-    # value after = that is "--" (argparse: no value) or starts with "-"
+    # the first fault, read left to right: an abbreviated or repeated option, and a value
+    # after = that is "--" or starts with "-" and is not a number
     ("power", "--kap", "1", "--center", "0,0", "--P", "2,2"),
     ("angle", "--O", "1,1", *ANGLE[1:]),
     ("power", "--kappa", "1", "--center", "0,0", "--P", "2,2", "--out=--"),
@@ -153,6 +153,8 @@ ERROR_CASES = (
     (*ISOPTIC, "--theta", "1", "--output=--"),
     ("degenerate", "--m1", "2", "--m2", "1", "--t-sequence=--"),
     (*ISOPTIC, "--theta", "1", "--out=-locus.svg"),
+    ("power", "--kappa", "1", "--center", "0,0", "--P", "2,2", "--out", "-nancy.json"),
+    ("power", "--kappa", "1", "--center", "0,0", "--P", "2,2", "--out=-nancy.json"),
     # the converters
     ("angle", "--O", "0,0", "--A", "1,2,3", "--B", "1,2", "--u", "1,0", "--v", "0,1"),
     ("angle", "--O", "0,0", "--A", "x1,2", "--B", "1,2", "--u", "1,0", "--v", "0,1"),
@@ -175,6 +177,8 @@ ERROR_CASES = (
     ("degenerate", "--m1=", "--m2", "1"),
     ("degenerate", "--m1", "2", "--m2", "1", "--t-sequence", "0.01,nan"),
     ("degenerate", "--m1", "2", "--m2", "1", "--t-sequence", "0.1,x"),
+    ("degenerate", "--m1", "2", "--m2", "1", "--t-sequence="),
+    ("degenerate", "--m1", "2", "--m2", "1", "--t-sequence=0.1,,0.01"),
     ("invariance", "--trials", "100001"),
     ("invariance", "--trials", "-2"),
     ("invariance", "--trials", "x"),
