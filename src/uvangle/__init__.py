@@ -7,11 +7,12 @@ power of a point with radical axes and centers, and the degenerate limits
 relating the angle to slope differences, together with a deterministic CLI.
 
 The exports resolve on first access (PEP 562), so importing the package, or
-running one CLI command, loads only the submodules that are used.
+running one CLI command, loads only the submodules that are used.  They load
+through the builtin ``__import__`` and ``sys.modules``: the package itself
+imports only ``sys`` and ``types``.
 """
 
 import sys
-from importlib import import_module
 from types import ModuleType
 
 __version__ = "0.1.0"
@@ -56,14 +57,14 @@ __all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:
-        module = import_module(f"{__name__}.{_EXPORTS[name]}")
-        value = module if name == "errors" else getattr(module, name)
-        globals()[name] = value
-        return value
-    if name in _EXPORTS_BY_MODULE:  # a submodule not loaded yet
-        return import_module(f"{__name__}.{name}")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    submodule = _EXPORTS.get(name, name)
+    if submodule not in _EXPORTS_BY_MODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    __import__(f"{__name__}.{submodule}")  # returns the package, not the submodule
+    value = sys.modules[f"{__name__}.{submodule}"]
+    if name in _EXPORTS:  # cache the export; importing a submodule bound it already
+        value = globals()[name] = value if name == "errors" else getattr(value, name)
+    return value
 
 
 def __dir__() -> list[str]:

@@ -4,8 +4,6 @@ All randomness flows from one seed through Python's Mersenne Twister
 (``random.Random``), so equal arguments give equal deviations.
 """
 
-from __future__ import annotations
-
 import math
 import random
 

@@ -10,8 +10,6 @@ built.  The area-ratio definitions live in ``area_ratio`` as test oracles;
 their public names resolve here on first access.
 """
 
-from __future__ import annotations
-
 import math
 
 from .errors import ComponentMismatch

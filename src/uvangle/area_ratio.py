@@ -18,8 +18,6 @@ are labelled by the sign of sigma itself; no absolute orientation of the
 plane is imposed.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 

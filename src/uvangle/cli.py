@@ -27,19 +27,19 @@ than anything else it does before computing.
 Each handler imports the modules its command uses when it runs, so one
 process loads only those.  The names are looked up at call time, never
 kept in this module's globals, so rebinding a module's function (as a
-tracer does) reaches every call.
+tracer does) reaches every call.  No module imports anything for its
+annotations alone: from the standard library a command loads only ``math``
+and ``types``, plus ``itertools`` for SVG output and ``random`` and ``enum``
+for ``invariance``.
 
 Documents are written by ``_json``, not by the json package: importing json
 loads its decoder and scanner and compiles their regexes, which costs a
 one-shot process more than encoding its one document does.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 import types
-from collections.abc import Sequence
 
 from .errors import ComponentMismatch, GeometryError
 from .kernel import DirectionPair, DirectionVector, Line, Point
@@ -315,7 +315,7 @@ def _is_value(text: str) -> bool:
     return True
 
 
-def _fast_parse(argv: Sequence[str]) -> types.SimpleNamespace | str | None:
+def _fast_parse(argv: list[str]) -> types.SimpleNamespace | str | None:
     """The command line argv, read by ``COMMANDS``: the CLI's one grammar.
 
     argv is a command of ``COMMANDS``, then options of that command by their
@@ -447,7 +447,7 @@ def _emit(payload, out_path: str | None) -> None:
             handle.write(data)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _fast_parse(argv)

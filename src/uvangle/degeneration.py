@@ -6,8 +6,6 @@ slope form of the angle, kernel.slope_cross_ratio_angle, lives beside the
 (u, v) decomposition that produces the slopes.
 """
 
-from __future__ import annotations
-
 import math
 
 from .errors import PoleAtT

@@ -15,8 +15,6 @@ covers one branch; the other branch is its image under the central
 reflection (p, q) -> (-p, -q - 2*beta).
 """
 
-from __future__ import annotations
-
 import math
 
 from .errors import SingularPosition, ThetaTooSmall

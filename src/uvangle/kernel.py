@@ -42,8 +42,6 @@ setters; ``IsopticSpec``'s documented bound keeps every sample finite, so
 the skipped tests could never fail there.
 """
 
-from __future__ import annotations
-
 import math
 
 from .errors import (

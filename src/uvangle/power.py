@@ -14,8 +14,6 @@ transparently.  Note that real tangent lines from an off-axis point exist
 exactly when the core quantity is negative.
 """
 
-from __future__ import annotations
-
 import math
 
 from .errors import (

@@ -8,8 +8,6 @@ right-hand side directly; the functions here build the left-hand side from
 the curve points, so tests can check the theorem.
 """
 
-from __future__ import annotations
-
 import math
 
 from .errors import NotOnCurve

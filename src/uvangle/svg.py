@@ -1,11 +1,7 @@
 """Deterministic SVG rendering of sampled loci."""
 
-from __future__ import annotations
-
 import math
-from collections.abc import Iterable, Sequence
 from itertools import groupby
-from operator import itemgetter
 
 from .errors import EmptyLocus
 from .kernel import Point
@@ -20,16 +16,16 @@ _CLASS_STYLE = {
 }
 
 
-def _bounds(points: Iterable[Point]) -> tuple[float, float, float, float]:
+def _bounds(points: list[Point]) -> tuple[float, float, float, float]:
     xs = [p.x for p in points]
     ys = [p.y for p in points]
     return min(xs), min(ys), max(xs), max(ys)
 
 
 def render_svg(
-    samples: Sequence[tuple[Point, bool]],
+    samples: list[tuple[Point, bool]],
     viewport: tuple[float, float, float, float] | None = None,
-    markers: Sequence[Point] = (),
+    markers: tuple[Point, ...] = (),
 ) -> bytes:
     """SVG 1.1 document with one polyline per run of equal admissibility.
 
@@ -81,7 +77,7 @@ def render_svg(
         ),
     ]
 
-    for admissible, run in groupby(samples, key=itemgetter(1)):
+    for admissible, run in groupby(samples, key=lambda sample: sample[1]):
         css, stroke = _CLASS_STYLE[admissible]
         coords = ' '.join(f'{x:.3f},{y:.3f}' for x, y in (to_pixels(p) for p, _ in run))
         lines.append(

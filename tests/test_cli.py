@@ -1,5 +1,6 @@
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -166,6 +167,24 @@ def test_svg_well_formed_and_classed():
     assert len(circles) == 2  # endpoint markers
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="render_svg draws one polyline per run of equal flags over both branches' samples in "
+    "a row, so one segment joins the branches; mending it changes both SVG goldens",
+)
+def test_no_polyline_holds_samples_of_both_branches():
+    # sample_locus returns the parametrized branch's ceil(n/2) samples, then the
+    # reflected branch's: every polyline must end at or before that boundary, or
+    # start after it.
+    n = 256
+    run = run_cli(*ISOPTIC, "--theta", "1", "--samples", str(n), "--output", "svg")
+    assert run.returncode == 0
+    root = ET.fromstring(run.stdout.decode())
+    counts = [len(el.get("points").split()) for el in root.iter() if el.tag.endswith("polyline")]
+    assert sum(counts) == n
+    assert (n + 1) // 2 in itertools.accumulate(counts)
+
+
 def test_render_svg_empty_and_minimal():
     from uvangle import Point, render_svg
     from uvangle.errors import EmptyLocus
@@ -313,85 +332,86 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     assert proc.stdout.decode().split() == []
 
 
-# Runs the package as ``-m`` does and lists sys.modules at exit.  ``-X importtime``
-# would miss modules loaded through ``importlib.import_module``, as the lazy
-# exports of ``uvangle`` and ``uvangle.angle`` load them.
-MODULES_AT_EXIT = """
-import atexit, runpy, sys
-atexit.register(lambda: sys.stderr.write("\\n".join(["modules:", *sys.modules])))
-sys.argv[0] = "uvangle"
-runpy.run_module("uvangle", run_name="__main__", alter_sys=True)
+# The console script's two lines, run after importing the standard-library
+# modules named in argv[1] (comma-separated).  stderr ends with the modules the
+# command added to those.  Run with -S, so that no .pth file imports any first.
+CONSOLE_SCRIPT = """
+import sys
+for name in sys.argv.pop(1).split(","):
+    __import__(name)
+before = set(sys.modules)
+try:
+    from uvangle.cli import main
+    sys.exit(main())
+finally:
+    sys.stderr.write("\\n".join(["modules:", *sorted(set(sys.modules) - before)]))
 """
 
+# Every command imports math, types and these uvangle modules.
+CLI_MODULES = {"uvangle", "uvangle.cli", "uvangle.errors", "uvangle.kernel"}
+USAGE_ERROR = ("angle", "--O", "x")
+# Each command line, with the standard-library modules its command imports
+# beyond math and types, and the uvangle submodules beyond CLI_MODULES.
+COMMAND_IMPORTS = {
+    ("angle", "--O", "0,0", "--A", "1,1", "--B", "1,2", "--u", "1,0", "--v", "0,1"): (
+        (), ("angle",)
+    ),
+    (*ISOPTIC, "--theta", "1"): ((), ("isoptic",)),
+    (*ISOPTIC, "--theta", "1", "--output", "svg"): (("itertools",), ("isoptic", "svg")),
+    ("power", "--kappa", "2", "--center", "0,0", "--P", "2,2"): ((), ("power",)),
+    ("radical-center", "--h1", "0,0,1", "--h2", "1,0.5,3", "--h3", "-1,-2,2"): ((), ("power",)),
+    ("chords", "--t", "1,4,2,3"): ((), ("power",)),
+    ("chords", "--progression", "1,2,3"): ((), ("power",)),
+    ("degenerate", "--m1", "2", "--m2", "1"): ((), ("degeneration",)),
+    ("invariance", "--trials", "2", "--seed", "0"): (
+        ("random", "enum"), ("_invariance", "angle", "area_ratio")
+    ),
+}
+SUCCESSFUL_COMMANDS = tuple(COMMAND_IMPORTS)
+COMMAND_LINES = [*((argv, 0) for argv in SUCCESSFUL_COMMANDS), (USAGE_ERROR, 1)]
 
-@functools.cache  # a command line that two tests check starts one process
+
+@functools.cache  # a command line that several tests check starts one process
 def _exit_code_and_modules(*argv: str) -> tuple[int, str]:
-    proc = run_process("-S", "-c", MODULES_AT_EXIT, *argv)
+    stdlib = ("math", "types", *COMMAND_IMPORTS.get(argv, ((), ()))[0])
+    proc = run_process("-S", "-c", CONSOLE_SCRIPT, ",".join(stdlib), *argv)
     return proc.returncode, proc.stderr.decode()
 
 
-def modules_loaded_by(*argv: str, code: int = 0) -> set[str]:
+def modules_added_by(*argv: str, code: int = 0) -> set[str]:
     returncode, stderr = _exit_code_and_modules(*argv)
     assert returncode == code, stderr
     return set(stderr.split("modules:\n", 1)[1].splitlines())
 
 
-def test_angle_command_loads_only_its_modules():
-    loaded = modules_loaded_by(
-        "angle", "--O", "0,0", "--A", "1,1", "--B", "1,2", "--u", "1,0", "--v", "0,1"
-    )
-    assert {"uvangle.cli", "uvangle.kernel", "uvangle.angle"} <= loaded
-    unwanted = {
-        "uvangle.isoptic", "uvangle.power", "uvangle.power_theorem", "uvangle.svg",
-        "uvangle.degeneration", "uvangle._invariance", "uvangle.area_ratio", "random", "shutil",
-    }
-    assert sorted(loaded & unwanted) == []
+@pytest.mark.parametrize("argv, code", COMMAND_LINES)
+def test_each_command_imports_only_its_modules(argv, code):
+    # Any other import on a command's path, from the standard library or from
+    # uvangle, adds a module here.
+    submodules = COMMAND_IMPORTS.get(argv, ((), ()))[1]
+    expected = CLI_MODULES | {f"uvangle.{name}" for name in submodules}
+    assert sorted(modules_added_by(*argv, code=code)) == sorted(expected)
 
 
-@pytest.mark.parametrize("output", ["json", "svg"])
-def test_isoptic_command_loads_only_its_modules(output):
-    loaded = modules_loaded_by(*ISOPTIC, "--theta", "1", "--output", output)
-    assert {"uvangle.cli", "uvangle.kernel", "uvangle.isoptic"} <= loaded
-    assert ("uvangle.svg" in loaded) == (output == "svg")
-    unwanted = {
-        "uvangle.angle", "uvangle.power", "uvangle.power_theorem", "uvangle.degeneration",
-        "uvangle._invariance", "uvangle.area_ratio", "random",
-    }
-    assert sorted(loaded & unwanted) == []
-
-
-SUCCESSFUL_COMMANDS = (
-    ("angle", "--O", "0,0", "--A", "1,1", "--B", "1,2", "--u", "1,0", "--v", "0,1"),
-    (*ISOPTIC, "--theta", "1"),
-    (*ISOPTIC, "--theta", "1", "--output", "svg"),
-    ("power", "--kappa", "2", "--center", "0,0", "--P", "2,2"),
-    ("radical-center", "--h1", "0,0,1", "--h2", "1,0.5,3", "--h3", "-1,-2,2"),
-    ("chords", "--t", "1,4,2,3"),
-    ("chords", "--progression", "1,2,3"),
-    ("degenerate", "--m1", "2", "--m2", "1"),
-    ("invariance", "--trials", "2", "--seed", "0"),
-)
-
-
-@pytest.mark.parametrize(
-    "argv, code", [*((argv, 0) for argv in SUCCESSFUL_COMMANDS), (("angle", "--O", "x"), 1)]
-)
+# The json package and argparse each have a replacement in cli.py, whichever
+# modules the table above allows.
+@pytest.mark.parametrize("argv, code", COMMAND_LINES)
 def test_no_command_loads_the_json_package(argv, code):
-    loaded = modules_loaded_by(*argv, code=code)
+    loaded = modules_added_by(*argv, code=code)
     assert sorted(loaded & {"json", "json.decoder", "json.encoder", "json.scanner", "_json"}) == []
 
 
 @pytest.mark.parametrize("argv", SUCCESSFUL_COMMANDS)
 def test_a_successful_command_loads_no_argparse(argv):
-    assert sorted(modules_loaded_by(*argv) & {"argparse", "gettext", "locale"}) == []
+    assert sorted(modules_added_by(*argv) & {"argparse", "gettext", "locale"}) == []
 
 
 def test_help_loads_argparse():
-    assert "argparse" in modules_loaded_by("--help")
+    assert "argparse" in modules_added_by("--help")
 
 
 def test_a_usage_error_loads_no_argparse():
-    loaded = modules_loaded_by("angle", "--O", "x", code=1)
+    loaded = modules_added_by(*USAGE_ERROR, code=1)
     assert sorted(loaded & {"argparse", "gettext", "locale"}) == []
 
 
@@ -412,11 +432,6 @@ def test_help_is_printed_only_before_the_first_fault(argv, line):
         assert run.returncode == 0 and run.stdout.startswith(b"usage: uvangle") and not run.stderr
     else:
         assert assert_one_line_error(run, 1) == line
-
-
-def test_invariance_command_loads_the_area_ratio_oracle():
-    loaded = modules_loaded_by("invariance", "--trials", "2", "--seed", "0")
-    assert {"uvangle.angle", "uvangle.area_ratio", "uvangle._invariance"} <= loaded
 
 
 def test_angle_overflow_is_not_reported_as_coincidence():

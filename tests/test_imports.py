@@ -1,8 +1,5 @@
 """Every name a package module imports is used in that module, every public
 member has a caller in the package, and the package's lazy exports resolve.
-
-``__init__.py`` is exempt from the unused-import check; its exports are
-checked through the name -> submodule table instead.
 """
 
 import ast
@@ -16,7 +13,7 @@ from helpers import run_process
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "uvangle"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> set[str]:
@@ -24,7 +21,7 @@ def _imported(tree: ast.Module) -> set[str]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names.update((a.asname or a.name).split(".")[0] for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        elif isinstance(node, ast.ImportFrom):
             names.update(a.asname or a.name for a in node.names)
     return names
 
