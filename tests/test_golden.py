@@ -193,6 +193,10 @@ ERROR_CASES = (
     ("angle", "--O", "0.5,1", "--A", "1.25,1", "--B", "1.5,3", "--u", "1,0", "--v", "0,1"),
     (*ISOPTIC, "--theta", "0"),
     (*ISOPTIC, "--theta", "1.5e-08"),
+    (*ISOPTIC, "--theta", "709"),
+    (*ISOPTIC, "--theta", "-709"),
+    (*ISOPTIC, "--theta", "709", "--output", "svg"),
+    (*ISOPTIC, "--theta", "-709", "--output", "svg"),
     ("isoptic", "--A", "0.5,1", "--B", "0.5,1", "--u", "1,1", "--v", "1,-1", "--theta", "1.5"),
     (*ISOPTIC, "--theta", "1", "--samples", "1", "--output", "svg"),
     ("power", "--kappa", "0", "--center", "0.5,1", "--P", "2,2"),
