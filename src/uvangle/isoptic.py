@@ -220,19 +220,34 @@ def reflect_branch(p: Point, theta: float) -> Point:
     return Point(-p.x, -p.y - 2.0 * beta)
 
 
-def _classify(qx: float, qy: float) -> bool:
-    """Admissibility of the canonical-frame point (qx, qy); see is_admissible.
+def _band_product(qx: float, qy: float) -> float | None:
+    """f1 * f2 for the boundary factors f1 = (qx + 1)^2 - qy^2, f2 = (qx - 1)^2 - qy^2.
 
-    The boundary factors are spelled as in sample_locus's inline test, so
-    the two decide every flag alike.
+    None when either factor is at most BOUNDARY_EPS * max(1, qx^2 + qy^2) in
+    magnitude: the point lies numerically on the singular line pair through
+    the endpoints.  The squares are products, because float ** 2 calls libm
+    pow, and the test is spelled with comparisons alone, which give abs()'s
+    and max()'s verdicts for every float, nan and +-inf included.
     """
     a, b, qy2 = qx + 1.0, qx - 1.0, qy * qy
     f1 = a * a - qy2
     f2 = b * b - qy2
-    scale = max(1.0, qx * qx + qy2)
-    if abs(f1) <= BOUNDARY_EPS * scale or abs(f2) <= BOUNDARY_EPS * scale:
+    r2 = qx * qx + qy2
+    tol = BOUNDARY_EPS * (r2 if r2 > 1.0 else 1.0)
+    if -tol <= f1 <= tol or -tol <= f2 <= tol:
+        return None
+    return f1 * f2
+
+
+def _classify(qx: float, qy: float) -> bool:
+    """Admissibility of the canonical-frame point (qx, qy); see is_admissible.
+
+    The band test is _band_product's, the one sample_locus decides its flags by.
+    """
+    product = _band_product(qx, qy)
+    if product is None:
         raise SingularPosition("point lies on the singular line pair through the endpoints")
-    return f1 * f2 > 0.0
+    return product > 0.0
 
 
 def is_admissible(p: Point, spec: IsopticSpec) -> bool:
@@ -270,6 +285,21 @@ def sample_locus(spec: IsopticSpec, n: int) -> list[tuple[Point, bool]]:
     lines like exp(-2|theta|), so once |theta| exceeds about 20 to 50 every
     sample is tagged False.  Raises ValueError when |theta| exceeds
     THETA_MAX.
+
+    Most flags are proved, not computed.  Q = max(1, 5 (cosh(T) / sh)^2) is
+    at least max(1, |q|^2) on both branches, as |t| <= T and |theta| < T,
+    so the band is at most BOUNDARY_EPS Q wide, and the computed factors are
+    off by about 1e-15 Q.  Where both exact factors are at least
+    2 BOUNDARY_EPS Q, a margin of a factor 2, the computed test therefore
+    answers True.  On the parametrized branch that holds outside the windows
+
+        |t -+ theta| < w,   w = 2 asinh(|sh| sqrt(BOUNDARY_EPS Q / 2)),
+
+    so _band_product runs only on the grid points inside them, with one
+    index of slack each side.  On the reflected branch |f| >= 4 / sh^2, so
+    every flag there is True while Q sh^2 <= 2 / BOUNDARY_EPS, which is
+    |theta| below about 9.748; above it each sample is tested.  A branch of
+    one sample, or windows wider than T, is tested sample by sample.
     """
     if n < 2:
         raise ValueError("need at least two samples")
@@ -299,25 +329,37 @@ def sample_locus(spec: IsopticSpec, n: int) -> list[tuple[Point, bool]]:
     primary = canonical(n_primary)
     reflected = primary if n == 2 * n_primary else canonical(n - n_primary)
     two_beta = 2.0 * beta
+    # cosh(T) is finite up to T = THETA_MAX + 2.  Q and Q sh^2 are products, not
+    # **: float ** raises OverflowError where a product gives inf, as sh * sh
+    # does near THETA_MAX.
+    ratio = cosh(span) / sh
+    q_scale = max(1.0, 5.0 * ratio * ratio)
+    width = 2.0 * math.asinh(abs(sh) * math.sqrt(BOUNDARY_EPS * q_scale / 2.0))
+
+    def branch_flags(xs: list[float], ys: list[float], reflect: int) -> list[bool]:
+        """One branch's flags: True where the closed form proves it, else _band_product's."""
+        count = len(xs)
+        if reflect:
+            if count > 1 and q_scale * sh * sh <= 2.0 / BOUNDARY_EPS:
+                return [True] * count
+            return [_band_product(-x, -y - two_beta) is not None for x, y in zip(xs, ys)]
+        if count == 1 or width >= span:
+            return [_band_product(x, y) is not None for x, y in zip(xs, ys)]
+        step = 2.0 * span / (count - 1)
+        flags = [True] * count
+        for center in (-theta, theta):
+            lo = math.floor((center - width + span) / step) - 1
+            hi = math.ceil((center + width + span) / step) + 1
+            for i in range(max(0, lo), min(count, hi + 1)):
+                flags[i] = _band_product(xs[i], ys[i]) is not None
+        return flags
+
     samples: list[tuple[Point, bool]] = []
     append = samples.append
     for branch, (xs, ys) in ((0, primary), (1, reflected)):
-        for cx, cy in zip(xs, ys):
+        for cx, cy, ok in zip(xs, ys, branch_flags(xs, ys, branch)):
             if branch:  # reflect_branch
                 cx, cy = -cx, -cy - two_beta
-            # _classify's boundary test alone: on the locus f1 and f2 share one
-            # sign (see the docstring).  Inline, because this loop is nearly all
-            # of the call, and a function call per sample costs more than the
-            # test itself.  The squares are products, spelled as in _classify,
-            # because float ** 2 calls libm pow.  |f| > tol is spelled as two
-            # comparisons, which give abs()'s verdict for every float, nan and
-            # +-inf included, without a builtin call.
-            a, b, cy2 = cx + 1.0, cx - 1.0, cy * cy
-            f1 = a * a - cy2
-            f2 = b * b - cy2
-            r2 = cx * cx + cy2
-            tol = BOUNDARY_EPS * (r2 if r2 > 1.0 else 1.0)
-            ok = (f1 > tol or f1 < -tol) and (f2 > tol or f2 < -tol)
             # The float expressions of _map_point, stored past Point.__init__:
             # IsopticSpec's bound keeps every sample finite, so the
             # constructor's frame and isfinite tests would only cost time.

@@ -8,8 +8,9 @@ those maps again shows up as an extra call.  The kernel entry points that
 take a ``DirectionPair`` read its basis and build none, and the query paths
 build no ``DirectionVector`` or ``AffineMap`` on the way to their result.
 ``sample_locus`` builds each sample's ``Point`` past its constructor, as
-an equal, hashable, picklable and frozen value, and evaluates each t grid
-point's sinh once.
+an equal, hashable, picklable and frozen value, evaluates each t grid
+point's sinh once, and runs the band test only where the closed form
+proves no flag.
 """
 
 import copy
@@ -191,6 +192,32 @@ def test_sample_locus_evaluates_sinh_once_per_grid_point(monkeypatch, n, sinh_ca
     monkeypatch.setattr(math, "sinh", counting)
     sample_locus(spec, n)
     assert counts["sinh"] == sinh_calls
+
+
+@pytest.mark.parametrize(
+    "a, b, u, v, theta, tested",
+    [
+        # The README spec: only the four samples next to each of A and B; the
+        # closed form proves every other flag True.
+        ((-1.0, 0.0), (1.0, 0.0), (1.0, 1.0), (1.0, -1.0), 1.0, 8),
+        # The windows cover the parametrized branch, and the reflected branch's
+        # bound 4 / sh^2 is below 2 BOUNDARY_EPS Q: every sample is tested.
+        ((0.3, -0.7), (2.1, 0.4), (2.0, 0.5), (-0.6, 1.5), 50.0, 256),
+    ],
+)
+def test_sample_locus_tests_only_the_unproved_flags(monkeypatch, a, b, u, v, theta, tested):
+    dirs = DirectionPair(DirectionVector(*u), DirectionVector(*v))
+    spec = IsopticSpec(Point(*a), Point(*b), dirs, theta)
+    counts: Counter = Counter()
+    band_product = uvangle.isoptic._band_product
+
+    def counting(qx, qy):
+        counts["band"] += 1
+        return band_product(qx, qy)
+
+    monkeypatch.setattr(uvangle.isoptic, "_band_product", counting)
+    sample_locus(spec, 256)
+    assert counts["band"] == tested
 
 
 def pickled(value):

@@ -191,8 +191,8 @@ def test_par_eps_has_one_reader():
 # inputs, or ABS_EPS added to a tolerance) breaks that below or above scale 1.
 # The functions that keep a 1 are listed here, each with its reason.
 FLOOR_ALLOWED = {
-    "isoptic._classify": "in the canonical frame, 1 is the squared half-length of the segment",
-    "isoptic.sample_locus": "_classify's boundary test inline, with the same 1",
+    "isoptic._band_product": "in the canonical frame, 1 is the squared half-length of the segment",
+    "isoptic.sample_locus": "Q = max(1, 5 (cosh(span) / sh)^2) bounds _band_product's scale",
     "degeneration.degenerate_cross_ratio": (
         "1 is a term of the factors 1 +- m*t, so max(1, |m*t|) is their own scale"
     ),

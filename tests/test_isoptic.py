@@ -465,6 +465,29 @@ def _random_sheared_batch(seed: int, count: int, k: int = 0) -> tuple[list, list
     return frames, thetas
 
 
+def _adversarial_batch(n: int, i: int, ks: tuple[int, ...]) -> tuple[list, list[float]]:
+    """Angles where sample_locus's proof of a True flag is tightest, on scaled frames.
+
+    With c = ceil(n/2) points on the parametrized branch's t grid, the angle
+    (2i - c + 1) / (c - 1 - i) puts grid point i at t = theta: on B.  It comes
+    as is and nudged by a relative +-1e-15, 1e-9 and 1e-5, beside |theta| = 1e-6,
+    either side of the switch (~9.748) above which the reflected branch is tested
+    sample by sample, 20 and 708, all of both signs.  Each angle runs on the
+    canonical frame and on _EDGE_FRAME with its endpoints scaled by 2^k.
+    """
+    c = (n + 1) // 2
+    on_grid = (2 * i - c + 1) / (c - 1 - i)
+    angles = [on_grid * (1.0 + d) for d in (0.0, 1e-15, -1e-15, 1e-9, -1e-9, 1e-5, -1e-5)]
+    angles += [1e-6, 9.747, 9.749, 20.0, 708.0]
+    angles += [-angle for angle in angles]
+    (ax, ay), (bx, by), u, v = _EDGE_FRAME
+    frames = [((-1.0, 0.0), (1.0, 0.0), (1.0, 1.0), (1.0, -1.0))] + [
+        ((math.ldexp(ax, k), math.ldexp(ay, k)), (math.ldexp(bx, k), math.ldexp(by, k)), u, v)
+        for k in ks
+    ]
+    return [f for f in frames for _ in angles], [a for _ in frames for a in angles]
+
+
 @pytest.mark.parametrize(
     "frame, theta, n, admissible",
     [
@@ -487,6 +510,13 @@ def _random_sheared_batch(seed: int, count: int, k: int = 0) -> tuple[list, list
         *(pytest.param(*_random_sheared_batch(1601, 200, k), 64, 10214,
                        id=f"random-sheared-batch-2^{k}")
           for k in (-300, -100, 100, 300)),
+        # A grid point on B, nudged, and the angles where the flags' proof changes.
+        pytest.param(*_adversarial_batch(9, 3, (0, -300, 300)), 9, 616, id="adversarial-n9"),
+        pytest.param(*_adversarial_batch(32, 11, (0, -40, 40)), 32, 2512, id="adversarial-n32"),
+        pytest.param(*_adversarial_batch(255, 85, (-40, 300)), 255, 15498,
+                     id="adversarial-n255"),
+        pytest.param(*_adversarial_batch(256, 86, (40, -300)), 256, 15564,
+                     id="adversarial-n256"),
     ],
 )
 def test_sample_locus_classifies_the_canonical_sample(frame, theta, n, admissible):
