@@ -48,7 +48,9 @@ class IsopticSpec(_Frozen):
     inverse.  Raises DegenerateConfiguration for coincident endpoints or a
     segment parallel to a reference direction, and SingularMap when the
     canonical map is numerically singular (a segment longer than ~1e162).
-    An accepted spec therefore has |AB| below ~1e161, so every sample of
+    A segment shorter than ~1e-154 raises SingularMap too, with the wrong
+    reason "det = inf": that map is well conditioned, but its determinant
+    overflows along with its row norms (ROADMAP item 3).  An accepted spec therefore has |AB| below ~1e161, so every sample of
     sample_locus stays below ~1e178 and is finite.
     """
 
