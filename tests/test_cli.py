@@ -44,21 +44,6 @@ def test_angle_worked_example():
     assert doc["command"] == "angle"
 
 
-def test_angle_singular_ray_exits_2():
-    proc = run_cli(
-        "angle", "--O", "0,0", "--A", "1,0", "--B", "1,2", "--u", "1,0", "--v", "0,1"
-    )
-    assert proc.returncode == 2
-    assert "parallel to a reference direction" in proc.stderr
-
-
-def test_usage_error_exits_1():
-    proc = run_cli("angle", "--bogus")
-    assert proc.returncode == 1
-    proc = run_cli("nonsense")
-    assert proc.returncode == 1
-
-
 def test_power_worked_example():
     doc = run_json("power", "--kappa", "1", "--center", "0,0", "--P", "2,2")
     assert doc["outputs"]["power"] == 3.0
@@ -200,22 +185,6 @@ def test_render_svg_empty_and_minimal():
     assert render_svg([(Point(0, 0), True), (Point(1, 1), False)]) == data
 
 
-def test_svg_too_few_points_is_domain_error():
-    proc = run_cli(
-        "isoptic", "--A", "-1,0", "--B", "1,0", "--u", "1,1", "--v", "1,-1",
-        "--theta", "1", "--samples", "1", "--output", "svg",
-    )
-    assert proc.returncode == 2
-
-
-def test_theta_zero_is_domain_error():
-    proc = run_cli(
-        "isoptic", "--A", "-1,0", "--B", "1,0", "--u", "1,1", "--v", "1,-1",
-        "--theta", "0",
-    )
-    assert proc.returncode == 2
-
-
 def test_out_file_and_in_process_entry(tmp_path):
     target = tmp_path / "doc.json"
     run = run_cli("power", "--kappa", "1", "--center", "0,0", "--P", "2,2", "--out", str(target))
@@ -240,60 +209,14 @@ def assert_one_line_error(proc: CliRun, code: int) -> str:
 ISOPTIC = ("isoptic", "--A", "-1,0", "--B", "1,0", "--u", "1,1", "--v", "1,-1")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("angle", "--O", "nan,0", "--A", "1,1", "--B", "1,2", "--u", "1,0", "--v", "0,1"),
-        ("radical-center", "--h1", "0,0,inf", "--h2", "-1,-0.5,3", "--h3", "1,2,2"),
-        ("degenerate", "--m1", "nan", "--m2", "1"),
-        ("degenerate", "--m1", "2", "--m2=-inf"),
-        ("degenerate", "--m1", "2", "--m2", "1", "--t-sequence", "0.01,nan"),
-        (*ISOPTIC, "--theta", "inf"),
-        ("power", "--kappa", "nan", "--center", "0,0", "--P", "2,2"),
-        ("chords", "--progression", "1,2,5", "--kappa", "inf"),
-    ],
-)
-def test_non_finite_input_is_a_parse_error(argv):
-    line = assert_one_line_error(run_cli(*argv), 1)
-    assert ": error: " in line
-
-
-def test_seed_is_an_invariance_option_only():
-    proc = run_cli("angle", "--O", "0,0", "--A", "1,1", "--B", "1,2", "--u", "1,0", "--v", "0,1",
-                   "--seed", "1")
-    line = assert_one_line_error(proc, 1)
-    assert line == "uvangle angle: error: unrecognized arguments: --seed"
-
-
-def test_non_finite_result_is_a_domain_error():
-    proc = run_cli("power", "--kappa", "1", "--center", "0,0", "--P", "1e308,1e308")
-    assert "domain error" in assert_one_line_error(proc, 2)
-
-
-def test_overflow_is_a_domain_error():
-    proc = run_cli(*ISOPTIC, "--theta", "800")
-    assert "domain error" in assert_one_line_error(proc, 2)
-
-
 def test_theta_bound_edge():
     doc = run_json(*ISOPTIC, "--theta", "708", "--samples", "4")
     assert len(doc["outputs"]["samples"]) == 4
-    proc = run_cli(*ISOPTIC, "--theta", "709")
-    line = assert_one_line_error(proc, 2)
-    assert line == "uvangle isoptic: domain error: |theta| must be at most 708.0"
 
 
 def test_negative_float_spellings_are_values():
     doc = run_json("angle", "--O", "-.5,0", "--A", "-1,1", "--B", "1,2", "--u", "1,0", "--v", "0,1")
     assert (doc["inputs"]["O"], doc["inputs"]["A"]) == ([-0.5, 0.0], [-1.0, 1.0])
-    for spelling in ("-inf", "-Infinity", "-nan"):
-        line = assert_one_line_error(run_cli("degenerate", "--m1", "2", "--m2", spelling), 1)
-        assert line == f"uvangle degenerate: error: argument --m2: invalid float value: {spelling!r}"
-    # A token that starts with "-" is a value only when a number comes before its first ",".
-    for out in (("--out", "-nancy.json"), ("--out=-nancy.json",), ("--out", "-infile")):
-        line = assert_one_line_error(run_cli("power", "--kappa", "1", "--center", "0,0", "--P",
-                                             "2,2", *out), 1)
-        assert line == "uvangle power: error: argument --out: expected one argument"
 
 
 def test_unwritable_output_exits_2(tmp_path):
@@ -302,17 +225,7 @@ def test_unwritable_output_exits_2(tmp_path):
     assert "cannot write output" in assert_one_line_error(proc, 2)
 
 
-def test_parse_error_prints_one_line_without_usage():
-    proc = run_cli("angle", "--O", "0,0", "--A", "1,2,3", "--B", "1,2", "--u", "1,0", "--v", "0,1")
-    line = assert_one_line_error(proc, 1)
-    assert line.startswith("uvangle angle: error: ")
-
-
-def test_invariance_rejects_negative_trials():
-    line = assert_one_line_error(run_cli("invariance", "--trials", "-2"), 1)
-    assert line == "uvangle invariance: error: argument --trials: must be a non-negative integer, got -2"
-    line = assert_one_line_error(run_cli("invariance", "--trials", "x"), 1)
-    assert line == "uvangle invariance: error: argument --trials: invalid int value: 'x'"
+def test_invariance_accepts_zero_trials():
     assert run_json("invariance", "--trials", "0")["inputs"]["trials"] == 0
 
 
@@ -434,43 +347,7 @@ def test_help_is_printed_only_before_the_first_fault(argv, line):
         assert assert_one_line_error(run, 1) == line
 
 
-def test_angle_overflow_is_not_reported_as_coincidence():
-    proc = run_cli(
-        "angle", "--O", "1e308,0", "--A", "-1e308,1", "--B", "1,2", "--u", "1,0", "--v", "0,1"
-    )
-    assert assert_one_line_error(proc, 2) == (
-        "uvangle angle: domain error: coordinates must be finite, got -inf"
-    )
-    proc = run_cli(
-        "angle", "--O", "1e308,0", "--A", "1e308,0", "--B", "1,2", "--u", "1,0", "--v", "0,1"
-    )
-    assert assert_one_line_error(proc, 2) == (
-        "uvangle angle: domain error: point A coincides with the vertex"
-    )
-
-
 NOT_FINITE_PIXELS = "viewport scale sends the drawing outside finite pixel coordinates"
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        (*ISOPTIC, "--viewport", "0,0,1e-320,1e-320"),  # the scale overflows
-        (*ISOPTIC, "--viewport", "-1e308,-1e308,1e308,1e308"),  # the extent overflows
-        # a finite scale that sends the far samples to infinite pixels
-        (*ISOPTIC[:2], "-1e6,0", "--B", "1e6,0", *ISOPTIC[5:], "--viewport", "0,0,1e-300,1e-300"),
-    ],
-)
-def test_svg_without_finite_pixels_is_a_domain_error(argv):
-    proc = run_cli(*argv, "--theta", "1", "--samples", "4", "--output", "svg")
-    assert assert_one_line_error(proc, 2) == f"uvangle isoptic: domain error: {NOT_FINITE_PIXELS}"
-
-
-def test_svg_empty_viewport_keeps_its_message():
-    proc = run_cli(*ISOPTIC, "--theta", "1", "--output", "svg", "--viewport", "1,0,0,1")
-    assert assert_one_line_error(proc, 2) == (
-        "uvangle isoptic: domain error: viewport must have positive extent"
-    )
 
 
 def test_render_svg_auto_fit_of_overflowing_extent_raises():
@@ -480,29 +357,6 @@ def test_render_svg_auto_fit_of_overflowing_extent_raises():
     with pytest.raises(ValueError, match=NOT_FINITE_PIXELS):
         render_svg(samples)
     assert b"nan" not in render_svg(samples, viewport=(-2e307, -2e307, 2e307, 2e307))
-
-
-def test_underflowing_canonical_map_reports_one_error_for_both_outputs():
-    argv = (*ISOPTIC[:2], "-1e170,0", "--B", "1e170,0", *ISOPTIC[5:], "--theta", "1")
-    lines = {assert_one_line_error(run_cli(*argv, "--output", output), 2)
-             for output in ("json", "svg")}
-    assert lines == {"uvangle isoptic: domain error: linear part is singular (det = 0.0)"}
-
-
-def test_overflowing_progression_is_named():
-    proc = run_cli("chords", "--progression", "1,1e300,2")
-    assert assert_one_line_error(proc, 2) == (
-        "uvangle chords: domain error: progression a=1.0, r=1e+300 overflows: r**3 is out of range"
-    )
-
-
-def test_overflowing_progression_node_is_named():
-    # r**3 = 1e300 is finite, but the node a*r**3 is not.
-    proc = run_cli("chords", "--progression", "1e10,1e100,2")
-    assert assert_one_line_error(proc, 2) == (
-        "uvangle chords: domain error: progression a=10000000000.0, r=1e+100 overflows: "
-        "a*r**3 is out of range"
-    )
 
 
 def _parsers() -> dict:
@@ -527,116 +381,11 @@ def test_help_matches_its_golden(monkeypatch):
         assert parser.format_help() == (golden / f"{name or 'uvangle'}.txt").read_text(), name
 
 
-# Each divided by a value that underflowed to 0 and printed a ZeroDivisionError traceback.
-ISOPTIC_S_UNDERFLOWS = (
-    "isoptic", "--A", "-2.1e-22,-2e-12", "--B", "2.1e-22,2e-12", "--u", "1.7e308,0",
-    "--v", "0,1", "--theta", "1", "--samples", "3",
-)
-ALPHA_UNDERFLOWS = (
-    "angle", "--O", "-1e-200,2", "--A", "2.2250738585072014e-308,2", "--B", "2,-3",
-    "--u", "-3,1e308", "--v", "-0.25,0.5",
-)
-T_SQUARED_UNDERFLOWS = (
-    "degenerate", "--m1", "2.2250738585072014e-308", "--m2", "0.5",
-    "--t-sequence", "1e-200,1e-300",
-)
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (ISOPTIC_S_UNDERFLOWS, "segment's (u, v) coordinate s underflows to 0"),
-        (
-            ("isoptic", "--A", "-2e-12,-2.1e-22", "--B", "2e-12,2.1e-22", "--u", "1,0",
-             "--v", "0,1.7e308", "--theta", "1"),
-            "segment's (u, v) coordinate t underflows to 0",
-        ),
-        (ALPHA_UNDERFLOWS, "ray OA's (u, v) coordinate alpha underflows to 0"),
-        (T_SQUARED_UNDERFLOWS, "t = 1e-200 is too small to extrapolate from: t**2 underflows"),
-        (  # OA is nonzero, but the message said "direction vector must be nonzero"
-            ("angle", "--O", "0,0", "--A", "5e-324,0", "--B", "1,2", "--u", "1e10,1e10",
-             "--v", "1e10,-1e10"),
-            "direction's (u, v) coefficients both underflow to 0",
-        ),
-    ],
-)
-def test_underflow_is_a_named_domain_error(argv, message):
-    line = assert_one_line_error(run_cli(*argv), 2)
-    assert line == f"uvangle {argv[0]}: domain error: {message}"
-
-
-# cross(u, v) overflows to inf, and the (u, v) frame divided by it came out all zero: the
-# angle printed "direction vector must be nonzero", the isoptic "coordinate s underflows".
-FRAME_OVERFLOWS = ("--u", "1e-200,-1e308", "--v", "123456789,1")
-ISOPTIC_FRAME_OVERFLOWS = (
-    "isoptic", "--A", "1e-300,1e-200", "--B", "0.5,1e-300", *FRAME_OVERFLOWS,
-    "--theta", "1", "--samples", "3",
-)
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (
-            ("angle", "--O", "0,0", "--A", "1,1", "--B", "1,2", *FRAME_OVERFLOWS),
-            "reference directions' cross product overflows: cross(u, v) = inf",
-        ),
-        (
-            ISOPTIC_FRAME_OVERFLOWS,
-            "reference directions' cross product overflows: cross(u, v) = inf",
-        ),
-        (  # t is subnormal, so 1/(2t) is inf and the canonical map's entries were nan
-            ("isoptic", "--A", "-2e-12,-2.1e-22", "--B", "2e-12,2.1e-22", "--u", "1,0",
-             "--v", "0,1.7e300", "--theta", "1"),
-            "segment's (u, v) coordinate t = 1.24e-322 is too small: 1/(2t) overflows",
-        ),
-        (  # 1 + 2*1e-20 rounds to 1: the limit printed -1.5e-20 beside slope difference 1.5
-            ("degenerate", "--m1", "2", "--m2", "0.5", "--t-sequence", "1e-10,1e-20"),
-            "t = 1e-20 is too small: 1 + |m1|*t and 1 + |m2|*t round to 1",
-        ),
-        (  # the limit printed 0.0
-            ("degenerate", "--m1", "2", "--m2", "0.5", "--t-sequence", "1e-150,1e-170"),
-            "t = 1e-170 is too small: 1 + |m1|*t and 1 + |m2|*t round to 1",
-        ),
-    ],
-)
-def test_lost_precision_is_a_named_domain_error(argv, message):
-    line = assert_one_line_error(run_cli(*argv), 2)
-    assert line == f"uvangle {argv[0]}: domain error: {message}"
-
-
 def test_limit_of_a_slope_below_roundoff_is_kept():
     # 1 + |m1|*t rounds to 1 for every t, but m1's share of the limit is below roundoff.
     doc = run_json("degenerate", "--m1", "3e-265", "--m2", "-1.25")
     assert doc["outputs"]["extrapolated_limit"] == pytest.approx(1.25, rel=1e-9)
 
-
-# A subnormal slope sends m1/m2 out of range: the first printed "Out of range float values
-# are not JSON compliant: inf", the second "math domain error".
-RATIO_OVERFLOWS = ("degenerate", "--m1", "2.8", "--m2", "5e-324")
-RATIO_UNDERFLOWS = ("degenerate", "--m1", "-5e-324", "--m2", "-2.11")
-# The power overflows to inf, and the error named no output.
-POWER_OVERFLOWS = (
-    "power", "--kappa", "3", "--center", "0.98,1.8e33", "--P=-0.0,-1e308",
-    "--u", "0.707,-2.89", "--v", "1e-300,-1",
-)
-# OA's slope overflows, and the angle was inf/inf: the error named the output nan.
-SLOPE_OVERFLOWS = (
-    "angle", "--O=-1.77,5.299485577577254e-05", "--A=-2.11,3.0", "--B=-4.4,1.3951",
-    "--u=1022.3585670132161,0.6721", "--v=5e-324,2.2250738585072014e-308",
-)
-# The frame scales by ~1e160, so its determinant overflows: the inverse divided down to the
-# zero map, and _monic_in_frame divided by 0 in a ZeroDivisionError traceback.
-DET_OVERFLOWS = (
-    "radical-center", "--h1", "0,0,1", "--h2", "1e-300,0,1", "--h3", "0,1e-300,2",
-    "--u", "1e-160,0", "--v", "0,1e-160",
-)
-# Both products of the frame's determinant overflow, so it is nan: the error named the nan
-# entries of the inverse, "coordinates must be finite, got nan".
-DET_IS_NAN = (
-    "power", "--kappa", "1", "--center", "0,0", "--P", "2,2",
-    "--u", "3e-160,1e-160", "--v", "1e-160,2e-160",
-)
 
 # --v 0,1e-300 gives every curve a frame row ~1e300 long, and the rounded composition of a
 # frame with its own inverse had yx = -2.97e284: _monic_in_frame took the swapped-axes
@@ -645,11 +394,6 @@ ROWS_OVERFLOW = (
     "radical-center", "--h1", "1,1,1", "--h2", "7,-1,2", "--h3", "-2,0.5,3",
     "--u", "1.3576740221785215,-1.4714950502067226", "--v", "0,1e-300",
 )
-
-
-def test_radical_center_on_a_frame_with_a_huge_row_is_one_error_line():
-    line = assert_one_line_error(run_cli(*ROWS_OVERFLOW), 2)
-    assert line.startswith("uvangle radical-center: domain error: "), line
 
 
 @pytest.mark.xfail(
@@ -662,22 +406,6 @@ def test_radical_center_on_a_frame_with_a_huge_row():
     assert center == pytest.approx([-15.50903565291778, 35.786151683118106], rel=1e-12)
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (RATIO_OVERFLOWS, "m1/m2 overflows"),
-        (RATIO_UNDERFLOWS, "m1/m2 underflows to 0"),
-        (POWER_OVERFLOWS, "output power overflows to inf"),
-        (SLOPE_OVERFLOWS, "ray OA's slope beta/alpha overflows"),
-        (DET_OVERFLOWS, "linear part's determinant overflows: det = inf"),
-        (DET_IS_NAN, "linear part's determinant overflows: det = nan"),
-    ],
-)
-def test_out_of_range_result_is_a_named_domain_error(argv, message):
-    line = assert_one_line_error(run_cli(*argv), 2)
-    assert line == f"uvangle {argv[0]}: domain error: {message}"
-
-
 # Inputs of size ~1e-13, which an absolute floor of 1e-12 called coincident endpoints
 # and parallel chords.
 TINY_SEGMENT = (
@@ -687,35 +415,23 @@ TINY_CHORDS = ("chords", "--t", "1e-13,4e-13,2e-13,3e-13", "--kappa", "1e-26")
 # Chords whose cubic numerator (t3 + t4)*t1*t2 underflows or overflows at their own scale.
 CHORDS_CUBIC_UNDERFLOWS = ("chords", "--t", "1e-110,4e-110,2e-110,3e-110", "--kappa", "1e-220")
 CHORDS_CUBIC_OVERFLOWS = ("chords", "--t", "1e110,4e110,2e110,3e110", "--kappa", "1e220")
-# A segment of size 1e-200, whose canonical map's determinant overflows.
-SEGMENT_DET_OVERFLOWS = (
-    "isoptic", "--A=-1e-200,0", "--B", "1e-200,0", "--u", "1,1", "--v", "1,-1", "--theta", "1",
-)
 
 
-# The README's radical-center curves scaled by 1e-15, kappa by 1e-30, and two of its
-# curves with equal centers and different kappa at that scale.
+# The README's radical-center curves scaled by 1e-15, kappa by 1e-30.
 TINY_CURVES = (
     "radical-center", "--h1", "0,0,1e-30", "--h2", "-1e-15,-0.5e-15,3e-30",
     "--h3", "1e-15,2e-15,2e-30",
-)
-TINY_CONCENTRIC = (
-    "radical-center", "--h1", "0,0,1e-30", "--h2", "0,0,2e-30", "--h3", "1e-15,2e-15,2e-30",
 )
 
 
 def test_tiny_curves_are_decided_at_their_own_scale():
     center = run_json(*TINY_CURVES)["outputs"]["center"]
     assert center == pytest.approx([-1e-15 / 3, 5e-15 / 3], rel=1e-14, abs=0.0)
-    line = assert_one_line_error(run_cli(*TINY_CONCENTRIC), 2)
-    assert line == "uvangle radical-center: domain error: a pairwise radical axis is empty"
 
 
 def test_tiny_segments_and_chords_are_decided_at_their_own_scale():
     run_json(*TINY_SEGMENT)
     assert run_json(*TINY_CHORDS)["outputs"]["intersection_x"] == 5e-13
-    line = assert_one_line_error(run_cli(*SEGMENT_DET_OVERFLOWS), 2)
-    assert line == "uvangle isoptic: domain error: linear part is singular (det = inf)"
 
 
 @pytest.mark.parametrize(
@@ -725,43 +441,6 @@ def test_chord_abscissa_does_not_leave_the_range_of_its_inputs(argv, x):
     outputs = run_json(*argv)["outputs"]
     assert outputs["intersection_x"] == pytest.approx(x, rel=1e-15, abs=0.0)
     assert outputs["intersection"][0] == pytest.approx(x, rel=1e-15, abs=0.0)
-
-
-DEPENDENT = ("--u", "1,0", "--v", "2,0")
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (("angle", "--O", "0,0", "--A", "1,1", "--B", "1,2", *DEPENDENT),
-         "reference directions must be independent"),
-        ((*ISOPTIC[:5], *DEPENDENT, "--theta", "1"), "reference directions must be independent"),
-        (("power", "--kappa", "1", "--center", "0,0", "--P", "2,2", *DEPENDENT),
-         "reference directions must be independent"),
-        (("radical-center", "--h1", "0,0,1", "--h2", "-1,-0.5,3", "--h3", "1,2,2", *DEPENDENT),
-         "reference directions must be independent"),
-        # Unchecked, a negative ratio printed the area 3.375 with exit 0.
-        (("chords", "--progression", "1,-2,5"), "a, r, p, kappa must be positive"),
-        (("chords", "--progression", "1,1,5"), "r must differ from 1"),
-        # radical-center's precedence: the pair (h1, h2) first, then (h2, h3), then their
-        # meet; every curve's kappa before any axis, and the basis before any kappa.
-        (("radical-center", "--h1", "0,0,1", "--h2", "0,0,1", "--h3", "1,2,2"),
-         "the two hyperbolas coincide"),
-        (("radical-center", "--h1", "0,0,1", "--h2", "0,0,2", "--h3", "1,2,2"),
-         "a pairwise radical axis is empty"),
-        (("radical-center", "--h1", "0,0,1", "--h2", "1,1,1", "--h3", "2,2,1"),
-         "radical axes are parallel"),
-        (("radical-center", "--h1", "0,0,1", "--h2", "1,1,0", "--h3", "2,2,1"),
-         "kappa must be finite and nonzero"),
-        (("radical-center", "--h1", "0,0,0", "--h2", "1,1,1", "--h3", "2,3,1", *DEPENDENT),
-         "reference directions must be independent"),
-        # The chord parameters a and a*r**2 coincide within REL_EPS.
-        (("chords", "--progression", "1,1.000000000001,5"), "chord intersection is undefined"),
-    ],
-)
-def test_invalid_input_is_a_named_domain_error(argv, message):
-    line = assert_one_line_error(run_cli(*argv), 2)
-    assert line == f"uvangle {argv[0]}: domain error: {message}"
 
 
 def test_same_component_is_a_sign_test():
@@ -837,8 +516,6 @@ def test_json_matches_the_json_package(doc):
 )
 def test_counts_are_capped_when_parsed(argv, cap):
     assert vars(_fast_parse([*argv, str(cap)]))[argv[-1][2:]] == cap
-    line = assert_one_line_error(run_cli(*argv, str(cap + 1)), 1)
-    assert line == f"uvangle {argv[0]}: error: argument {argv[-1]}: must be at most {cap}, got {cap + 1}"
 
 
 # The equivalence property's values, by converter: spellings each accepts, negative ones
@@ -1031,6 +708,35 @@ def svg_shape(stdout: str) -> tuple[int, int]:
     ns = "{http://www.w3.org/2000/svg}"
     points = sum(len(line.get("points").split()) for line in root.iter(ns + "polyline"))
     return points, len(list(root.iter(ns + "circle")))
+
+
+# Command lines that ended in a traceback or a wrong reason: tests/golden/cli_errors.txt
+# pins the error line of each, and the fuzzer checks each with perfbench's contract rule.
+ISOPTIC_S_UNDERFLOWS = (
+    "isoptic", "--A", "-2.1e-22,-2e-12", "--B", "2.1e-22,2e-12", "--u", "1.7e308,0",
+    "--v", "0,1", "--theta", "1", "--samples", "3",
+)
+ALPHA_UNDERFLOWS = (
+    "angle", "--O", "-1e-200,2", "--A", "2.2250738585072014e-308,2", "--B", "2,-3",
+    "--u", "-3,1e308", "--v", "-0.25,0.5",
+)
+T_SQUARED_UNDERFLOWS = (
+    "degenerate", "--m1", "2.2250738585072014e-308", "--m2", "0.5",
+    "--t-sequence", "1e-200,1e-300",
+)
+ISOPTIC_FRAME_OVERFLOWS = (
+    "isoptic", "--A", "1e-300,1e-200", "--B", "0.5,1e-300", "--u", "1e-200,-1e308",
+    "--v", "123456789,1", "--theta", "1", "--samples", "3",
+)
+RATIO_OVERFLOWS = ("degenerate", "--m1", "2.8", "--m2", "5e-324")
+RATIO_UNDERFLOWS = ("degenerate", "--m1", "-5e-324", "--m2", "-2.11")
+DET_OVERFLOWS = (
+    "radical-center", "--h1", "0,0,1", "--h2", "1e-300,0,1", "--h3", "0,1e-300,2",
+    "--u", "1e-160,0", "--v", "0,1e-160",
+)
+SEGMENT_DET_OVERFLOWS = (
+    "isoptic", "--A=-1e-200,0", "--B", "1e-200,0", "--u", "1,1", "--v", "1,-1", "--theta", "1",
+)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
