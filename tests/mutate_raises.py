@@ -13,11 +13,11 @@ unmutated baseline runs it.
     python tests/mutate_raises.py                  # every raise, then the survivors
     python tests/mutate_raises.py kernel.py power.py
 
-A full sweep runs the suite about once per raise: 79 raises took 8 minutes
-on a 2-vCPU machine, most of them stopped by the module's own test file;
-``kernel.py`` alone, 23 raises, took 3.4 minutes, and ``cli.py``, 8 raises,
-took 1.1 minutes.  pytest does not collect
-this file; ``test_mutate_raises.py`` checks one known guard with it.
+A full sweep runs the suite about once per raise: 79 raises took 7 minutes
+on a 2-vCPU machine; ``kernel.py`` alone, 23 raises, took 2.5 minutes, and
+``cli.py``, 8 raises, took 1.2 minutes, because ``tests/test_golden.py``
+pins most CLI error lines and the second run reaches it late.  pytest does
+not collect this file; ``test_mutate_raises.py`` checks one known guard with it.
 """
 
 from __future__ import annotations

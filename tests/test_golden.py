@@ -125,9 +125,8 @@ DEPENDENT = ("--u", "1,0", "--v", "2,0")
 # Every kind of parse error, each converter's messages, one domain error per
 # command that has one (invariance has none), and each kind of invalid argv
 # that perfbench's cli-oneshot stream draws (perfbench/inputs.py::bad_command);
-# then more usage errors, each named invalid input, out-of-range results,
-# underflow, lost precision and the scale defects of ROADMAP item 3, each
-# with why it is here.
+# then, in labelled groups, more usage errors, named invalid inputs, results
+# out of range, underflow, lost precision and ROADMAP item 3's scale defects.
 ERROR_CASES = (
     # the command
     (),
