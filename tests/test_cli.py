@@ -44,6 +44,13 @@ def test_angle_worked_example():
     assert doc["command"] == "angle"
 
 
+def test_usage_error_exits_1():
+    proc = run_cli("angle", "--bogus")
+    assert proc.returncode == 1
+    proc = run_cli("nonsense")
+    assert proc.returncode == 1
+
+
 def test_power_worked_example():
     doc = run_json("power", "--kappa", "1", "--center", "0,0", "--P", "2,2")
     assert doc["outputs"]["power"] == 3.0
@@ -225,7 +232,11 @@ def test_unwritable_output_exits_2(tmp_path):
     assert "cannot write output" in assert_one_line_error(proc, 2)
 
 
-def test_invariance_accepts_zero_trials():
+def test_invariance_rejects_negative_trials():
+    line = assert_one_line_error(run_cli("invariance", "--trials", "-2"), 1)
+    assert line == "uvangle invariance: error: argument --trials: must be a non-negative integer, got -2"
+    line = assert_one_line_error(run_cli("invariance", "--trials", "x"), 1)
+    assert line == "uvangle invariance: error: argument --trials: invalid int value: 'x'"
     assert run_json("invariance", "--trials", "0")["inputs"]["trials"] == 0
 
 
@@ -345,6 +356,21 @@ def test_help_is_printed_only_before_the_first_fault(argv, line):
         assert run.returncode == 0 and run.stdout.startswith(b"usage: uvangle") and not run.stderr
     else:
         assert assert_one_line_error(run, 1) == line
+
+
+def test_angle_overflow_is_not_reported_as_coincidence():
+    proc = run_cli(
+        "angle", "--O", "1e308,0", "--A", "-1e308,1", "--B", "1,2", "--u", "1,0", "--v", "0,1"
+    )
+    assert assert_one_line_error(proc, 2) == (
+        "uvangle angle: domain error: coordinates must be finite, got -inf"
+    )
+    proc = run_cli(
+        "angle", "--O", "1e308,0", "--A", "1e308,0", "--B", "1,2", "--u", "1,0", "--v", "0,1"
+    )
+    assert assert_one_line_error(proc, 2) == (
+        "uvangle angle: domain error: point A coincides with the vertex"
+    )
 
 
 NOT_FINITE_PIXELS = "viewport scale sends the drawing outside finite pixel coordinates"
