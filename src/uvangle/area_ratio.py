@@ -143,9 +143,11 @@ def sigma_sign(o: Point, ray: Ray, u_line: Line, v_line: Line, aux: Line) -> Com
 
 def _projective_param(ray: Ray, aux: Line) -> tuple[float, float]:
     """Position of the ray-line's intersection along ``aux`` as a projective pair."""
-    if is_parallel(ray.dir, aux.dir):
+    try:
+        p = intersect_lines(Line(ray.origin, ray.dir), aux)
+    except ParallelLines:  # the ray's line meets aux at infinity
         return (1.0, 0.0)
-    return (_position(intersect_lines(Line(ray.origin, ray.dir), aux), aux), 1.0)
+    return (_position(p, aux), 1.0)
 
 
 def area_cross_ratio(l1: Ray, l2: Ray, r1: Ray, r2: Ray, o: Point, aux: Line) -> float:

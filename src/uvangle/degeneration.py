@@ -48,12 +48,12 @@ _set_report_samples, _set_report_extrapolated_limit, _set_report_residual_order 
 
 def degenerate_cross_ratio(m: SlopePair, t: float) -> float:
     """((1 - m1 t)(1 + m2 t)) / ((1 + m1 t)(1 - m2 t))."""
-    factors = (1.0 - m.m1 * t, 1.0 + m.m2 * t, 1.0 + m.m1 * t, 1.0 - m.m2 * t)
-    floor = ABS_EPS * max(1.0, abs(m.m1 * t), abs(m.m2 * t))
-    for f in factors:
-        if abs(f) <= floor:
-            raise PoleAtT(f"t = {t!r} hits a pole or zero of the cross ratio")
-    return (factors[0] * factors[1]) / (factors[2] * factors[3])
+    m1t, m2t = m.m1 * t, m.m2 * t
+    f1, f2, f3, f4 = 1.0 - m1t, 1.0 + m2t, 1.0 + m1t, 1.0 - m2t
+    floor = ABS_EPS * max(1.0, abs(m1t), abs(m2t))
+    if abs(f1) <= floor or abs(f2) <= floor or abs(f3) <= floor or abs(f4) <= floor:
+        raise PoleAtT(f"t = {t!r} hits a pole or zero of the cross ratio")
+    return (f1 * f2) / (f3 * f4)
 
 
 def first_order_limit(m: SlopePair, t_sequence: list[float] | None = None) -> LimitReport:
@@ -71,16 +71,21 @@ def first_order_limit(m: SlopePair, t_sequence: list[float] | None = None) -> Li
     roundoff, about 1e-16 / t.
     """
     if t_sequence is None:
-        t_sequence = list(_DEFAULT_T_SEQUENCE)
+        t_sequence = _DEFAULT_T_SEQUENCE
     if not t_sequence:
         raise ValueError("t_sequence must be nonempty")
-    if any(t <= 0.0 for t in t_sequence):
-        raise ValueError("t values must be positive")
-    if any(t2 >= t1 for t1, t2 in zip(t_sequence, t_sequence[1:])):
-        raise ValueError("t_sequence must be strictly decreasing")
+    for t in t_sequence:
+        if t <= 0.0:
+            raise ValueError("t values must be positive")
+    previous = math.nan  # no t compares >= nan, so the first one passes
+    for t in t_sequence:
+        if t >= previous:
+            raise ValueError("t_sequence must be strictly decreasing")
+        previous = t
     bound = min(1.0 / abs(m.m1), 1.0 / abs(m.m2)) / 2.0
-    if any(t > bound for t in t_sequence):
-        raise PoleAtT(f"t values must stay below {bound!r} to keep clear of the poles")
+    for t in t_sequence:
+        if t > bound:
+            raise PoleAtT(f"t values must stay below {bound!r} to keep clear of the poles")
 
     t_last = t_sequence[-1]
     if len(t_sequence) >= 2:
@@ -102,15 +107,26 @@ def first_order_limit(m: SlopePair, t_sequence: list[float] | None = None) -> Li
 
     target = m.m1 - m.m2
     floor = RESIDUAL_FLOOR * max(1.0, abs(target))
-    usable = [(t, abs(v - target)) for t, v in samples if abs(v - target) > floor]
-    if len(usable) >= 2:
-        logs_t = [math.log(t) for t, _ in usable]
-        logs_r = [math.log(r) for _, r in usable]
-        n = len(usable)
-        mean_t = sum(logs_t) / n
-        mean_r = sum(logs_r) / n
-        denom = sum((lt - mean_t) ** 2 for lt in logs_t)
-        order = sum((lt - mean_t) * (lr - mean_r) for lt, lr in zip(logs_t, logs_r)) / denom
+    # The log-log fit.  Its sums add left to right, as sum() does up to Python 3.11.
+    logs = []
+    sum_t = sum_r = 0.0
+    for t, v in samples:
+        r = abs(v - target)
+        if r > floor:
+            log_t, log_r = math.log(t), math.log(r)
+            logs.append((log_t, log_r))
+            sum_t += log_t
+            sum_r += log_r
+    if len(logs) >= 2:
+        n = len(logs)
+        mean_t = sum_t / n
+        mean_r = sum_r / n
+        denom = cov = 0.0
+        for log_t, log_r in logs:
+            dev_t = log_t - mean_t
+            denom += dev_t ** 2
+            cov += dev_t * (log_r - mean_r)
+        order = cov / denom
     else:
         order = math.nan
-    return LimitReport(samples=samples, extrapolated_limit=extrapolated, residual_order=order)
+    return LimitReport(samples, extrapolated, order)

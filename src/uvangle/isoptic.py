@@ -50,8 +50,9 @@ class IsopticSpec(_Frozen):
     canonical map is numerically singular (a segment longer than ~1e162).
     A segment shorter than ~1e-154 raises SingularMap too, with the wrong
     reason "det = inf": that map is well conditioned, but its determinant
-    overflows along with its row norms (ROADMAP item 3).  An accepted spec therefore has |AB| below ~1e161, so every sample of
-    sample_locus stays below ~1e178 and is finite.
+    overflows along with its row norms (ROADMAP item 3).  An accepted spec
+    therefore has |AB| below ~1e161, so every sample of sample_locus stays
+    below ~1e178 and is finite.
     """
 
     __slots__ = ("a", "b", "dirs", "theta", "_to_canonical", "_frame")

@@ -102,7 +102,8 @@ class AxisHyperbola(_Frozen):
         fx, fy = c + x, d + y
         if not (math.isfinite(fx) and math.isfinite(fy)):
             _check_finite(fx, fy)
-        return Point(*_map_point(self._inverse, fx, fy))
+        px, py = _map_point(self._inverse, fx, fy)
+        return Point(px, py)
 
     def point_at(self, alpha: float) -> Point:
         """The curve point with center-relative frame abscissa alpha."""
@@ -265,10 +266,8 @@ def radical_axis(h1: AxisHyperbola, h2: AxisHyperbola) -> Line:
     if not (math.isfinite(bx) and math.isfinite(by) and math.isfinite(dx) and math.isfinite(dy)):
         _check_finite(bx, by, dx, dy)
     g = h1._inverse
-    return Line(
-        Point(*_map_point(g, bx, by)),
-        DirectionVector(g.xx * dx + g.xy * dy, g.yx * dx + g.yy * dy),
-    )
+    px, py = _map_point(g, bx, by)
+    return Line(Point(px, py), DirectionVector(g.xx * dx + g.xy * dy, g.yx * dx + g.yy * dy))
 
 
 def radical_center(h1: AxisHyperbola, h2: AxisHyperbola, h3: AxisHyperbola) -> Point:

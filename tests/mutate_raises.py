@@ -3,7 +3,8 @@
 Each ``raise`` statement of ``src/uvangle/*.py`` in turn is replaced by
 ``pass`` in a temporary copy of the tree, and the Tier-1 suite runs on the
 copy under ``-x``: the module's own test file (``tests/test_<module>.py``)
-first when there is one, then the rest.  A mutant survives when the suite
+first when there is one, then ``tests/test_golden.py``, which pins every CLI
+error line, then the rest.  A mutant survives when the suite
 still passes: no test fails without that guard.  One mutant runs at a time,
 and the line numbers of the other statements do not move.  Mutant runs leave
 out the unused-import lint, which fails whenever the mutated raise was its
@@ -14,10 +15,10 @@ unmutated baseline runs it.
     python tests/mutate_raises.py kernel.py power.py
 
 A full sweep runs the suite about once per raise: 79 raises took 7 minutes
-on a 2-vCPU machine; ``kernel.py`` alone, 23 raises, took 2.5 minutes, and
-``cli.py``, 8 raises, took 1.2 minutes, because ``tests/test_golden.py``
-pins most CLI error lines and the second run reaches it late.  pytest does
-not collect this file; ``test_mutate_raises.py`` checks one known guard with it.
+on a 2-vCPU machine and ``kernel.py`` alone, 23 raises, 2.5 minutes, when
+``tests/test_golden.py`` still ran among the rest.  ``cli.py``, 8 raises,
+takes 54 s, against 56 s with that order.  pytest does not collect this
+file; ``test_mutate_raises.py`` checks one known guard with it.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "uvangle"
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "out")
 UNUSED_IMPORT_LINT = "--deselect=tests/test_imports.py::test_no_unused_imports"
+# Pins every CLI error line, so it kills most guards of the argument converters.
+GOLDEN = "tests/test_golden.py"
 # A mutant can loop forever where a raise ended a loop; one suite run takes well under this.
 TIMEOUT_S = 1800
 
@@ -79,19 +82,18 @@ def run_mutant(
 ) -> subprocess.CompletedProcess:
     """The suite's run with ``site`` of ``module`` replaced by ``pass``; the module is restored.
 
-    The module's own test file runs first, and the rest of the suite only
-    when it passes; neither runs the unused-import lint.
+    The module's own test file and then ``GOLDEN`` run first, and the rest
+    of the suite only when they pass; neither run has the unused-import lint.
     """
     path = tree / PACKAGE / module
     own = f"tests/test_{Path(module).stem.lstrip('_')}.py"
+    first = [own, GOLDEN] if (tree / own).exists() else [GOLDEN]
     path.write_text(replace_with_pass(original, site))
     try:
-        if (tree / own).exists():
-            proc = run_suite(tree, own, UNUSED_IMPORT_LINT)
-            if proc.returncode != 0:
-                return proc
-            return run_suite(tree, "tests", f"--ignore={own}", UNUSED_IMPORT_LINT)
-        return run_suite(tree, "tests", UNUSED_IMPORT_LINT)
+        proc = run_suite(tree, *first, UNUSED_IMPORT_LINT)
+        if proc.returncode != 0:
+            return proc
+        return run_suite(tree, "tests", *(f"--ignore={f}" for f in first), UNUSED_IMPORT_LINT)
     finally:
         path.write_text(original)
 

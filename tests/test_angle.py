@@ -33,7 +33,7 @@ from uvangle import (
     signed_area,
     vec,
 )
-from uvangle.kernel import _slope
+from uvangle.kernel import PAR_EPS, _slope
 from uvangle.errors import (
     CoincidentIntersection,
     ComponentMismatch,
@@ -178,6 +178,20 @@ def test_cross_ratio_worked_values_two_one_zero_infinity():
     s1, s2, s3, s5 = (Ray(ORIGIN, DirectionVector(1, m)) for m in (1, 2, 3, 5))
     assert area_cross_ratio(s1, s2, s2, s5, ORIGIN, aux) == math.inf
     assert area_cross_ratio(s1, s2, s3, s1, ORIGIN, aux) == -math.inf
+
+
+def test_cross_ratio_takes_a_ray_parallel_within_par_eps_as_the_point_at_infinity():
+    # The tolerance, not exact parallelism, decides: this ray's sine against
+    # aux is ~1e-11, and as a finite point it would sit ~5e10 along aux.
+    aux = _aux_line(1.0, 1.0)
+    near = DirectionVector(1.0, -1.0 + 2e-11)
+    sine = (near.dx * aux.dir.dy - near.dy * aux.dir.dx) / (near.norm * aux.dir.norm)
+    assert 1e-12 < sine < PAR_EPS
+    l1 = Ray(ORIGIN, DirectionVector(1, -2))
+    r1 = Ray(ORIGIN, DirectionVector(1, 0))
+    r2 = Ray(ORIGIN, DirectionVector(0, 1))
+    parallel = area_cross_ratio(l1, Ray(ORIGIN, DirectionVector(1, -1)), r1, r2, ORIGIN, aux)
+    assert area_cross_ratio(l1, Ray(ORIGIN, near), r1, r2, ORIGIN, aux) == parallel
 
 
 def test_cross_ratio_equal_first_pair_is_one():

@@ -13,6 +13,7 @@ from uvangle import (
     first_order_limit,
     slope_cross_ratio_angle,
 )
+from uvangle.degeneration import _DEFAULT_T_SEQUENCE
 from uvangle.errors import ComponentMismatch, PoleAtT
 
 AXES = DirectionPair(DirectionVector(1, 0), DirectionVector(0, 1))
@@ -102,6 +103,21 @@ def test_limit_sequence_validation():
         first_order_limit(SlopePair(2.0, 1.0), [])
     with pytest.raises(PoleAtT):
         first_order_limit(SlopePair(2.0, 1.0), [0.4, 0.3])
+
+
+def test_limit_sequence_reports_the_first_rule_it_breaks():
+    # Each sequence breaks two rules; the checks run positive, decreasing, pole
+    # bound (0.25 here), each over the whole sequence before the next.
+    m = SlopePair(2.0, 0.5)
+    for ts, message in (
+        ([0.3, -0.1], "t values must be positive"),
+        ([-0.1, 0.3], "t values must be positive"),
+        ([0.01, 0.3], "t_sequence must be strictly decreasing"),
+        ([0.3, 0.3], "t_sequence must be strictly decreasing"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            first_order_limit(m, ts)
+    assert first_order_limit(m) == first_order_limit(m, list(_DEFAULT_T_SEQUENCE))
 
 
 def test_log_expansion_third_order():

@@ -39,6 +39,6 @@ def test_mutant_runs_leave_out_only_the_unused_import_lint(tmp_path, monkeypatch
     M.run_mutant(tmp_path, "power.py", site, source)
     lint = "--deselect=tests/test_imports.py::test_no_unused_imports"
     assert runs == [
-        ("tests/test_power.py", lint),
-        ("tests", "--ignore=tests/test_power.py", lint),
+        ("tests/test_power.py", "tests/test_golden.py", lint),
+        ("tests", "--ignore=tests/test_power.py", "--ignore=tests/test_golden.py", lint),
     ]
