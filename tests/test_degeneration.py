@@ -106,7 +106,7 @@ def test_limit_sequence_validation():
 
 
 def test_limit_sequence_reports_the_first_rule_it_breaks():
-    # Each sequence breaks two rules; the checks run positive, decreasing, pole
+    # Each sequence breaks two rules or more; the checks run positive, decreasing, pole
     # bound (0.25 here), each over the whole sequence before the next.
     m = SlopePair(2.0, 0.5)
     for ts, message in (
