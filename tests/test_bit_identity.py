@@ -8,6 +8,12 @@ the error class and message.  The test compares the lines with
 so a refactor that moves any result by one ulp, or changes an error, fails
 there.
 
+After those groups, an area-ratio family draws its own configurations from a
+second generator: reference lines U and V (one of them based off the
+vertex), an auxiliary line, and four rays, some exactly parallel to u or v
+and some within 0, 1e-13, 1e-11 or 1e-9 of the auxiliary direction, each
+recorded through ``sigma_lambda``, ``sigma_sign`` and ``area_cross_ratio``.
+
 ``edges()`` is a fixed list of boundary calls the random sweep never reaches,
 compared with ``tests/golden/inprocess_edges.txt`` the same way: rays
 exactly parallel to u or v and within ``PAR_EPS`` of them, a vertex equal to
@@ -16,7 +22,13 @@ components and midpoints, secants parallel to an asymptote or tangent,
 kappa < 0 on general and singular frames, every radical-axis error, and the
 first-order limit with default and given t sequences, and ``sample_locus``
 at odd and even n, next to A and B, at |theta| = THETA_MAX and on frames
-scaled by 2^k.  Each error's class and message are pinned, and so is which
+scaled by 2^k.  Then the area ratios: an auxiliary line through the vertex,
+parallel to U, V or the ray (exactly and within ``PAR_EPS``), intersections
+that coincide, rays parallel to U or V, areas that underflow near the
+vertex, an intersection that overflows, and frames scaled by 2^k; and the
+radical center: identical and concentric pairs in either place, each
+finiteness guard of an axis, axes that meet out of range, and centers scaled
+by 2^k.  Each error's class and message are pinned, and so is which
 of two errors a call raises first.  A locus of more than ten samples is
 recorded as its count, its number of admissible samples and the SHA-256 of
 its formatted samples, so the golden stays small.
@@ -44,12 +56,14 @@ def _fmt(value) -> str:
         AffineMap,
         AngleResult,
         AxisHyperbola,
+        ComponentLabel,
         IsopticCurve,
         LimitReport,
         Line,
         Point,
         Ray,
         SecantResult,
+        SigmaValue,
     )
 
     if isinstance(value, bool) or value is None:
@@ -78,6 +92,10 @@ def _fmt(value) -> str:
     if isinstance(value, AxisHyperbola):
         # The derived inverse and frame center carry the zero signs of kappa < 0.
         return _fmt((value.center, value.kappa, value.frame, value._inverse, value._frame_center))
+    if isinstance(value, SigmaValue):
+        return _fmt((value.value, value.infinite))
+    if isinstance(value, ComponentLabel):
+        return value.value
     if isinstance(value, LimitReport):
         return _fmt((value.samples, value.extrapolated_limit, value.residual_order))
     if isinstance(value, (tuple, list)):
@@ -197,6 +215,35 @@ def _power_group(rng: random.Random, lines: list[str]) -> None:
     _record(lines, "radical_center", lambda: radical_center(*curves))
 
 
+def _area_group(rng: random.Random, lines: list[str]) -> None:
+    from uvangle import Line, Point, Ray, area_cross_ratio, sigma_lambda, sigma_sign
+
+    dirs = _dirs(rng)
+    u, v = dirs.u, dirs.v
+    o = _point(rng)
+    k = rng.uniform(-2.0, 2.0)
+    u_line, v_line = Line(Point(o.x + k * u.dx, o.y + k * u.dy), u), Line(o, v)
+    s = _scale(rng)
+    w = _direction(rng)
+    aux = Line(Point(o.x + s * rng.uniform(-1, 1), o.y + s * rng.uniform(-1, 1)), w)
+    rays = []
+    for _ in range(4):
+        kind = rng.random()
+        if kind < 0.1:  # exactly parallel to u or v
+            d = rng.choice((u, v)).scaled(rng.choice((-1.0, 1.0)) * _scale(rng))
+        elif kind < 0.3:  # parallel to the auxiliary line, or within e of it
+            e = rng.choice((0.0, 1e-13, 1e-11, 1e-9))
+            d = w.scaled(rng.choice((-1.0, 1.0)) * _scale(rng))
+            d = type(d)(d.dx - e * d.dy, d.dy + e * d.dx)
+        else:
+            d = _direction(rng)
+        rays.append(Ray(o, d))
+    for ray in rays[:2]:
+        _record(lines, "sigma_lambda", lambda: sigma_lambda(o, ray, u_line, v_line, aux))
+        _record(lines, "sigma_sign", lambda: sigma_sign(o, ray, u_line, v_line, aux))
+    _record(lines, "area_cross_ratio", lambda: area_cross_ratio(*rays, o, aux))
+
+
 def sweep(seed: int = SEED, groups: int = GROUPS) -> list[str]:
     rng = random.Random(seed)
     lines: list[str] = []
@@ -204,6 +251,9 @@ def sweep(seed: int = SEED, groups: int = GROUPS) -> list[str]:
         _angle_group(rng, lines)
         _isoptic_group(rng, lines)
         _power_group(rng, lines)
+    area_rng = random.Random(f"area ratios {seed}")
+    for _ in range(groups):
+        _area_group(area_rng, lines)
     return lines
 
 
@@ -571,6 +621,144 @@ def _edge_locus(lines: list[str]) -> None:
             locus(f"directions 2^{k}", spec, (3, 4, 257))
 
 
+def _edge_area(lines: list[str]) -> None:
+    from uvangle import (
+        DirectionVector,
+        Line,
+        Point,
+        Ray,
+        area_cross_ratio,
+        sigma_lambda,
+        sigma_sign,
+    )
+
+    def area(name: str, o, rays, u_line, v_line, aux) -> None:
+        for i, ray in enumerate(rays[:2]):
+            _record(lines, f"sigma_lambda {name} {i}",
+                    lambda: sigma_lambda(o, ray, u_line, v_line, aux))
+            _record(lines, f"sigma_sign {name} {i}",
+                    lambda: sigma_sign(o, ray, u_line, v_line, aux))
+        _record(lines, f"area_cross_ratio {name}", lambda: area_cross_ratio(*rays, o, aux))
+
+    def tilt(d, e: float):
+        """d turned by about e radians."""
+        return DirectionVector(d.dx - e * d.dy, d.dy + e * d.dx)
+
+    u, v = DirectionVector(2.0, 0.5), DirectionVector(-0.6, 1.5)
+    o = Point(0.5, -0.25)
+    u_line, v_line = Line(Point(o.x - 3.0 * u.dx, o.y - 3.0 * u.dy), u), Line(o, v)
+    w = DirectionVector(1.0, -2.0)
+    aux = Line(Point(3.5, 0.75), w)
+    ds = [DirectionVector(3.0, 2.0), DirectionVector(1.0, 1.5), DirectionVector(-1.0, 2.0),
+          DirectionVector(0.5, -3.0)]
+
+    def rays(*first):
+        return [Ray(o, d) for d in (*first, *ds[len(first):])]
+
+    area("general", o, rays(), u_line, v_line, aux)
+    area("reversed rays", o, rays(*(d.scaled(-1.0) for d in ds)), u_line, v_line, aux)
+    for c in (0.0, 1e-300):  # the auxiliary line through the vertex, or next to it
+        area(f"aux through the vertex {c!r}", o, rays(),
+             u_line, v_line, Line(Point(o.x + c, o.y), w))
+    for e in (0.0, 5e-11, -9e-11, 2e-10, 1e-9):
+        for name, d in (("U", u), ("V", v), ("ray", ds[0])):
+            area(f"aux parallel to {name} {e!r}", o, rays(), u_line, v_line,
+                 Line(aux.base, tilt(d, e)))
+        for name, d in (("U", u), ("V", v)):
+            area(f"ray parallel to {name} {e!r}", o, rays(tilt(d, e), tilt(d.scaled(-2.0), e)),
+                 u_line, v_line, aux)
+    # Equal rays and rays with equal intersections make entries of the cross ratio coincide.
+    for name, picked in (
+        ("equal rays 1 3", (ds[0], ds[1], ds[0], ds[3])),
+        ("equal rays 1 4", (ds[0], ds[1], ds[2], ds[0])),
+        ("equal rays 1 3, 2 4", (ds[0], ds[1], ds[0], ds[1])),
+        ("opposite rays 1 3", (ds[0], ds[1], ds[0].scaled(-0.5), ds[3])),
+        ("two rays along aux", (w, ds[1], w.scaled(-1.0), ds[3])),
+        ("rays along aux 1 4", (w, ds[1], ds[2], w.scaled(3.0))),
+    ):
+        area(name, o, rays(*picked), u_line, v_line, aux)
+
+    # The axes as U and V, the ray (1, 3) and an auxiliary line through (c, 0) along
+    # (1, -1): the areas are normal at 1e-153, subnormal at 1e-155 and 0 at 1e-170.
+    zero = Point(0.0, 0.0)
+    x_axis, y_axis = Line(zero, DirectionVector(1.0, 0.0)), Line(zero, DirectionVector(0.0, 1.0))
+    axes_rays = [Ray(zero, DirectionVector(*d)) for d in ((1.0, 3.0), (2.0, -1.0), (-1.0, 0.5),
+                                                            (3.0, 1.0))]
+    for c in (1e-153, 1e-155, 1e-162, 1e-170):
+        area(f"underflowing areas {c!r}", zero, axes_rays, x_axis, y_axis,
+             Line(Point(c, 0.0), DirectionVector(1.0, -1.0)))
+    # The auxiliary line meets U at x = 2e308, which overflows.
+    area("overflowing intersection", zero, axes_rays, x_axis, y_axis,
+         Line(Point(1e308, 1e308), DirectionVector(1.0, -1.0)))
+    area("overflowing intersection with the ray", zero, axes_rays[::-1], x_axis, y_axis,
+         Line(Point(1e308, -1e308), DirectionVector(1.0, 1.0)))
+
+    # Invalid input, in the order the tests run.
+    area("U off the vertex", o, rays(), Line(Point(o.x, o.y + 1.0), u), v_line, aux)
+    area("V off the vertex", o, rays(), u_line, Line(Point(o.x + 1.0, o.y), v), aux)
+    area("U parallel to V", o, rays(), u_line, Line(o, u.scaled(-3.0)), aux)
+    area("ray off the vertex", o, [Ray(Point(o.x, o.y + 1e-3), ds[0]), *rays()[1:]],
+         u_line, v_line, aux)
+
+    # The general configuration scaled by 2^k: its points, or its directions alone.
+    def scale_point(p, k: int):
+        return Point(math.ldexp(p.x, k), math.ldexp(p.y, k))
+
+    def scale_dir(d, k: int):
+        return DirectionVector(math.ldexp(d.dx, k), math.ldexp(d.dy, k))
+
+    for k in (-1000, -500, -35, 200, 500, 1000):
+        so = scale_point(o, k)
+        area(f"points 2^{k}", so, [Ray(so, d) for d in ds],
+             Line(scale_point(u_line.base, k), u), Line(so, v), Line(scale_point(aux.base, k), w))
+        area(f"directions 2^{k}", o, [Ray(o, scale_dir(d, k)) for d in ds],
+             Line(u_line.base, scale_dir(u, k)), Line(o, scale_dir(v, k)),
+             Line(aux.base, scale_dir(w, k)))
+
+
+def _edge_radical_center(lines: list[str]) -> None:
+    from helpers import axis_aligned
+    from uvangle import AffineMap, AxisHyperbola, DirectionVector, Point, radical_center
+
+    u, v = DirectionVector(2.0, 0.5), DirectionVector(-0.6, 1.5)
+
+    def sheared(x: float, y: float, kappa: float):
+        return AxisHyperbola.from_directions(Point(x, y), kappa, u, v)
+
+    h1, h2, h3 = sheared(0.0, 0.0, 1.0), sheared(-1.0, -0.5, 3.0), sheared(1.0, 2.0, -2.0)
+    concentric = sheared(0.0, 0.0, -1.0)
+    tiny = AffineMap(1e-150, 0.0, 0.0, 1e-150)
+    # Frames found by a seeded search: the axis direction's image underflows to (0, 0)
+    # and, below, three curves whose axes meet at a point that overflows.
+    flat = AffineMap(3.7551457753444785e+68, -4.728568580119044e+69, 4.406942894891941e-71,
+                     1.7049949610693787e-71)
+    far = [((-1.3005617495147575e+154, 4.836429586408572e+153), -1.2645158846216303e+201),
+           ((-1.999152603791369e+154, 3.383222017045992e+154), 4.500191693743872e-22),
+           ((-2.1450719443488954e+154, -8.596043113425745e+153), -8.283524348345605e+111)]
+    cases = [
+        ("identical first pair", h1, h1, h3),
+        ("identical second pair", h1, h2, h2),
+        ("concentric first pair", h1, concentric, h3),
+        ("concentric second pair", h2, h1, concentric),
+        ("axis base overflows", axis_aligned(Point(0.0, 1e308), 1.0),
+         axis_aligned(Point(0.0, -1e308), 1.0), h3),
+        ("axis direction overflows", AxisHyperbola(Point(0.0, 1e308), 1.0, tiny),
+         AxisHyperbola(Point(0.0, -1e308), 1.0, tiny), AxisHyperbola(Point(1.0, 0.0), 1.0, tiny)),
+        ("axis direction underflows", AxisHyperbola(Point(5e-324, 0.0), 1.0, flat),
+         AxisHyperbola(Point(0.0, 0.0), 1.0, flat), AxisHyperbola(Point(1.0, 0.0), 2.0, flat)),
+        ("second axis overflows", axis_aligned(Point(1.0, 2.0), -2.0),
+         axis_aligned(Point(0.0, 1e308), 1.0),
+         axis_aligned(Point(0.0, -1e308), 1.0)),
+        ("center overflows", *(sheared(x, y, kappa) for (x, y), kappa in far)),
+    ]
+    for k in (-1000, -500, 200, 500):
+        cases.append((f"centers 2^{k}", *(
+            sheared(math.ldexp(h.center.x, k), math.ldexp(h.center.y, k), h.kappa)
+            for h in (h1, h2, h3))))
+    for name, a, b, c in cases:
+        _record(lines, f"radical_center {name}", lambda: radical_center(a, b, c))
+
+
 def edges() -> list[str]:
     lines: list[str] = []
     _edge_angles(lines)
@@ -578,6 +766,8 @@ def edges() -> list[str]:
     _edge_power(lines)
     _edge_limit(lines)
     _edge_locus(lines)
+    _edge_area(lines)
+    _edge_radical_center(lines)
     return lines
 
 
