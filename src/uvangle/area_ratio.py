@@ -16,6 +16,14 @@ Sign convention: sigma is the literal quotient of signed areas, so it is
 negative precisely when P_L lies strictly between P_U and P_V.  Components
 are labelled by the sign of sigma itself; no absolute orientation of the
 plane is imposed.
+
+The ratios compute on floats.  Each intersection point is a pair of floats
+from ``kernel._line_meet``, the formula of ``intersect_lines``, with its
+errors: ParallelLines, and the ValueError of a coordinate that is not
+finite.  Direction tests call ``kernel._cross_if_independent``, and the
+distances and signed areas are written out on the coordinates, so no Line
+or Point is built per intersection, and every value and error is that of
+the ``intersect_lines``, ``distance`` and ``signed_area`` forms.
 """
 
 import enum
@@ -35,13 +43,12 @@ from .kernel import (
     Line,
     Point,
     Ray,
+    _check_finite,
+    _cross_if_independent,
     _Frozen,
+    _line_meet,
     _require_vertex,
     _slot_setters,
-    distance,
-    intersect_lines,
-    is_parallel,
-    signed_area,
 )
 
 
@@ -73,25 +80,41 @@ def _require_through(line: Line, o: Point, name: str) -> None:
         raise ValueError(f"line {name} must pass through the vertex")
 
 
+def _meet(
+    bx: float, by: float, dx: float, dy: float, ax: float, ay: float, wx: float, wy: float
+) -> tuple[float, float]:
+    """Where the line through (bx, by) along (dx, dy) meets the line through (ax, ay)
+    along (wx, wy): the floats of ``intersect_lines``, with its errors, ParallelLines
+    and the ValueError of a point coordinate that is not finite.
+    """
+    t = _line_meet(bx, by, dx, dy, ax, ay, wx, wy)
+    x, y = bx + t * dx, by + t * dy
+    if not (math.isfinite(x) and math.isfinite(y)):
+        _check_finite(x, y)
+    return x, y
+
+
 def _aux_points(
     o: Point, d: DirectionVector, u_line: Line, v_line: Line, aux: Line
-) -> tuple[Point, Point, Point]:
-    """P_U, P_V, P_L: where the auxiliary line cuts U, V and the line of the ray."""
+) -> tuple[float, float, float, float, float, float]:
+    """P_U, P_V, P_L as (x, y) pairs: where the auxiliary line cuts U, V and the line of the ray."""
+    a, w, ub, ud, vb, vd = aux.base, aux.dir, u_line.base, u_line.dir, v_line.base, v_line.dir
+    ax, ay, wx, wy = a.x, a.y, w.dx, w.dy
     try:
-        p_u = intersect_lines(u_line, aux)
-        p_v = intersect_lines(v_line, aux)
-        p_l = intersect_lines(Line(o, d), aux)
+        ux, uy = _meet(ub.x, ub.y, ud.dx, ud.dy, ax, ay, wx, wy)
+        vx, vy = _meet(vb.x, vb.y, vd.dx, vd.dy, ax, ay, wx, wy)
+        lx, ly = _meet(o.x, o.y, d.dx, d.dy, ax, ay, wx, wy)
     except ParallelLines as exc:
         raise LambdaParallel("auxiliary line misses U, V, or the ray") from exc
-    return p_u, p_v, p_l
+    return ux, uy, vx, vy, lx, ly
 
 
-def _position(p: Point, aux: Line) -> float:
-    """Position of p along the auxiliary line, in units of its direction."""
-    dd = aux.dir
-    if abs(dd.dx) >= abs(dd.dy):
-        return (p.x - aux.base.x) / dd.dx
-    return (p.y - aux.base.y) / dd.dy
+def _position(x: float, y: float, aux: Line) -> float:
+    """Position of the point (x, y) along the auxiliary line, in units of its direction."""
+    w = aux.dir
+    if abs(w.dx) >= abs(w.dy):
+        return (x - aux.base.x) / w.dx
+    return (y - aux.base.y) / w.dy
 
 
 def sigma_lambda(o: Point, ray: Ray, u_line: Line, v_line: Line, aux: Line) -> SigmaValue:
@@ -102,24 +125,28 @@ def sigma_lambda(o: Point, ray: Ray, u_line: Line, v_line: Line, aux: Line) -> S
     """
     _require_through(u_line, o, "U")
     _require_through(v_line, o, "V")
-    if is_parallel(u_line.dir, v_line.dir):
+    u, v = u_line.dir, v_line.dir
+    if _cross_if_independent(u.dx, u.dy, v.dx, v.dy) == 0.0:
         raise DegenerateConfiguration("reference lines must have independent directions")
     _require_vertex(ray, o)
     d = ray.dir
-    if is_parallel(d, u_line.dir):
+    if _cross_if_independent(d.dx, d.dy, u.dx, u.dy) == 0.0:
         return SigmaValue(0.0)
-    if is_parallel(d, v_line.dir):
+    if _cross_if_independent(d.dx, d.dy, v.dx, v.dy) == 0.0:
         return SigmaValue.infinity()
-    p_u, p_v, p_l = _aux_points(o, d, u_line, v_line, aux)
-    scale = max(distance(o, p_u), distance(o, p_v), distance(o, p_l))
+    ux, uy, vx, vy, lx, ly = _aux_points(o, d, u_line, v_line, aux)
+    ox, oy = o.x, o.y
+    hypot = math.hypot
+    scale = max(hypot(ux - ox, uy - oy), hypot(vx - ox, vy - oy), hypot(lx - ox, ly - oy))
     if (
-        distance(p_l, p_u) <= REL_EPS * scale
-        or distance(p_l, p_v) <= REL_EPS * scale
-        or distance(p_u, p_v) <= REL_EPS * scale
+        hypot(ux - lx, uy - ly) <= REL_EPS * scale
+        or hypot(vx - lx, vy - ly) <= REL_EPS * scale
+        or hypot(vx - ux, vy - uy) <= REL_EPS * scale
     ):
         raise CoincidentIntersection("intersection points on the auxiliary line coincide")
-    num = signed_area(o, p_l, p_u)
-    den = signed_area(o, p_l, p_v)
+    # The signed areas [O P_L P_U] and [O P_L P_V], each half a cross product.
+    num = 0.5 * ((lx - ox) * (uy - oy) - (ly - oy) * (ux - ox))
+    den = 0.5 * ((lx - ox) * (vy - oy) - (ly - oy) * (vx - ox))
     if abs(den) <= ABS_EPS * scale * scale:
         raise CoincidentIntersection("degenerate area in the ratio denominator")
     return SigmaValue(num / den)
@@ -130,10 +157,12 @@ def sigma_sign(o: Point, ray: Ray, u_line: Line, v_line: Line, aux: Line) -> Com
     _require_through(u_line, o, "U")
     _require_through(v_line, o, "V")
     _require_vertex(ray, o)
-    d = ray.dir
-    if is_parallel(d, u_line.dir) or is_parallel(d, v_line.dir):
+    d, u, v = ray.dir, u_line.dir, v_line.dir
+    if (_cross_if_independent(d.dx, d.dy, u.dx, u.dy) == 0.0
+            or _cross_if_independent(d.dx, d.dy, v.dx, v.dy) == 0.0):
         return ComponentLabel.SINGULAR
-    t_u, t_v, t_l = (_position(p, aux) for p in _aux_points(o, d, u_line, v_line, aux))
+    ux, uy, vx, vy, lx, ly = _aux_points(o, d, u_line, v_line, aux)
+    t_u, t_v, t_l = _position(ux, uy, aux), _position(vx, vy, aux), _position(lx, ly, aux)
     span = max(abs(t_u - t_v), abs(t_l - t_u), abs(t_l - t_v))
     if min(abs(t_l - t_u), abs(t_l - t_v), abs(t_u - t_v)) <= REL_EPS * span:
         return ComponentLabel.SINGULAR
@@ -143,11 +172,12 @@ def sigma_sign(o: Point, ray: Ray, u_line: Line, v_line: Line, aux: Line) -> Com
 
 def _projective_param(ray: Ray, aux: Line) -> tuple[float, float]:
     """Position of the ray-line's intersection along ``aux`` as a projective pair."""
+    r, d, a, w = ray.origin, ray.dir, aux.base, aux.dir
     try:
-        p = intersect_lines(Line(ray.origin, ray.dir), aux)
+        x, y = _meet(r.x, r.y, d.dx, d.dy, a.x, a.y, w.dx, w.dy)
     except ParallelLines:  # the ray's line meets aux at infinity
         return (1.0, 0.0)
-    return (_position(p, aux), 1.0)
+    return (_position(x, y, aux), 1.0)
 
 
 def area_cross_ratio(l1: Ray, l2: Ray, r1: Ray, r2: Ray, o: Point, aux: Line) -> float:

@@ -9,16 +9,20 @@ test goes through one float predicate, ``_cross_if_independent``, which
 takes coordinates and returns the cross product, or 0.0 when the sine is at
 most PAR_EPS, so no caller computes the cross product twice.  It compares
 products of the coordinates, so it is scale invariant while those products stay
-representable (not for directions scaled by 2^1000 or 2^-1000).  The query
-paths of the package compute on floats and build no intermediate values;
-where such a value's constructor would have raised on a state that valid
-inputs can reach, they raise its error.  They apply a map through
-``_map_point`` and ``_map_direction``, which raise the finiteness and
-underflow errors; only ``sample_locus``'s per-sample loop,
-``normalize_configuration``, ``compose_maps``, ``power._monic_in_frame``,
-``AffineMap.apply_linear`` and ``radical_axis``'s direction multiply a map
-out inline.  The (u, v) frame of the reference directions (``basis_map``,
-kept by ``DirectionPair``), the (u, v) slope of a ray with its vertex checks
+representable (not for directions scaled by 2^1000 or 2^-1000).  Two lines
+meet through one formula, ``_line_meet``, which takes coordinates and
+returns the parameter of the meeting point on the first line;
+``intersect_lines``, the area ratios and ``power.radical_center`` all call
+it.  The query paths of the package, the area ratios and the radical center
+included, compute on floats and build no intermediate values; where such a
+value's constructor would have raised on a state that valid inputs can
+reach, they raise its error.  They apply a map through ``_map_point`` and
+``_map_direction``, which raise the finiteness and underflow errors; only
+``sample_locus``'s per-sample loop, ``normalize_configuration``,
+``compose_maps``, ``power._monic_in_frame``, ``AffineMap.apply_linear`` and
+``power._radical_line``'s direction multiply a map out inline.  The (u, v)
+frame of the reference directions (``basis_map``, kept by
+``DirectionPair``), the (u, v) slope of a ray with its vertex checks
 (``_slope``, ``_slope_pair``, ``_require_vertex``) and the slope form of the
 angle live here.  All operations are pure, so everything here is safe to
 share freely between threads.
@@ -307,13 +311,24 @@ def signed_area(x: Point, y: Point, z: Point) -> float:
     return 0.5 * ((y.x - x.x) * (z.y - x.y) - (y.y - x.y) * (z.x - x.x))
 
 
-def intersect_lines(l1: Line, l2: Line) -> Point:
-    den = _cross_if_independent(l1.dir.dx, l1.dir.dy, l2.dir.dx, l2.dir.dy)
+def _line_meet(
+    bx1: float, by1: float, dx1: float, dy1: float, bx2: float, by2: float, dx2: float, dy2: float
+) -> float:
+    """The t at which the point (bx1 + t*dx1, by1 + t*dy1) lies on the line through (bx2, by2)
+    along (dx2, dy2): the one line-meet formula, on floats.
+
+    Raises ParallelLines when the directions are parallel within PAR_EPS.
+    """
+    den = _cross_if_independent(dx1, dy1, dx2, dy2)
     if den == 0.0:
         raise ParallelLines("lines are parallel within tolerance")
-    ox, oy = l2.base.x - l1.base.x, l2.base.y - l1.base.y
-    t = (ox * l2.dir.dy - oy * l2.dir.dx) / den
-    return l1.point_at(t)
+    ox, oy = bx2 - bx1, by2 - by1
+    return (ox * dy2 - oy * dx2) / den
+
+
+def intersect_lines(l1: Line, l2: Line) -> Point:
+    b1, d1, b2, d2 = l1.base, l1.dir, l2.base, l2.dir
+    return l1.point_at(_line_meet(b1.x, b1.y, d1.dx, d1.dy, b2.x, b2.y, d2.dx, d2.dy))
 
 
 def invert_map(t: AffineMap) -> AffineMap:

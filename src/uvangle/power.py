@@ -39,6 +39,7 @@ from .kernel import (
     _check_finite,
     _cross_if_independent,
     _Frozen,
+    _line_meet,
     _map_direction,
     _map_point,
     _slot_setters,
@@ -239,13 +240,12 @@ def _monic_in_frame(h: AxisHyperbola, other: AxisHyperbola) -> tuple[float, floa
     raise NonLinearDifference("hyperbolas do not share an asymptote direction pair")
 
 
-def radical_axis(h1: AxisHyperbola, h2: AxisHyperbola) -> Line:
-    """Zero set of the difference of the two monic defining quadratics.
+def _radical_line(h1: AxisHyperbola, h2: AxisHyperbola) -> tuple[float, float, float, float]:
+    """Base point and direction of ``radical_axis(h1, h2)``, as plane coordinates (bx, by, dx, dy).
 
-    Both curves are expressed in the frame of the first one; the product
-    terms cancel, leaving a line on which the two core quantities agree.
-    When the curves intersect, the line carries the common chord (or the
-    common tangent at a tangency point).
+    Raises the errors of the Line that ``radical_axis`` builds from them: a
+    direction coordinate that is not finite, or a direction that underflows
+    to 0, raises the ValueError of DirectionVector.
     """
     e1x, e1y, e10 = _monic_in_frame(h1, h1)
     e2x, e2y, e20 = _monic_in_frame(h2, h1)
@@ -267,20 +267,38 @@ def radical_axis(h1: AxisHyperbola, h2: AxisHyperbola) -> Line:
         _check_finite(bx, by, dx, dy)
     g = h1._inverse
     px, py = _map_point(g, bx, by)
-    return Line(Point(px, py), DirectionVector(g.xx * dx + g.xy * dy, g.yx * dx + g.yy * dy))
+    wx, wy = g.xx * dx + g.xy * dy, g.yx * dx + g.yy * dy
+    if not (math.isfinite(wx) and math.isfinite(wy)):
+        _check_finite(wx, wy)
+    if wx == 0.0 and wy == 0.0:  # (dx, dy) is nonzero and g invertible: only by underflow
+        raise ValueError("direction vector must be nonzero")
+    return px, py, wx, wy
+
+
+def radical_axis(h1: AxisHyperbola, h2: AxisHyperbola) -> Line:
+    """Zero set of the difference of the two monic defining quadratics.
+
+    Both curves are expressed in the frame of the first one; the product
+    terms cancel, leaving a line on which the two core quantities agree.
+    When the curves intersect, the line carries the common chord (or the
+    common tangent at a tangency point).
+    """
+    bx, by, dx, dy = _radical_line(h1, h2)
+    return Line(Point(bx, by), DirectionVector(dx, dy))
 
 
 def radical_center(h1: AxisHyperbola, h2: AxisHyperbola, h3: AxisHyperbola) -> Point:
     """Common point of the three pairwise radical axes: the meet of (h1, h2)'s and (h2, h3)'s."""
     try:
-        l12 = radical_axis(h1, h2)
-        l23 = radical_axis(h2, h3)
+        bx, by, dx, dy = _radical_line(h1, h2)
+        line23 = _radical_line(h2, h3)
     except EmptyRadicalAxis as exc:
         raise ParallelAxes("a pairwise radical axis is empty") from exc
     try:
-        return intersect_lines(l12, l23)
+        t = _line_meet(bx, by, dx, dy, *line23)
     except ParallelLines as exc:
         raise ParallelAxes("radical axes are parallel") from exc
+    return Point(bx + t * dx, by + t * dy)
 
 
 def _shoelace(points: list[Point]) -> float:

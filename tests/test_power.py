@@ -567,9 +567,15 @@ def test_rescaling_u_or_v_keeps_the_frame_invertible():
             AxisHyperbola(Point(0.0, 0.0), 1.0, AffineMap(7e-155, 0.0, 0.0, 7e-155)),
             AxisHyperbola(Point(0.0, 0.0), 2.0, AffineMap(1.34e154, 0.0, 0.0, 1.34e154))), "inf"),
         # Centers at +-1e308: the linear coefficient ex = -1e308 - 1e308 overflows.
-        ("radical_axis", lambda: radical_axis(
+        ("_radical_line", lambda: radical_axis(
             axis_aligned(Point(0.0, 1e308), 1.0),
             axis_aligned(Point(0.0, -1e308), 1.0)), "-inf"),
+        # On frames scaling by 1e-150 the coefficients stay finite, and the axis direction's
+        # plane image, about the centers' difference 2e308, overflows.
+        ("_radical_line", lambda: radical_center(
+            AxisHyperbola(Point(0.0, -1e308), 1.0, AffineMap(1e-150, 0.0, 0.0, 1e-150)),
+            AxisHyperbola(Point(0.0, 1e308), 1.0, AffineMap(1e-150, 0.0, 0.0, 1e-150)),
+            AxisHyperbola(Point(1.0, 0.0), 1.0, AffineMap(1e-150, 0.0, 0.0, 1e-150))), "inf"),
     ],
 )
 def test_power_finiteness_guards_name_the_overflow(monkeypatch, guard, call, bad):
