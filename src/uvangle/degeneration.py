@@ -20,6 +20,8 @@ class SlopePair(_Frozen):
     def __init__(self, m1: float, m2: float) -> None:
         if m1 == 0.0 or m2 == 0.0:
             raise ValueError("slopes must be nonzero")
+        if not (math.isfinite(m1) and math.isfinite(m2)):
+            raise ValueError(f"slopes must be finite, got {m1 if not math.isfinite(m1) else m2!r}")
         _set_slopes_m1(self, m1)
         _set_slopes_m2(self, m2)
 
@@ -75,7 +77,7 @@ def first_order_limit(m: SlopePair, t_sequence: list[float] | None = None) -> Li
     if not t_sequence:
         raise ValueError("t_sequence must be nonempty")
     for t in t_sequence:
-        if t <= 0.0:
+        if not t > 0.0:  # a NaN t fails this test too
             raise ValueError("t values must be positive")
     previous = math.nan  # no t compares >= nan, so the first one passes
     for t in t_sequence:

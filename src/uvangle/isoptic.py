@@ -219,6 +219,7 @@ def isoptic_point(theta: float, t: float) -> Point:
 
 def reflect_branch(p: Point, theta: float) -> Point:
     """Central reflection mapping the parametrized branch onto the second branch."""
+    _require_theta_min(theta)
     beta = 1.0 / math.tanh(theta)
     return Point(-p.x, -p.y - 2.0 * beta)
 

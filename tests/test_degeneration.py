@@ -61,6 +61,19 @@ def test_slope_pair_validation():
         SlopePair(0.0, 1.0)
 
 
+def test_slope_pair_rejects_non_finite_slopes():
+    # A NaN slope would give first_order_limit a NaN limit with no error.
+    # The zero test comes first, then the first non-finite slope is named.
+    for m1, m2, message in (
+        (math.nan, 1.0, "slopes must be finite, got nan"),
+        (2.0, math.inf, "slopes must be finite, got inf"),
+        (-math.inf, math.nan, "slopes must be finite, got -inf"),
+        (0.0, math.nan, "slopes must be nonzero"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SlopePair(m1, m2)
+
+
 def test_limit_equal_slopes_is_zero():
     report = first_order_limit(SlopePair(3.0, 3.0))
     assert all(v == 0.0 for _, v in report.samples)
@@ -118,6 +131,13 @@ def test_limit_sequence_reports_the_first_rule_it_breaks():
         with pytest.raises(ValueError, match=f"^{message}$"):
             first_order_limit(m, ts)
     assert first_order_limit(m) == first_order_limit(m, list(_DEFAULT_T_SEQUENCE))
+
+
+def test_limit_sequence_rejects_nan_t():
+    # No comparison holds for NaN, so the positivity test is written to fail for it.
+    for ts in ([0.01, math.nan], [math.nan], [math.nan, 0.01]):
+        with pytest.raises(ValueError, match="^t values must be positive$"):
+            first_order_limit(SlopePair(2.0, 1.0), ts)
 
 
 def test_log_expansion_third_order():

@@ -146,6 +146,15 @@ def test_theta_too_small():
         isoptic_point(1e-7, 0.1)
 
 
+def test_reflect_branch_checks_theta_min():
+    # 1/tanh(theta) is inf at +-0.0 and overflows at 1e-320; the reason is the size of theta.
+    p = isoptic_point(1.0, 0.5)
+    for theta in (0.0, -0.0, 1e-320, -1e-320, math.nextafter(THETA_MIN, 0.0)):
+        with pytest.raises(ThetaTooSmall, match=r"^\|theta\| must be at least 1e-06$"):
+            reflect_branch(p, theta)
+    assert reflect_branch(p, THETA_MIN).x == -p.x
+
+
 def test_theta_above_max_cannot_be_sampled():
     spec = canonical_spec(THETA_MAX)
     assert len(sample_locus(spec, 4)) == 4
