@@ -243,9 +243,9 @@ def _monic_in_frame(h: AxisHyperbola, other: AxisHyperbola) -> tuple[float, floa
 def _radical_line(h1: AxisHyperbola, h2: AxisHyperbola) -> tuple[float, float, float, float]:
     """Base point and direction of ``radical_axis(h1, h2)``, as plane coordinates (bx, by, dx, dy).
 
-    Raises the errors of the Line that ``radical_axis`` builds from them: a
-    direction coordinate that is not finite, or a direction that underflows
-    to 0, raises the ValueError of DirectionVector.
+    Raises every error of ``radical_axis``, in its order: the direction is
+    tested as DirectionVector tests it, with its messages, so a coordinate
+    that is not finite, or both underflowing to 0, raises its ValueError.
     """
     e1x, e1y, e10 = _monic_in_frame(h1, h1)
     e2x, e2y, e20 = _monic_in_frame(h2, h1)

@@ -14,10 +14,9 @@ unmutated baseline runs it.
     python tests/mutate_raises.py                  # every raise, then the survivors
     python tests/mutate_raises.py kernel.py power.py
 
-A full sweep runs the suite about once per raise: 79 raises took 7 minutes
-on a 2-vCPU machine and ``kernel.py`` alone, 23 raises, 2.5 minutes, when
-``tests/test_golden.py`` still ran among the rest.  ``cli.py``, 8 raises,
-takes 54 s, against 56 s with that order.  pytest does not collect this
+A full sweep runs the suite about once per raise: 81 raises took 4.5
+minutes on a 2-vCPU machine, ``kernel.py`` alone, 23 raises, 1.6 minutes,
+and ``cli.py``, 8 raises, 1.1 minutes.  pytest does not collect this
 file; ``test_mutate_raises.py`` checks one known guard with it.
 """
 
