@@ -216,7 +216,15 @@ def _power_group(rng: random.Random, lines: list[str]) -> None:
 
 
 def _area_group(rng: random.Random, lines: list[str]) -> None:
-    from uvangle import Line, Point, Ray, area_cross_ratio, sigma_lambda, sigma_sign
+    from uvangle import (
+        DirectionVector,
+        Line,
+        Point,
+        Ray,
+        area_cross_ratio,
+        sigma_lambda,
+        sigma_sign,
+    )
 
     dirs = _dirs(rng)
     u, v = dirs.u, dirs.v
@@ -234,7 +242,7 @@ def _area_group(rng: random.Random, lines: list[str]) -> None:
         elif kind < 0.3:  # parallel to the auxiliary line, or within e of it
             e = rng.choice((0.0, 1e-13, 1e-11, 1e-9))
             d = w.scaled(rng.choice((-1.0, 1.0)) * _scale(rng))
-            d = type(d)(d.dx - e * d.dy, d.dy + e * d.dx)
+            d = DirectionVector(d.dx - e * d.dy, d.dy + e * d.dx)
         else:
             d = _direction(rng)
         rays.append(Ray(o, d))
