@@ -211,4 +211,8 @@ def area_cross_ratio(l1: Ray, l2: Ray, r1: Ray, r2: Ray, o: Point, aux: Line) ->
         raise UndefinedCrossRatio("coinciding entries make the cross ratio 0/0")
     if den_zero:
         return math.inf if num > 0 else -math.inf
+    if den == 0.0:  # no determinant is zero against its own scale: the product underflows
+        raise ValueError(
+            f"the determinant products underflow: d13*d24 = {num!r}, d23*d14 = {den!r}"
+        )
     return num / den

@@ -9,7 +9,7 @@ slope form of the angle, kernel.slope_cross_ratio_angle, lives beside the
 import math
 
 from .errors import PoleAtT
-from .kernel import ABS_EPS, RESIDUAL_FLOOR, _Frozen, _slot_setters
+from .kernel import ABS_EPS, RESIDUAL_FLOOR, _check_finite_slopes, _Frozen, _slot_setters
 
 _DEFAULT_T_SEQUENCE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
@@ -21,7 +21,7 @@ class SlopePair(_Frozen):
         if m1 == 0.0 or m2 == 0.0:
             raise ValueError("slopes must be nonzero")
         if not (math.isfinite(m1) and math.isfinite(m2)):
-            raise ValueError(f"slopes must be finite, got {m1 if not math.isfinite(m1) else m2!r}")
+            _check_finite_slopes(m1, m2)
         _set_slopes_m1(self, m1)
         _set_slopes_m2(self, m2)
 
@@ -49,13 +49,26 @@ _set_report_samples, _set_report_extrapolated_limit, _set_report_residual_order 
 
 
 def degenerate_cross_ratio(m: SlopePair, t: float) -> float:
-    """((1 - m1 t)(1 + m2 t)) / ((1 + m1 t)(1 - m2 t))."""
+    """((1 - m1 t)(1 + m2 t)) / ((1 + m1 t)(1 - m2 t)).
+
+    Raises PoleAtT when a factor is within ABS_EPS of 0 against its scale,
+    and OverflowError naming the product of two factors that overflows.
+    """
     m1t, m2t = m.m1 * t, m.m2 * t
     f1, f2, f3, f4 = 1.0 - m1t, 1.0 + m2t, 1.0 + m1t, 1.0 - m2t
     floor = ABS_EPS * max(1.0, abs(m1t), abs(m2t))
     if abs(f1) <= floor or abs(f2) <= floor or abs(f3) <= floor or abs(f4) <= floor:
         raise PoleAtT(f"t = {t!r} hits a pole or zero of the cross ratio")
-    return (f1 * f2) / (f3 * f4)
+    num, den = f1 * f2, f3 * f4
+    ratio = num / den
+    # Each factor is at least ABS_EPS times the largest |m t|, so with both
+    # products finite the ratio is finite and nonzero: this screen, True for
+    # 0, +-inf and nan, costs the success path two comparisons.
+    if ratio == 0.0 or ratio * 0.0 != 0.0:
+        for name, value in (("(1 - m1 t)(1 + m2 t)", num), ("(1 + m1 t)(1 - m2 t)", den)):
+            if math.isinf(value):
+                raise OverflowError(f"t = {t!r}: the product {name} = {value!r} overflows")
+    return ratio
 
 
 def first_order_limit(m: SlopePair, t_sequence: list[float] | None = None) -> LimitReport:

@@ -80,9 +80,12 @@ class ConicCoefficients(_Frozen):
 
     Stored normalized: the largest-magnitude coefficient has magnitude 1 and
     the sign is fixed so that c_xx >= 0 (next nonzero positive when c_xx = 0).
+    A one-slot type: ``_c`` holds the six coefficients in the constructor's
+    order, and ``as_tuple`` returns it.
     """
 
-    __slots__ = ("c_xx", "c_xy", "c_yy", "c_x", "c_y", "c_0")
+    __slots__ = ("_c",)
+    _fields = ("c_xx", "c_xy", "c_yy", "c_x", "c_y", "c_0")
 
     def __init__(
         self, c_xx: float, c_xy: float, c_yy: float, c_x: float, c_y: float, c_0: float
@@ -98,14 +101,16 @@ class ConicCoefficients(_Frozen):
                 if c < 0.0:
                     coeffs = [-x for x in coeffs]
                 break
-        for store, value in zip(_CONIC_SETTERS, coeffs):
-            store(self, float(value))
+        _set_conic(self, tuple([float(c) for c in coeffs]))
+
+    def _values(self) -> tuple:
+        return self._c
 
     def as_tuple(self) -> tuple[float, float, float, float, float, float]:
-        return (self.c_xx, self.c_xy, self.c_yy, self.c_x, self.c_y, self.c_0)
+        return self._c
 
 
-_CONIC_SETTERS = _slot_setters(ConicCoefficients)
+(_set_conic,) = _slot_setters(ConicCoefficients)
 
 
 class IsopticCurve(_Frozen):
@@ -131,11 +136,13 @@ _set_curve_normalized_conic, _set_curve_beta, _set_curve_frame, _set_curve_origi
 
 def _pullback_conic(conic: ConicCoefficients, t: AffineMap) -> ConicCoefficients:
     """Coefficients of x |-> conic(t(x)): the congruence H^T C H of the symmetric matrices."""
-    h = ((t.xx, t.xy, t.tx), (t.yx, t.yy, t.ty), (0.0, 0.0, 1.0))
+    xx, xy, yx, yy, tx, ty = t._m
+    c_xx, c_xy, c_yy, c_x, c_y, c_0 = conic._c
+    h = ((xx, xy, tx), (yx, yy, ty), (0.0, 0.0, 1.0))
     c = (
-        (conic.c_xx, conic.c_xy / 2.0, conic.c_x / 2.0),
-        (conic.c_xy / 2.0, conic.c_yy, conic.c_y / 2.0),
-        (conic.c_x / 2.0, conic.c_y / 2.0, conic.c_0),
+        (c_xx, c_xy / 2.0, c_x / 2.0),
+        (c_xy / 2.0, c_yy, c_y / 2.0),
+        (c_x / 2.0, c_y / 2.0, c_0),
     )
     ch = [[sum(c[i][k] * h[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
 
@@ -152,8 +159,9 @@ def conic_center(conic: ConicCoefficients) -> Point:
     order LAPACK uses, so an exactly zero coordinate keeps the sign a
     LAPACK solve gives it.
     """
-    a, b, c = 2.0 * conic.c_xx, conic.c_xy, 2.0 * conic.c_yy
-    r0, r1 = -conic.c_x, -conic.c_y
+    c_xx, c_xy, c_yy, c_x, c_y, _ = conic._c
+    a, b, c = 2.0 * c_xx, c_xy, 2.0 * c_yy
+    r0, r1 = -c_x, -c_y
     if abs(b) > abs(a):
         (p00, p01, q0), (p10, p11, q1) = (b, c, r1), (a, b, r0)
     else:
@@ -175,7 +183,7 @@ def asymptote_directions(conic: ConicCoefficients) -> tuple[DirectionVector, Dir
     (q, a) and (c, q) are null; q is nonzero whenever the discriminant is
     positive, so neither form divides.
     """
-    a, b, c = conic.c_xx, conic.c_xy, conic.c_yy
+    a, b, c, _, _, _ = conic._c
     disc = b * b - 4.0 * a * c
     if disc <= 0.0:
         raise ValueError("quadratic part has no two real null directions")
@@ -310,8 +318,7 @@ def sample_locus(spec: IsopticSpec, n: int) -> list[tuple[Point, bool]]:
     theta = spec.theta
     _require_theta_min(theta)
     _require_theta_max(theta)
-    f = spec._frame
-    fxx, fxy, fyx, fyy, ftx, fty = f.xx, f.xy, f.yx, f.yy, f.tx, f.ty
+    fxx, fxy, fyx, fyy, ftx, fty = spec._frame._m
     sinh, cosh, new = math.sinh, math.cosh, object.__new__
     sh, beta = sinh(theta), 1.0 / math.tanh(theta)
     span = abs(theta) + 2.0

@@ -37,13 +37,20 @@ underscore) keep the maps a constructor builds while validating its fields,
 so that no consumer builds them again; they take no part in equality,
 hashing, the repr or pickling, and a copy rebuilds them.  Constructors store
 each slot through its descriptor's bound setter, which ``_slot_setters``
-binds once per class at import.  ``Point``, ``DirectionVector`` and
-``AffineMap`` test their fields with ``math.isfinite`` inline and call
-``_check_finite`` only when a test fails, for the ValueError that names the
-first non-finite value.  ``sample_locus`` is the one place that builds
-``Point``s past the constructor, with ``object.__new__`` and the slot
-setters; ``IsopticSpec``'s documented bound keeps every sample finite, so
-the skipped tests could never fail there.
+binds once per class at import.  ``AffineMap`` and ``ConicCoefficients``
+are one-slot types: each keeps its six entries as one tuple in one private
+slot (``_m``, ``_c``), because every reader in the package takes all of
+them at once.  A constructor then makes one store instead of six, and a
+reader one slot load and one tuple unpack; the entries by name are
+read-only properties, for callers outside the package.  The other types
+keep a slot per field, whose reads CPython 3.11 specializes and a
+property's do not.  ``Point``, ``DirectionVector`` and ``AffineMap`` test
+their fields with ``math.isfinite`` inline and call ``_check_finite`` only
+when a test fails, for the ValueError that names the first non-finite
+value.  ``sample_locus`` is the one place that builds ``Point``s past the
+constructor, with ``object.__new__`` and the slot setters;
+``IsopticSpec``'s documented bound keeps every sample finite, so the
+skipped tests could never fail there.
 """
 
 import math
@@ -84,16 +91,26 @@ def _check_finite(*values: float) -> None:
 
 
 class _Frozen:
-    """Base of the immutable value types; the fields are the public ``__slots__`` names.
+    """Base of the immutable value types.
 
-    Subclasses store fields and derived ``_`` slots in ``__init__`` through
-    the setters ``_slot_setters`` returns.
+    The fields are the public ``__slots__`` names, unless the class declares
+    ``_fields`` itself.  Then it is a one-slot type: it keeps the field values
+    as one tuple, in ``_fields`` order, in its only slot, its ``_values``
+    returns that tuple, and each field is a read-only property, generated
+    here, that indexes it.  Subclasses store fields and derived ``_`` slots
+    in ``__init__`` through the setters ``_slot_setters`` returns.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        if "_fields" not in cls.__dict__:
+            cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+            return
+        (slot,) = cls.__slots__
+        get = cls.__dict__[slot].__get__
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(lambda self, i=i: get(self)[i]))
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -241,9 +258,14 @@ _set_ray_origin, _set_ray_dir = _slot_setters(Ray)
 
 
 class AffineMap(_Frozen):
-    """x |-> linear * x + translation with linear part [[xx, xy], [yx, yy]]."""
+    """x |-> linear * x + translation with linear part [[xx, xy], [yx, yy]].
 
-    __slots__ = ("xx", "xy", "yx", "yy", "tx", "ty")
+    A one-slot type: ``_m`` holds (xx, xy, yx, yy, tx, ty), the constructor's
+    arguments in order, so ``AffineMap(*m._m) == m``.
+    """
+
+    __slots__ = ("_m",)
+    _fields = ("xx", "xy", "yx", "yy", "tx", "ty")
 
     def __init__(
         self, xx: float, xy: float, yx: float, yy: float, tx: float = 0.0, ty: float = 0.0
@@ -253,12 +275,10 @@ class AffineMap(_Frozen):
             and math.isfinite(yy) and math.isfinite(tx) and math.isfinite(ty)
         ):
             _check_finite(xx, xy, yx, yy, tx, ty)
-        _set_map_xx(self, xx)
-        _set_map_xy(self, xy)
-        _set_map_yx(self, yx)
-        _set_map_yy(self, yy)
-        _set_map_tx(self, tx)
-        _set_map_ty(self, ty)
+        _set_map(self, (xx, xy, yx, yy, tx, ty))
+
+    def _values(self) -> tuple:
+        return self._m
 
     @classmethod
     def translation(cls, dx: float, dy: float) -> "AffineMap":
@@ -270,23 +290,24 @@ class AffineMap(_Frozen):
 
     @property
     def det(self) -> float:
-        return self.xx * self.yy - self.xy * self.yx
+        xx, xy, yx, yy, _, _ = self._m
+        return xx * yy - xy * yx
 
     def apply_linear(self, d: DirectionVector) -> DirectionVector:
-        return DirectionVector(self.xx * d.dx + self.xy * d.dy, self.yx * d.dx + self.yy * d.dy)
+        xx, xy, yx, yy, _, _ = self._m
+        return DirectionVector(xx * d.dx + xy * d.dy, yx * d.dx + yy * d.dy)
 
     def apply_point(self, p: Point) -> Point:
         return Point(*_map_point(self, p.x, p.y))
 
 
-_set_map_xx, _set_map_xy, _set_map_yx, _set_map_yy, _set_map_tx, _set_map_ty = (
-    _slot_setters(AffineMap)
-)
+(_set_map,) = _slot_setters(AffineMap)
 
 
 def _map_point(f: AffineMap, x: float, y: float) -> tuple[float, float]:
     """f's image of the point (x, y); ValueError naming a non-finite image coordinate."""
-    ix, iy = f.xx * x + f.xy * y + f.tx, f.yx * x + f.yy * y + f.ty
+    xx, xy, yx, yy, tx, ty = f._m
+    ix, iy = xx * x + xy * y + tx, yx * x + yy * y + ty
     if not (math.isfinite(ix) and math.isfinite(iy)):
         _check_finite(ix, iy)
     return ix, iy
@@ -298,7 +319,8 @@ def _map_direction(f: AffineMap, dx: float, dy: float) -> tuple[float, float]:
     Raises ValueError when an image coordinate is not finite, or when both
     underflow to 0, which only underflow can do.
     """
-    ix, iy = f.xx * dx + f.xy * dy, f.yx * dx + f.yy * dy
+    xx, xy, yx, yy, _, _ = f._m
+    ix, iy = xx * dx + xy * dy, yx * dx + yy * dy
     if not (math.isfinite(ix) and math.isfinite(iy)):
         _check_finite(ix, iy)
     if ix == 0.0 and iy == 0.0:
@@ -339,26 +361,29 @@ def invert_map(t: AffineMap) -> AffineMap:
     well-conditioned map of any scale inverts, unless det itself overflows:
     that raises OverflowError.
     """
-    det = t.det
-    if abs(det) <= ABS_EPS * math.hypot(t.xx, t.xy) * math.hypot(t.yx, t.yy):
+    axx, axy, ayx, ayy, atx, aty = t._m
+    det = axx * ayy - axy * ayx
+    if abs(det) <= ABS_EPS * math.hypot(axx, axy) * math.hypot(ayx, ayy):
         raise SingularMap(f"linear part is singular (det = {det!r})")
     if not math.isfinite(det):  # the inverse's entries would divide down to 0, or to nan
         raise OverflowError(f"linear part's determinant overflows: det = {det!r}")
-    xx, xy, yx, yy = t.yy / det, -t.xy / det, -t.yx / det, t.xx / det
-    tx = -(xx * t.tx + xy * t.ty)
-    ty = -(yx * t.tx + yy * t.ty)
+    xx, xy, yx, yy = ayy / det, -axy / det, -ayx / det, axx / det
+    tx = -(xx * atx + xy * aty)
+    ty = -(yx * atx + yy * aty)
     return AffineMap(xx, xy, yx, yy, tx, ty)
 
 
 def compose_maps(t1: AffineMap, t2: AffineMap) -> AffineMap:
     """Composition t1 after t2: (t1 . t2)(x) = t1(t2(x))."""
+    axx, axy, ayx, ayy, atx, aty = t1._m
+    bxx, bxy, byx, byy, btx, bty = t2._m
     return AffineMap(
-        t1.xx * t2.xx + t1.xy * t2.yx,
-        t1.xx * t2.xy + t1.xy * t2.yy,
-        t1.yx * t2.xx + t1.yy * t2.yx,
-        t1.yx * t2.xy + t1.yy * t2.yy,
-        t1.xx * t2.tx + t1.xy * t2.ty + t1.tx,
-        t1.yx * t2.tx + t1.yy * t2.ty + t1.ty,
+        axx * bxx + axy * byx,
+        axx * bxy + axy * byy,
+        ayx * bxx + ayy * byx,
+        ayx * bxy + ayy * byy,
+        axx * btx + axy * bty + atx,
+        ayx * btx + ayy * bty + aty,
     )
 
 
@@ -450,18 +475,30 @@ def _same_sign(m_a: float, m_b: float) -> bool:
     return (m_a > 0.0 and m_b > 0.0) or (m_a < 0.0 and m_b < 0.0)
 
 
+def _check_finite_slopes(m1: float, m2: float) -> None:
+    for m in (m1, m2):
+        if not math.isfinite(m):
+            raise ValueError(f"slopes must be finite, got {m!r}")
+
+
 def slope_cross_ratio_angle(m1: float, m2: float) -> float:
     """Half the log of the slope ratio: the angle between rays of (u, v) slopes m1, m2.
 
-    Raises ComponentMismatch when the slopes differ in sign, and OverflowError
-    or ValueError when m1/m2 overflows or underflows to 0.
+    Raises ValueError naming the first slope that is not finite,
+    ComponentMismatch when the slopes differ in sign, and OverflowError or
+    ValueError when m1/m2 overflows or underflows to 0.  A slope that is not
+    finite fails the sign test or gives a ratio that is infinite, 0 or nan,
+    so only those branches test finiteness.
     """
     if not _same_sign(m1, m2):
+        _check_finite_slopes(m1, m2)
         raise ComponentMismatch("slopes must have the same sign")
     ratio = m1 / m2
     if math.isinf(ratio):
+        _check_finite_slopes(m1, m2)
         raise OverflowError("m1/m2 overflows")
-    if ratio == 0.0:
+    if not ratio > 0.0:  # 0.0, or nan from inf/inf
+        _check_finite_slopes(m1, m2)
         raise ValueError("m1/m2 underflows to 0")
     return 0.5 * math.log(ratio)
 
@@ -488,8 +525,8 @@ def normalize_configuration(a: Point, b: Point, dirs: DirectionPair) -> AffineMa
     # With (s, t) the (u, v) coordinates of h, the linear part sends (u, v)
     # coordinates (x, y) to (x/(2s) + y/(2t), x/(2s) - y/(2t)); it is composed
     # with the (u, v) frame here, entry by entry.
-    f = dirs._basis
-    s, t = f.xx * hx + f.xy * hy, f.yx * hx + f.yy * hy
+    fxx, fxy, fyx, fyy, _, _ = dirs._basis._m
+    s, t = fxx * hx + fxy * hy, fyx * hx + fyy * hy
     # h is parallel to neither direction, so s or t is 0 only by underflow.
     for name, value in (("s", s), ("t", t)):
         if value == 0.0:
@@ -501,7 +538,7 @@ def normalize_configuration(a: Point, b: Point, dirs: DirectionPair) -> AffineMa
                 f"segment's (u, v) coordinate {name} = {value!r} is too small: "
                 f"1/(2{name}) overflows"
             )
-    xx, xy = p * f.xx + q * f.yx, p * f.xy + q * f.yy
-    yx, yy = p * f.xx - q * f.yx, p * f.xy - q * f.yy
+    xx, xy = p * fxx + q * fyx, p * fxy + q * fyy
+    yx, yy = p * fxx - q * fyx, p * fxy - q * fyy
     mx, my = (a.x + b.x) / 2.0, (a.y + b.y) / 2.0
     return AffineMap(xx, xy, yx, yy, -(xx * mx + xy * my), -(yx * mx + yy * my))

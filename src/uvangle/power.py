@@ -200,8 +200,12 @@ def chord_intersection_x(t1: float, t2: float, t3: float, t4: float) -> float:
 
     The chord through abscissae t1, t2 is y = kappa*(t1 + t2 - x)/(t1*t2), so
     kappa cancels and the abscissa is the same for every nonzero kappa.
+    Raises OverflowError naming a parameter product that overflows.
     """
     p12, p34 = t1 * t2, t3 * t4
+    if math.isinf(p12) or math.isinf(p34):
+        name, value = ("t1*t2", p12) if math.isinf(p12) else ("t3*t4", p34)
+        raise OverflowError(f"chord parameter product {name} = {value!r} overflows")
     if abs(p12 - p34) <= REL_EPS * max(abs(p12), abs(p34)):
         raise ParallelChords("chords with equal parameter products are parallel")
     # An exact power of two brings the larger product into [0.5, 1), so the cubic numerator
@@ -214,27 +218,28 @@ def chord_intersection_x(t1: float, t2: float, t3: float, t4: float) -> float:
 def _monic_in_frame(h: AxisHyperbola, other: AxisHyperbola) -> tuple[float, float, float]:
     """Coefficients (ex, ey, e0) of the monic form w_x*w_y + ex*w_x + ey*w_y + e0
     of ``h`` expressed in the frame coordinates of ``other``."""
-    f, g = h.frame, other._inverse
-    # The entries of compose_maps(f, g), with the checks of its AffineMap.
-    xx, xy = f.xx * g.xx + f.xy * g.yx, f.xx * g.xy + f.xy * g.yy
-    yx, yy = f.yx * g.xx + f.yy * g.yx, f.yx * g.xy + f.yy * g.yy
-    tx = f.xx * g.tx + f.xy * g.ty + f.tx
-    ty = f.yx * g.tx + f.yy * g.ty + f.ty
+    fxx, fxy, fyx, fyy, ftx, fty = h.frame._m
+    gxx, gxy, gyx, gyy, gtx, gty = other._inverse._m
+    # The entries of compose_maps(h.frame, other._inverse), with the checks of its AffineMap.
+    xx, xy = fxx * gxx + fxy * gyx, fxx * gxy + fxy * gyy
+    yx, yy = fyx * gxx + fyy * gyx, fyx * gxy + fyy * gyy
+    tx = fxx * gtx + fxy * gty + ftx
+    ty = fyx * gtx + fyy * gty + fty
     if not (
         math.isfinite(xx) and math.isfinite(xy) and math.isfinite(yx)
         and math.isfinite(yy) and math.isfinite(tx) and math.isfinite(ty)
     ):
         _check_finite(xx, xy, yx, yy, tx, ty)
     # The frames share their axes when their rows, the coordinate functionals, are parallel.
-    o = other.frame
+    oxx, oxy, oyx, oyy, _, _ = other.frame._m
     c, d = h._frame_center
     gx, gy = tx - c, ty - d
-    if (_cross_if_independent(f.xx, f.xy, o.xx, o.xy) == 0.0
-            and _cross_if_independent(f.yx, f.yy, o.yx, o.yy) == 0.0):
+    if (_cross_if_independent(fxx, fxy, oxx, oxy) == 0.0
+            and _cross_if_independent(fyx, fyy, oyx, oyy) == 0.0):
         # z_x = xx*wx + tx, z_y = yy*wy + ty
         return gy / yy, gx / xx, (gx * gy - h.kappa) / (xx * yy)
-    if (_cross_if_independent(f.xx, f.xy, o.yx, o.yy) == 0.0
-            and _cross_if_independent(f.yx, f.yy, o.xx, o.xy) == 0.0):
+    if (_cross_if_independent(fxx, fxy, oyx, oyy) == 0.0
+            and _cross_if_independent(fyx, fyy, oxx, oxy) == 0.0):
         # z_x = xy*wy + tx, z_y = yx*wx + ty
         return gx / xy, gy / yx, (gx * gy - h.kappa) / (xy * yx)
     raise NonLinearDifference("hyperbolas do not share an asymptote direction pair")
@@ -267,7 +272,8 @@ def _radical_line(h1: AxisHyperbola, h2: AxisHyperbola) -> tuple[float, float, f
         _check_finite(bx, by, dx, dy)
     g = h1._inverse
     px, py = _map_point(g, bx, by)
-    wx, wy = g.xx * dx + g.xy * dy, g.yx * dx + g.yy * dy
+    gxx, gxy, gyx, gyy, _, _ = g._m
+    wx, wy = gxx * dx + gxy * dy, gyx * dx + gyy * dy
     if not (math.isfinite(wx) and math.isfinite(wy)):
         _check_finite(wx, wy)
     if wx == 0.0 and wy == 0.0:  # (dx, dy) is nonzero and g invertible: only by underflow

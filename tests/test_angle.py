@@ -241,6 +241,18 @@ def test_cross_ratio_undefined_when_three_entries_coincide():
             area_cross_ratio(*(rays[m] for m in entries), ORIGIN, x_is_one)
 
 
+def test_cross_ratio_raises_when_its_determinant_products_underflow():
+    # Every position on this aux line is ~1e-300, so d13*d24 and d23*d14 both round to 0
+    # while no determinant is zero against its own scale; through (1, 0) the value is 1/6.
+    rays = [Ray(ORIGIN, DirectionVector(*d)) for d in ((1, 1), (1, 2), (2, 1), (1, 3))]
+    along = DirectionVector(1.0, -1.0)
+    assert area_cross_ratio(*rays, ORIGIN, Line(Point(1.0, 0.0), along)) == pytest.approx(
+        1.0 / 6.0, rel=1e-12
+    )
+    with pytest.raises(ValueError, match="^the determinant products underflow: "):
+        area_cross_ratio(*rays, ORIGIN, Line(Point(1e-300, 0.0), along))
+
+
 def test_angle_zero_for_coincident_rays():
     result = affine_angle(ORIGIN, Point(1, 2), Point(2, 4), AXES)
     assert result.is_real

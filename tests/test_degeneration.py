@@ -30,6 +30,14 @@ def test_slope_angle_examples():
         slope_cross_ratio_angle(1e-300, 1e300)
 
 
+@pytest.mark.parametrize("m1, m2", [(math.inf, math.inf), (math.inf, 1.0), (math.nan, 1.0)])
+def test_slope_angle_rejects_non_finite_slopes(m1, m2):
+    # inf/inf is nan, inf/1 overflows and nan fails the sign test: each branch names
+    # the slope that is not finite, as SlopePair does.
+    with pytest.raises(ValueError, match=f"^slopes must be finite, got {m1!r}$"):
+        slope_cross_ratio_angle(m1, m2)
+
+
 def test_slope_angle_matches_area_machinery():
     rng = random.Random(51)
     o = Point(0, 0)
@@ -54,6 +62,12 @@ def test_cross_ratio_pole():
         degenerate_cross_ratio(SlopePair(2.0, 1.0), 0.5)
     with pytest.raises(PoleAtT):
         degenerate_cross_ratio(SlopePair(2.0, 1.0), 1.0)
+
+
+def test_cross_ratio_names_the_product_that_overflows():
+    # Each factor is 1e308 in magnitude, so both products overflow to -inf.
+    with pytest.raises(OverflowError, match=r"^t = -1.0: the product \(1 - m1 t\)\(1 \+ m2 t\)"):
+        degenerate_cross_ratio(SlopePair(1e308, 1e308), -1.0)
 
 
 def test_slope_pair_validation():

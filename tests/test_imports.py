@@ -156,6 +156,24 @@ def test_only_power_reads_the_hyperbola_frame_slots():
         assert found == [], f"{path.name} reads a frame slot on lines {found}"
 
 
+# AffineMap and ConicCoefficients keep their entries as one tuple in one slot.
+ONE_SLOT_ENTRIES = {
+    "xx", "xy", "yx", "yy", "tx", "ty", "c_xx", "c_xy", "c_yy", "c_x", "c_y", "c_0",
+}
+
+
+def test_map_and_conic_entries_are_read_from_their_slot():
+    # Every reader in the package unpacks the slot once; the entries' read-only
+    # properties, which _Frozen generates, serve callers outside it.
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = [
+            f".{node.attr} on line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ONE_SLOT_ENTRIES
+        ]
+        assert found == [], f"{path.name} reads an entry by name: {found}"
+
+
 def _scoped_nodes():
     """(scope, node) for every node of src/uvangle; a scope names the module and the
     enclosing classes and functions, as in ``kernel.Line.contains``."""

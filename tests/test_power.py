@@ -16,6 +16,7 @@ from helpers import (
     random_hyperbola,
     random_off_curve_point,
     random_secant_direction,
+    run_cli,
     unit_direction,
 )
 from uvangle import (
@@ -307,6 +308,19 @@ def test_chord_intersection_examples():
     assert chord_intersection_x(1.0, 4.0, 2.0, 3.0) == pytest.approx(5.0, rel=1e-12)
     with pytest.raises(ParallelChords):
         chord_intersection_x(1.0, 6.0, 2.0, 3.0)
+
+
+def test_chord_intersection_names_the_product_that_overflows():
+    with pytest.raises(OverflowError, match=r"^chord parameter product t1\*t2 = inf overflows$"):
+        chord_intersection_x(1e288, 1e288, 1e288, 1e288)
+    with pytest.raises(OverflowError, match=r"^chord parameter product t3\*t4 = inf overflows$"):
+        chord_intersection_x(1.0, 2.0, 1e288, 1e288)
+    # The CLI reaches this guard: chord_line takes these parameters, and the chords'
+    # meet used to fail as "lines are parallel within tolerance" after a nan abscissa.
+    run = run_cli("chords", "--t", "1e288,2e288,3e288,5e288")
+    assert (run.returncode, run.stdout, run.stderr) == (
+        2, b"", "uvangle chords: domain error: chord parameter product t1*t2 = inf overflows\n"
+    )
 
 
 @pytest.mark.parametrize("k", [-400, -350, -250, -41, -1, 1, 41, 250, 350, 400])
