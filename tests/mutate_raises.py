@@ -18,8 +18,9 @@ A full sweep runs the suite about once per raise: 81 raises took 4.5
 minutes on a 2-vCPU machine, ``kernel.py`` alone, 23 raises, 1.6 minutes,
 and ``cli.py``, 8 raises, 1.1 minutes.  Later, with 84 raises in the
 package, ``kernel.py area_ratio.py degeneration.py power.py isoptic.py``,
-69 raises, took 3.7 and 5.3 minutes in two runs.  pytest does not collect this file;
-``test_mutate_raises.py`` checks one known guard with it.
+69 raises, took 3.7 and 5.3 minutes in two runs.  pytest does not
+collect this file; ``test_mutate_raises.py`` checks one known guard with
+it.
 """
 
 from __future__ import annotations

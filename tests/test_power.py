@@ -315,8 +315,7 @@ def test_chord_intersection_names_the_product_that_overflows():
         chord_intersection_x(1e288, 1e288, 1e288, 1e288)
     with pytest.raises(OverflowError, match=r"^chord parameter product t3\*t4 = inf overflows$"):
         chord_intersection_x(1.0, 2.0, 1e288, 1e288)
-    # The CLI reaches this guard: chord_line takes these parameters, and the chords'
-    # meet used to fail as "lines are parallel within tolerance" after a nan abscissa.
+    # The CLI reaches this guard: chord_line accepts these parameters.
     run = run_cli("chords", "--t", "1e288,2e288,3e288,5e288")
     assert (run.returncode, run.stdout, run.stderr) == (
         2, b"", "uvangle chords: domain error: chord parameter product t1*t2 = inf overflows\n"
