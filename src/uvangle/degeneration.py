@@ -52,7 +52,8 @@ def degenerate_cross_ratio(m: SlopePair, t: float) -> float:
     """((1 - m1 t)(1 + m2 t)) / ((1 + m1 t)(1 - m2 t)).
 
     Raises PoleAtT when a factor is within ABS_EPS of 0 against its scale,
-    and OverflowError naming the product of two factors that overflows.
+    OverflowError naming the product of two factors that overflows, and
+    ValueError for a NaN t.
     """
     m1t, m2t = m.m1 * t, m.m2 * t
     f1, f2, f3, f4 = 1.0 - m1t, 1.0 + m2t, 1.0 + m1t, 1.0 - m2t
@@ -68,6 +69,8 @@ def degenerate_cross_ratio(m: SlopePair, t: float) -> float:
         for name, value in (("(1 - m1 t)(1 + m2 t)", num), ("(1 + m1 t)(1 - m2 t)", den)):
             if math.isinf(value):
                 raise OverflowError(f"t = {t!r}: the product {name} = {value!r} overflows")
+        # No product overflowed, so they are nan: t is nan (an infinite t is a pole).
+        raise ValueError(f"t must be finite, got {t!r}")
     return ratio
 
 

@@ -288,11 +288,6 @@ class AffineMap(_Frozen):
     def scaling(cls, sx: float, sy: float) -> "AffineMap":
         return cls(sx, 0.0, 0.0, sy, 0.0, 0.0)
 
-    @property
-    def det(self) -> float:
-        xx, xy, yx, yy, _, _ = self._m
-        return xx * yy - xy * yx
-
     def apply_linear(self, d: DirectionVector) -> DirectionVector:
         xx, xy, yx, yy, _, _ = self._m
         return DirectionVector(xx * d.dx + xy * d.dy, yx * d.dx + yy * d.dy)

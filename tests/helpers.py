@@ -108,11 +108,16 @@ def same_component_slopes(rng: random.Random, count: int, lo: float = 0.05, hi: 
     return [sign * log_uniform(rng, lo, hi) for _ in range(count)]
 
 
+def map_det(m: AffineMap) -> float:
+    """The determinant of the map's linear part."""
+    return m.xx * m.yy - m.xy * m.yx
+
+
 def random_invertible_map(rng: random.Random, min_det: float = 0.05) -> AffineMap:
     while True:
         entries = [rng.uniform(-2.0, 2.0) for _ in range(4)]
         m = AffineMap(*entries, rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-        if abs(m.det) > min_det:
+        if abs(map_det(m)) > min_det:
             return m
 
 

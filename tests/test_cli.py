@@ -1,5 +1,6 @@
 import argparse
 import functools
+import io
 import itertools
 import json
 import math
@@ -31,6 +32,7 @@ from uvangle.cli import (
     _trials,
     _triple,
     build_parser,
+    main,
 )
 
 
@@ -232,6 +234,15 @@ def test_unwritable_output_exits_2(tmp_path):
     assert "cannot write output" in assert_one_line_error(proc, 2)
 
 
+def test_closed_stdout_exits_2(monkeypatch):
+    # Python sets sys.stdout to None when a process starts with fd 1 closed.
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", None)
+    monkeypatch.setattr(sys, "stderr", err)
+    assert main(["angle", "--O", "0,0", "--A", "1,1", "--B", "1,2", "--u", "1,0", "--v", "0,1"]) == 2
+    assert err.getvalue() == "uvangle angle: cannot write output: stdout is closed\n"
+
+
 def test_invariance_rejects_negative_trials():
     line = assert_one_line_error(run_cli("invariance", "--trials", "-2"), 1)
     assert line == "uvangle invariance: error: argument --trials: must be a non-negative integer, got -2"
@@ -259,6 +270,8 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
 # The console script's two lines, run after importing the standard-library
 # modules named in argv[1] (comma-separated).  stderr ends with the modules the
 # command added to those.  Run with -S, so that no .pth file imports any first.
+# It calls main, not the script's target cli.run: run ends the process by
+# os._exit, and the finally that reports the modules would never run.
 CONSOLE_SCRIPT = """
 import sys
 for name in sys.argv.pop(1).split(","):

@@ -70,6 +70,17 @@ def test_cross_ratio_names_the_product_that_overflows():
         degenerate_cross_ratio(SlopePair(1e308, 1e308), -1.0)
 
 
+def test_cross_ratio_rejects_nan_t():
+    # Every pole test is False for NaN factors; the ratio screen catches the nan.
+    for t, error, message in (
+        (math.nan, ValueError, "^t must be finite, got nan$"),
+        (math.inf, PoleAtT, "^t = inf hits a pole"),
+        (-math.inf, PoleAtT, "^t = -inf hits a pole"),
+    ):
+        with pytest.raises(error, match=message):
+            degenerate_cross_ratio(SlopePair(2.0, 1.0), t)
+
+
 def test_slope_pair_validation():
     with pytest.raises(ValueError):
         SlopePair(0.0, 1.0)

@@ -4,11 +4,11 @@ Each case runs ``uvangle.cli.main`` once, in process, compares stdout with
 ``tests/golden/<name>.<ext>`` and checks each JSON golden against
 ``schemas/result_v1.json``.  ``test_entry_points_match_the_in_process_run``
 runs ``python -m uvangle`` and ``python -m uvangle.cli`` as processes on a
-JSON golden, an SVG golden, a domain error, a parse error and ``--help``, and
-asserts that each prints what the in-process run prints.  The golden files were
-captured before the angle moved from the auxiliary-line ratio to the (u, v)
-slope, so these tests pin the printed values of the README commands across
-refactors.
+JSON golden, an SVG golden, a domain error, a parse error, ``--help`` and a
+document larger than a pipe buffer, and asserts that each prints what the
+in-process run prints.  The golden files were captured before the angle
+moved from the auxiliary-line ratio to the (u, v) slope, so these tests pin
+the printed values of the README commands across refactors.
 The two ``isoptic_sheared`` files were captured before ``sample_locus``
 classified its samples in the canonical frame; they pin the sample
 coordinates on a sheared, non-unit frame with an odd sample count and a
@@ -366,6 +366,8 @@ ENTRY_POINT_RUNS = (
     ("angle", "--O", "0,0", "--A", "1,0", "--B", "1,2", "--u", "1,0", "--v", "0,1"),  # domain
     ("angle", "--O", "0,0", "--A", "1,2,3", "--B", "1,2", "--u", "1,0", "--v", "0,1"),  # parse
     ("--help",),  # argparse's help, at the width COLUMNS gives both runs
+    # 548 kB, many pipe buffers: the whole document is written before os._exit
+    (*CASES["isoptic_64.json"][:-2], "--samples", "4096"),
 )
 
 
@@ -379,7 +381,28 @@ def test_entry_points_match_the_in_process_run(monkeypatch, entry):
         inproc = run_cli(*argv)
         assert (proc.returncode, proc.stdout, proc.stderr.decode()) == inproc, argv
         codes.append(proc.returncode)
-    assert codes == [0, 0, 2, 1, 0]
+    assert codes == [0, 0, 2, 1, 0, 0]
+
+
+# Registers an atexit handler, then runs the package as `python -m uvangle` does.
+ATEXIT_CHILD = """
+import atexit, runpy, sys
+atexit.register(sys.stderr.write, "atexit handler ran")
+runpy.run_module("uvangle", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_the_package_entry_point_skips_teardown():
+    # cli.run leaves by os._exit, so no atexit handler runs after main.
+    argv = ENTRY_POINT_RUNS[0]
+    proc = run_process("-c", ATEXIT_CHILD, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, run_cli(*argv).stdout, b"")
+
+
+def test_the_console_script_is_the_exit_function():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = tomllib.loads((GOLDEN.parent.parent / "pyproject.toml").read_text())
+    assert pyproject["project"]["scripts"] == {"uvangle": "uvangle.cli:run"}
 
 
 if __name__ == "__main__":

@@ -95,32 +95,37 @@ def test_every_public_member_has_a_caller_in_src():
     # A value type's public members are the ones the library itself uses:
     # every public method, property or classmethod, and every public
     # module-level function the package does not export, is read somewhere
-    # in src.  Members only tests need live in tests/helpers.py.
+    # in src.  Members only tests need live in tests/helpers.py.  A member
+    # is read as ``x.name``; a function also by its bare name, which for a
+    # member would be any local variable of that name.
     import uvangle
 
-    read: set[str] = set()
-    public: list[str] = []
+    attributes: set[str] = set()
+    names: set[str] = set()
+    functions: list[str] = []
+    class_members: list[str] = []
     owners: dict[str, list[str]] = {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
-                read.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.Name):
-                read.add(node.id)
+                names.add(node.id)
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
                 if not node.name.startswith("_") and node.name not in uvangle._EXPORTS:
-                    public.append(f"{path.stem}.{node.name}")
+                    functions.append(f"{path.stem}.{node.name}")
             elif isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if (isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
                             and not _overrides_stdlib(node, item.name)):
                         member = f"{path.stem}.{node.name}.{item.name}"
-                        public.append(member)
+                        class_members.append(member)
                         owners.setdefault(item.name, []).append(member)
-    assert public
-    assert [name for name in public if name.rsplit(".", 1)[1] not in read] == []
+    assert functions and class_members
+    assert [f for f in functions if f.rsplit(".", 1)[1] not in attributes | names] == []
+    assert [m for m in class_members if m.rsplit(".", 1)[1] not in attributes] == []
     shared = {member for members in owners.values() if len(members) > 1 for member in members}
     assert set(SHARED_NAME_ALLOWED) <= shared
     for name, members in owners.items():

@@ -9,6 +9,7 @@ from helpers import (
     IDENTITY,
     assert_point_close,
     direction_pair,
+    map_det,
     random_invertible_map,
     random_vertex,
 )
@@ -66,7 +67,8 @@ def test_signed_area_affine_scaling():
         x, y, z = (random_vertex(rng, -3, 3) for _ in range(3))
         before = signed_area(x, y, z)
         after = signed_area(t.apply_point(x), t.apply_point(y), t.apply_point(z))
-        assert abs(after - t.det * before) <= 1e-10 * max(1.0, abs(after), abs(t.det * before))
+        det = map_det(t)
+        assert abs(after - det * before) <= 1e-10 * max(1.0, abs(after), abs(det * before))
 
 
 def test_intersect_axes():
