@@ -29,8 +29,8 @@ process loads only those.  The names are looked up at call time, never
 kept in this module's globals, so rebinding a module's function (as a
 tracer does) reaches every call.  No module imports anything for its
 annotations alone: from the standard library a command loads only ``math``
-and ``types``, plus ``itertools`` for SVG output and ``random`` and ``enum``
-for ``invariance``.
+and ``types``, plus the builtin ``gc`` for ``isoptic``, ``itertools`` for SVG
+output and ``random`` and ``enum`` for ``invariance``.
 
 Documents are written by ``_json``, not by the json package: importing json
 loads its decoder and scanner and compiles their regexes, which costs a
@@ -458,6 +458,21 @@ def _emit(payload, out_path: str | None) -> None:
             handle.write(data)
 
 
+def _report(line: str) -> None:
+    """Write one error line to stderr; a stderr that cannot take it loses the line, not the code.
+
+    Python sets sys.stderr to None when the process starts with fd 2 closed,
+    and print(file=None) would write to stdout, so that stream is skipped; a
+    write that raises OSError (stderr on a full device) is ignored.
+    """
+    if sys.stderr is None:
+        return
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -465,7 +480,7 @@ def main(argv: list[str] | None = None) -> int:
     if args is None:  # argparse prints the help and exits 0
         build_parser().parse_args([argv[0], "--help"] if argv[0] in COMMANDS else ["--help"])
     if isinstance(args, str):
-        print(args, file=sys.stderr)
+        _report(args)
         return 1
     try:
         result = args.handler(args)
@@ -481,10 +496,10 @@ def main(argv: list[str] | None = None) -> int:
             }
         _emit(result, args.out)
     except (GeometryError, ValueError, OverflowError) as exc:
-        print(f"uvangle {args.command}: domain error: {exc}", file=sys.stderr)
+        _report(f"uvangle {args.command}: domain error: {exc}")
         return 2
     except OSError as exc:
-        print(f"uvangle {args.command}: cannot write output: {exc}", file=sys.stderr)
+        _report(f"uvangle {args.command}: cannot write output: {exc}")
         return 2
     return 0
 
@@ -494,7 +509,10 @@ def run() -> None:
     code = main()
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:
-            stream.flush()
+            try:
+                stream.flush()
+            except OSError:  # main has already chosen the code for what it could not write
+                pass
     import os  # here, so that importing cli or calling main loads no os under -S
 
     os._exit(code)

@@ -15,6 +15,7 @@ covers one branch; the other branch is its image under the central
 reflection (p, q) -> (-p, -q - 2*beta).
 """
 
+import gc
 import math
 
 from .errors import SingularPosition, ThetaTooSmall
@@ -312,6 +313,18 @@ def sample_locus(spec: IsopticSpec, n: int) -> list[tuple[Point, bool]]:
     every flag there is True while Q sh^2 <= 2 / BOUNDARY_EPS, which is
     |theta| below about 9.748; above it each sample is tested.  A branch of
     one sample, or windows wider than T, is tested sample by sample.
+
+    The loop that builds the samples runs with the cyclic collector paused:
+    gc.disable() before it and, on return or on a raise, gc.enable() only if
+    the collector was enabled, so the caller's state is restored.  Each
+    sample is two GC-tracked objects, a Point and its tuple, so unpaused the
+    collector made a young pass every 700 of them, promoted the samples and
+    walked them again in older collections: 4096 samples of the README spec
+    ran 11 collections unpaused, and run none paused.  The loop calls no
+    user code and makes no reference cycle, so the pause holds back no
+    garbage.  It is process-wide: another thread's collections wait until
+    the loop ends, and a gc.disable() that another thread makes meanwhile is
+    undone by the restore.
     """
     if n < 2:
         raise ValueError("need at least two samples")
@@ -367,17 +380,23 @@ def sample_locus(spec: IsopticSpec, n: int) -> list[tuple[Point, bool]]:
 
     samples: list[tuple[Point, bool]] = []
     append = samples.append
-    for branch, (xs, ys) in ((0, primary), (1, reflected)):
-        for cx, cy, ok in zip(xs, ys, branch_flags(xs, ys, branch)):
-            if branch:  # reflect_branch
-                cx, cy = -cx, -cy - two_beta
-            # The float expressions of _map_point, stored past Point.__init__:
-            # IsopticSpec's bound keeps every sample finite, so the
-            # constructor's frame and isfinite tests would only cost time.
-            p = new(Point)
-            _set_point_x(p, fxx * cx + fxy * cy + ftx)
-            _set_point_y(p, fyx * cx + fyy * cy + fty)
-            append((p, ok))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for branch, (xs, ys) in ((0, primary), (1, reflected)):
+            for cx, cy, ok in zip(xs, ys, branch_flags(xs, ys, branch)):
+                if branch:  # reflect_branch
+                    cx, cy = -cx, -cy - two_beta
+                # The float expressions of _map_point, stored past Point.__init__:
+                # IsopticSpec's bound keeps every sample finite, so the
+                # constructor's frame and isfinite tests would only cost time.
+                p = new(Point)
+                _set_point_x(p, fxx * cx + fxy * cy + ftx)
+                _set_point_y(p, fyx * cx + fyy * cy + fty)
+                append((p, ok))
+    finally:
+        if was_enabled:
+            gc.enable()
     return samples
 
 

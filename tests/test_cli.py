@@ -33,6 +33,7 @@ from uvangle.cli import (
     _triple,
     build_parser,
     main,
+    run,
 )
 
 
@@ -243,6 +244,47 @@ def test_closed_stdout_exits_2(monkeypatch):
     assert err.getvalue() == "uvangle angle: cannot write output: stdout is closed\n"
 
 
+class _FullStream(io.StringIO):
+    """A text stream on a full device: every write raises."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("stderr", [None, _FullStream()], ids=["closed", "full"])
+@pytest.mark.parametrize("argv, code", [
+    (("angle", "--O", "0,0", "--A", "1,0", "--B", "1,2", "--u", "1,0", "--v", "0,1"), 2),
+    (("angle", "--O", "x"), 1),
+], ids=["domain", "usage"])
+def test_an_unwritable_stderr_keeps_the_exit_code(monkeypatch, tmp_path, stderr, argv, code):
+    # None is what Python sets when the process starts with fd 2 closed; print
+    # to it would write to stdout.
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(list(argv)) == code
+    unwritable = ["power", "--kappa", "1", "--center", "0,0", "--P", "2,2",
+                  "--out", str(tmp_path / "missing" / "power.json")]
+    assert main(unwritable) == 2
+    assert out.getvalue() == ""
+
+
+def test_run_ends_with_the_code_when_stderr_cannot_be_flushed(monkeypatch):
+    class Unflushable(io.StringIO):
+        def flush(self):
+            raise OSError(28, "No space left on device")
+
+    def exit_(code):
+        raise SystemExit(code)
+
+    monkeypatch.setattr(os, "_exit", exit_)
+    monkeypatch.setattr(sys, "argv", ["uvangle", "angle", "--O", "x"])
+    monkeypatch.setattr(sys, "stderr", Unflushable())
+    with pytest.raises(SystemExit) as exc:
+        run()
+    assert exc.value.code == 1
+
+
 def test_invariance_rejects_negative_trials():
     line = assert_one_line_error(run_cli("invariance", "--trials", "-2"), 1)
     assert line == "uvangle invariance: error: argument --trials: must be a non-negative integer, got -2"
@@ -293,8 +335,8 @@ COMMAND_IMPORTS = {
     ("angle", "--O", "0,0", "--A", "1,1", "--B", "1,2", "--u", "1,0", "--v", "0,1"): (
         (), ("angle",)
     ),
-    (*ISOPTIC, "--theta", "1"): ((), ("isoptic",)),
-    (*ISOPTIC, "--theta", "1", "--output", "svg"): (("itertools",), ("isoptic", "svg")),
+    (*ISOPTIC, "--theta", "1"): (("gc",), ("isoptic",)),
+    (*ISOPTIC, "--theta", "1", "--output", "svg"): (("gc", "itertools"), ("isoptic", "svg")),
     ("power", "--kappa", "2", "--center", "0,0", "--P", "2,2"): ((), ("power",)),
     ("radical-center", "--h1", "0,0,1", "--h2", "1,0.5,3", "--h3", "-1,-2,2"): ((), ("power",)),
     ("chords", "--t", "1,4,2,3"): ((), ("power",)),

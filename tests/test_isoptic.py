@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+import uvangle.isoptic
 from helpers import (
     assert_point_close,
     conic_scale,
@@ -624,3 +626,51 @@ def test_sector_area_overflow_is_not_reported_as_coincidence():
         sector_area_equivalence(Point(1e308, 0), Point(-1e308, 1), Point(1, 2), AXES)
     with pytest.raises(ValueError, match="^point B coincides with the vertex$"):
         sector_area_equivalence(Point(1e308, 0), Point(1, 2), Point(1e308, 0), AXES)
+
+
+@pytest.fixture
+def collector():
+    """Give back the collector's enabled state and callbacks as the test found them."""
+    was_enabled, callbacks = gc.isenabled(), gc.callbacks[:]
+    yield
+    gc.callbacks[:] = callbacks
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def test_sample_locus_builds_its_samples_with_the_collector_paused(collector):
+    # Each sample is two GC-tracked objects, a Point and its tuple: unpaused,
+    # n = 4096 ran 11 collections.  The young pass that the pause defers runs
+    # at the caller's next tracked allocation, so the count is read first.
+    spec = canonical_spec(1.0)
+    generations = []
+
+    def record(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(record)
+    samples = sample_locus(spec, 4096)
+    during = len(generations)
+    assert during == 0, generations
+    assert len(samples) == 4096
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_sample_locus_keeps_the_collector_state(collector, enabled):
+    (gc.enable if enabled else gc.disable)()
+    sample_locus(canonical_spec(1.0), 16)
+    assert gc.isenabled() is enabled
+
+
+def test_sample_locus_enables_the_collector_again_after_a_raise(collector, monkeypatch):
+    def fail(p, x):
+        assert not gc.isenabled()
+        raise RuntimeError("cannot build")
+
+    monkeypatch.setattr(uvangle.isoptic, "_set_point_x", fail)
+    gc.enable()
+    with pytest.raises(RuntimeError, match="^cannot build$"):
+        sample_locus(canonical_spec(1.0), 16)
+    assert gc.isenabled()
